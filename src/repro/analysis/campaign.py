@@ -109,11 +109,9 @@ class Campaign:
         ``service`` routes the sweep to a running ``repro serve``
         instance instead: pass a
         :class:`~repro.service.client.ServiceClient` or a
-        ``http://host:port`` URL.  The service path aggregates
-        bit-identically to local execution (the simulation is
-        deterministic, and the server sheds rather than drops), so the
-        two are interchangeable; campaign shedding is absorbed by the
-        client's backoff-and-resubmit loop.
+        ``http://host:port`` URL.  The server resolves the sweep with
+        the same executor, and the simulation is deterministic, so the
+        service path aggregates bit-identically to local execution.
         """
         resolved = self._resolved_configs()
         if cache is not None:

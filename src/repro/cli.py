@@ -27,15 +27,12 @@ Installed as ``python -m repro``.  Commands:
 ``cache``
     Inspect or clear the persistent result store.
 ``chaos``
-    Run a fault-injection campaign.  ``--family guard`` (default)
-    verifies the guard detects every simulation fault class;
-    ``--family service`` verifies the serving layer survives shard
-    crashes, hangs, corrupt payloads and floods bit-identically;
-    ``--family all`` runs both.
+    Run the guard layer's fault-injection campaign: every simulation
+    fault class must be detected with a structured error.
 ``serve``
-    Run the sharded simulation service: worker-process shards behind an
-    HTTP/JSON API with admission control, failover and graceful
-    degradation (see ``docs/architecture.md`` §12).
+    Serve ``POST /run`` over HTTP: each request's job batch runs through
+    the same executor and result store as a local sweep (see
+    ``docs/architecture.md`` §12).
 ``bench``
     Run the pinned benchmark matrix (trace generation and timing
     simulation measured separately), write ``BENCH_<tag>.json``, and
@@ -174,41 +171,23 @@ def build_parser() -> argparse.ArgumentParser:
                            help="delete every stored result")
 
     chaos = sub.add_parser(
-        "chaos", help="run a fault-injection campaign (guard or service)"
+        "chaos", help="run the guard layer's fault-injection campaign"
     )
-    chaos.add_argument("--family", choices=("guard", "service", "all"),
-                       default="guard",
-                       help="fault family: guard attacks the simulation "
-                       "model, service attacks the serving layer "
-                       "(default guard)")
     chaos.add_argument("--faults", default="",
-                       help="comma-separated fault classes (default: all "
-                       "in the selected family)")
+                       help="comma-separated fault classes (default: all)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="campaign seed (fault trigger points)")
     chaos.add_argument("--rays", type=int, default=128,
-                       help="synthetic workload size (guard family)")
+                       help="synthetic workload size")
 
     serve = sub.add_parser(
-        "serve", help="run the sharded simulation service (HTTP/JSON API)"
+        "serve", help="run job batches for other processes (POST /run)"
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8642,
                        help="bind port (default 8642; 0 = ephemeral)")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="worker shard processes (default 2)")
-    serve.add_argument("--queue-depth", type=int, default=16,
-                       help="per-shard queue bound (default 16)")
-    serve.add_argument("--rate", type=float, default=500.0,
-                       help="admission rate, submissions/s (default 500)")
-    serve.add_argument("--burst", type=int, default=128,
-                       help="admission burst capacity (default 128)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="bypass the persistent result store")
-    serve.add_argument("--cache-dir", default=None,
-                       help="result store directory (default "
-                       "~/.cache/repro-sms or $REPRO_CACHE_DIR)")
+    _add_execution_args(serve)
 
     bench = sub.add_parser(
         "bench", help="run the pinned benchmark matrix and gate regressions"
@@ -266,7 +245,8 @@ def _add_guard_args(parser: argparse.ArgumentParser) -> None:
                         help="watchdog cycle budget (implies --guard)")
 
 
-def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
+def _add_execution_args(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``, ``--no-cache`` and ``--cache-dir``: how jobs resolve."""
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for sweeps (default: one per "
                         "CPU; 1 = serial in-process)")
@@ -275,6 +255,10 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="result store directory (default "
                         "~/.cache/repro-sms or $REPRO_CACHE_DIR)")
+
+
+def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
+    _add_execution_args(parser)
     parser.add_argument("--progress", action="store_true",
                         help="draw a live progress line on stderr")
     _add_backend_arg(parser)
@@ -556,87 +540,31 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.guard import fault_families
+    from repro.guard import run_chaos_campaign
 
-    families = (
-        ("guard", "service") if args.family == "all" else (args.family,)
-    )
-    known = fault_families()
     kinds = [k.strip() for k in args.faults.split(",") if k.strip()] or None
-    if kinds:
-        allowed = {
-            kind for family in families for kind in known[family]
-        }
-        unknown = sorted(set(kinds) - allowed)
-        if unknown:
-            print(
-                f"error: unknown fault class(es) {', '.join(unknown)}; "
-                f"choose from {', '.join(sorted(allowed))}",
-                file=sys.stderr,
-            )
-            return 2
-    failed = 0
-    for family in families:
-        selected = (
-            [kind for kind in kinds if kind in known[family]]
-            if kinds else None
-        )
-        if kinds and not selected:
-            continue
-        if len(families) > 1:
-            print(f"===== {family} faults =====")
-        if family == "guard":
-            from repro.guard import run_chaos_campaign
-
-            report = run_chaos_campaign(
-                kinds=selected, seed=args.seed, rays=args.rays
-            )
-            print(report.summary())
-            failed += 0 if report.all_detected else 1
-        else:
-            from repro.service import run_service_chaos_campaign
-
-            service_report = run_service_chaos_campaign(
-                kinds=selected, seed=args.seed
-            )
-            print(service_report.summary())
-            failed += 0 if service_report.all_passed else 1
-    return 1 if failed else 0
+    report = run_chaos_campaign(kinds=kinds, seed=args.seed, rays=args.rays)
+    print(report.summary())
+    return 0 if report.all_detected else 1
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-
     from repro.runtime.store import ResultStore
-    from repro.service import ServiceConfig, ServiceHTTPServer, SimulationService
+    from repro.service import ServiceHTTPServer
 
-    config = ServiceConfig(
-        shards=args.shards,
-        queue_depth=args.queue_depth,
-        rate=args.rate,
-        burst=args.burst,
-    )
     store = None if args.no_cache else ResultStore(args.cache_dir)
-
-    async def _serve() -> None:
-        async with SimulationService(config, store=store) as service:
-            server = ServiceHTTPServer(service, args.host, args.port)
-            await server.start()
-            print(f"repro serve: {config.shards} shard(s) on "
-                  f"http://{server.host}:{server.port}")
-            if store is not None:
-                print(f"result store: {store.root}")
-            print("endpoints: POST /submit, GET /status|/result|/stream"
-                  "/<ticket>, /healthz, /metrics")
-            try:
-                await server.serve_forever()
-            finally:
-                await server.stop()
-
+    server = ServiceHTTPServer(args.host, args.port, store=store,
+                               workers=args.jobs)
+    print(f"repro serve: POST /run on http://{args.host}:{server.port}")
+    if store is not None:
+        print(f"result store: {store.root}")
+    sys.stdout.flush()  # the banner names the port; show it before blocking
     try:
-        asyncio.run(_serve())
+        server.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: stopped")
+    finally:
+        server.server_close()
     return 0
 
 

@@ -173,50 +173,10 @@ class JobExecutionError(ReproError):
 
 
 class ServiceError(ReproError):
-    """Serving-layer failure (:mod:`repro.service`)."""
+    """``repro serve`` client failure (:mod:`repro.service`).
 
-
-class ServiceOverloadError(ServiceError):
-    """The service shed this submission instead of queuing it unboundedly.
-
-    Raised by admission control when the token bucket is empty or every
-    shard queue is full.  ``retry_after`` is the server's hint (seconds)
-    for when capacity should be available again; ``reason`` names which
-    limit tripped (``"rate"`` or ``"queue"``).  Clients are expected to
-    back off and resubmit — the work was *not* accepted.
+    Raised when the server answers with something other than results, a
+    rejected batch (:class:`ConfigError`) or a failed job
+    (:class:`JobExecutionError`): an unknown endpoint, an unexpected
+    server error, or a reply that is not JSON.
     """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        retry_after: float = 0.0,
-        reason: str = "queue",
-    ) -> None:
-        super().__init__(message)
-        self.message = message
-        self.retry_after = retry_after
-        self.reason = reason
-
-
-class ShardFailureError(ServiceError):
-    """A worker shard crashed, hung, or returned a corrupt payload.
-
-    Internal to the coordinator's redelivery machinery: the affected job
-    is requeued (up to the redelivery budget) rather than failed, so
-    clients normally never see this type.  ``shard_id`` and ``reason``
-    (``"crash"``, ``"hung"``, ``"corrupt"``) feed the circuit breaker
-    and the structured metrics.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        shard_id: Optional[int] = None,
-        reason: str = "crash",
-    ) -> None:
-        super().__init__(message)
-        self.message = message
-        self.shard_id = shard_id
-        self.reason = reason

@@ -56,11 +56,10 @@ class WorkloadCache:
 
     The in-memory layer is LRU-bounded: ``max_traced`` caps how many
     traced scenes stay resident (``None`` keeps all — the historical
-    behavior, right for one-shot sweeps).  Long-running processes (the
-    sharded service, notebook sessions) set a bound so memory stays
-    flat; evictions are counted in ``evictions`` and surfaced through
-    :class:`~repro.runtime.metrics.RuntimeMetrics` and the service's
-    ``/metrics`` endpoint.
+    behavior, right for one-shot sweeps).  Long-running processes
+    (notebook sessions, say) set a bound so memory stays flat;
+    evictions are counted in ``evictions`` and surfaced through
+    :class:`~repro.runtime.metrics.RuntimeMetrics`.
     """
 
     params: WorkloadParams = field(default_factory=lambda: DEFAULT_PARAMS)

@@ -20,7 +20,6 @@ from repro.guard.chaos import (
     ChaosReport,
     FaultOutcome,
     FaultSpec,
-    fault_families,
     run_chaos_campaign,
 )
 from repro.guard.config import GuardConfig
@@ -36,6 +35,5 @@ __all__ = [
     "FaultOutcome",
     "ChaosReport",
     "FAULT_CLASSES",
-    "fault_families",
     "run_chaos_campaign",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, GuardViolationError
 from repro.stack.sms import SmsStack
@@ -34,22 +34,6 @@ UNIT_FAULTS = ("skew_counter", "stuck_warp")
 
 #: Every injectable fault class.
 FAULT_CLASSES = STACK_FAULTS + UNIT_FAULTS
-
-
-def fault_families() -> Dict[str, Tuple[str, ...]]:
-    """Every chaos family the toolkit can inject, by layer.
-
-    ``guard`` faults attack the simulation model (this module);
-    ``service`` faults attack the serving layer
-    (:mod:`repro.service.faults`).  Imported lazily so the guard
-    package never pays for the service package at import time.
-    """
-    from repro.service.faults import SERVICE_FAULT_CLASSES
-
-    return {
-        "guard": FAULT_CLASSES,
-        "service": SERVICE_FAULT_CLASSES,
-    }
 
 #: XOR mask applied by ``corrupt_entry`` (flips address bits).
 _CORRUPT_MASK = 0x5_A5A0

@@ -17,7 +17,7 @@ stack-model replay against the independent SoA mirror:
   stores, warp steps equal the structural iteration count).
 
 Violations raise :class:`~repro.errors.InvariantViolationError`, the
-same error type the full guard uses, so executor/service handling
+same error type the full guard uses, so the executor's handling
 (fail fast, no retry) applies unchanged.
 """
 

@@ -1,8 +1,7 @@
 """Deterministic seeded exponential backoff with jitter.
 
-One helper shared by every retry site in the repo — the executor's
-failed-job retries, the service coordinator's shard restarts and job
-redeliveries.  The delay for attempt *n* is::
+The executor's failed-job retries wait on this schedule.  The delay
+for attempt *n* is::
 
     min(cap, base * 2**(n-1)) * jitter,   jitter in [0.5, 1.0)
 

@@ -8,15 +8,18 @@
 2. identical jobs within one call are deduplicated and computed once;
 3. misses run on a bounded pool of worker processes — each failure is
    retried on a deterministic seeded exponential-backoff-with-jitter
-   schedule (:func:`repro.runtime.backoff.backoff_delay`, shared with
-   the serving layer) up to the policy's retry budget, each job has an
-   optional wall-clock timeout, and a broken pool (a worker killed by
-   the OS, say) degrades the remaining jobs to serial in-process
-   execution rather than failing the sweep;
+   schedule (:func:`repro.runtime.backoff.backoff_delay`) up to the
+   policy's retry budget, each job has an optional wall-clock timeout,
+   and a broken pool (a worker killed by the OS, say) degrades the
+   remaining jobs to serial in-process execution rather than failing
+   the sweep;
 4. completed results are written back to the store.
 
 Results come back in job order; jobs that can never succeed raise
 :class:`~repro.errors.JobExecutionError` after exhausting retries.
+This is the one scheduler for content-addressed jobs: local sweeps,
+campaigns and ``repro serve`` (:mod:`repro.service`) all resolve their
+jobs here.
 
 Guard violations (:class:`~repro.errors.GuardViolationError`) are
 *deterministic* — the same spec fails the same way every time — so they

@@ -33,31 +33,9 @@ from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 CACHE_SCHEMA_VERSION = 3
 
 #: Traced workloads memoized per process (see :func:`_workload_traces`).
-#: ``REPRO_TRACE_MEMO`` overrides the capacity — long-running service
-#: shards tune it down to keep worker memory flat.
 _TRACE_MEMO_CAPACITY = 4
 
 _TRACE_MEMO: "OrderedDict[tuple, Tuple[str, list]]" = OrderedDict()
-
-_TRACE_MEMO_EVICTIONS = 0
-
-
-def _trace_memo_capacity() -> int:
-    """The memo's LRU capacity (``REPRO_TRACE_MEMO`` or the default)."""
-    try:
-        return max(1, int(os.environ["REPRO_TRACE_MEMO"]))
-    except (KeyError, ValueError):
-        return _TRACE_MEMO_CAPACITY
-
-
-def trace_memo_evictions() -> int:
-    """Traced workloads this process has evicted from the memo.
-
-    Reported by service shards alongside each result, so the
-    coordinator's ``/metrics`` endpoint can expose fleet-wide in-memory
-    cache pressure.
-    """
-    return _TRACE_MEMO_EVICTIONS
 
 
 def cache_salt() -> str:
@@ -248,8 +226,6 @@ def _workload_traces(job: SimulationJob) -> Tuple[str, List]:
     )
     entry = (scene.name, workload.all_traces)
     _TRACE_MEMO[memo_key] = entry
-    global _TRACE_MEMO_EVICTIONS
-    while len(_TRACE_MEMO) > _trace_memo_capacity():
+    while len(_TRACE_MEMO) > _TRACE_MEMO_CAPACITY:
         _TRACE_MEMO.popitem(last=False)
-        _TRACE_MEMO_EVICTIONS += 1
     return entry

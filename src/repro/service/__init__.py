@@ -1,53 +1,14 @@
-"""Sharded simulation service: fault-tolerant serving for repro.runtime.
+"""``repro serve``: run job batches for another process over HTTP.
 
-The serving layer turns the batch executor into a long-lived fleet:
-process shards with warm trace memos behind an asyncio coordinator
-(:mod:`repro.service.coordinator`), admission control that sheds load
-explicitly instead of queueing unboundedly, failover that redelivers
-in-flight work from crashed or hung shards, and a stdlib HTTP/JSON API
-(:mod:`repro.service.http` / :mod:`repro.service.client`) wired into
-the CLI as ``repro serve``.
-
-The degradation ladder, in order: **coalesce** (single-flight on the
-content key) → **queue** (bounded, work-stealing) → **shed**
-(:class:`~repro.errors.ServiceOverloadError` with a retry-after hint)
-→ **serial fallback** (in-process execution when the fleet cannot).
-Every rung preserves bit-identity — the chaos campaign
-(:mod:`repro.service.chaos`) proves it per fault class.
+A thin adapter over :func:`repro.runtime.executor.run_jobs`: the server
+(:mod:`repro.service.http`) accepts a batch of job specs on ``POST
+/run`` and returns their results in order; the client
+(:mod:`repro.service.client`) makes ``Campaign.run(service=...)`` and
+``repro ablate run --service URL`` use it.  The JSON wire format lives
+in :mod:`repro.service.wire`.
 """
 
-from repro.service.breaker import CircuitBreaker
-from repro.service.chaos import (
-    ServiceChaosReport,
-    ServiceFaultOutcome,
-    run_service_chaos_campaign,
-)
 from repro.service.client import ServiceClient
-from repro.service.config import ServiceConfig
-from repro.service.coordinator import SimulationService
-from repro.service.faults import (
-    CLIENT_FAULTS,
-    SERVICE_FAULT_CLASSES,
-    SHARD_FAULTS,
-    ServiceFaultSpec,
-)
 from repro.service.http import ServiceHTTPServer
-from repro.service.limiter import TokenBucket
-from repro.service.metrics import ServiceMetrics
 
-__all__ = [
-    "CircuitBreaker",
-    "CLIENT_FAULTS",
-    "SERVICE_FAULT_CLASSES",
-    "SHARD_FAULTS",
-    "ServiceChaosReport",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceFaultOutcome",
-    "ServiceFaultSpec",
-    "ServiceHTTPServer",
-    "ServiceMetrics",
-    "SimulationService",
-    "TokenBucket",
-    "run_service_chaos_campaign",
-]
+__all__ = ["ServiceClient", "ServiceHTTPServer"]

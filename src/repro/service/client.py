@@ -1,30 +1,18 @@
-"""Blocking HTTP client for the simulation service.
+"""Blocking HTTP client for ``repro serve``.
 
-``ServiceClient`` is the consumer half of the wire protocol: it submits
-jobs, honors the server's backpressure (a 429 carries the retry-after
-hint; :meth:`run_jobs` sleeps it off through the injected clock and
-resubmits), and rehydrates results into the same
-:class:`SimulationResult` objects a local run produces — so
-``Campaign.run(service=...)`` is a drop-in for the in-process executor
-path and aggregates bit-identically.
-
-Pure stdlib (``http.client``); connections are one-shot, matching the
-server's ``Connection: close`` discipline.
+:meth:`ServiceClient.run_jobs` posts a whole batch to ``/run`` and
+rehydrates the results into the same :class:`SimulationResult` objects
+a local run produces — so ``Campaign.run(service=...)`` is a drop-in
+for the in-process executor path and aggregates bit-identically.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
-from repro.errors import (
-    ConfigError,
-    JobExecutionError,
-    ServiceError,
-    ServiceOverloadError,
-)
-from repro.runtime.clock import Clock, MonotonicClock
+from repro.errors import ConfigError, JobExecutionError, ServiceError
 from repro.service.wire import job_to_wire, result_from_wire
 
 
@@ -36,12 +24,10 @@ class ServiceClient:
         host: str = "127.0.0.1",
         port: int = 8642,
         timeout: float = 120.0,
-        clock: Optional[Clock] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.clock = clock or MonotonicClock()
 
     @classmethod
     def from_url(cls, url: str, **kwargs) -> "ServiceClient":
@@ -54,21 +40,20 @@ class ServiceClient:
             )
         return cls(host=host, port=int(port), **kwargs)
 
-    # ------------------------------------------------------------------
+    def run_jobs(self, jobs: List[Any]) -> List[Any]:
+        """Run a batch on the server; results come back in job order.
 
-    def _request(self, method: str, path: str,
-                 payload: Optional[Dict] = None) -> Dict:
+        A rejected batch raises :class:`ConfigError`; a failed job raises
+        :class:`JobExecutionError` carrying the server-side traceback as
+        ``traceback_text``.
+        """
+        body = json.dumps({"jobs": [job_to_wire(job) for job in jobs]})
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
         try:
-            body = json.dumps(payload).encode() if payload is not None \
-                else None
-            connection.request(
-                method, path, body=body,
-                headers={"Content-Type": "application/json"} if body
-                else {},
-            )
+            connection.request("POST", "/run", body=body.encode(),
+                               headers={"Content-Type": "application/json"})
             response = connection.getresponse()
             raw = response.read()
         finally:
@@ -77,73 +62,17 @@ class ServiceClient:
             decoded = json.loads(raw.decode() or "{}")
         except json.JSONDecodeError as bad:
             raise ServiceError(
-                f"{method} {path}: non-JSON response "
-                f"(status {response.status}): {bad}"
+                f"non-JSON response (status {response.status}): {bad}"
             ) from bad
-        if response.status == 429:
-            raise ServiceOverloadError(
-                decoded.get("message", "service overloaded"),
-                retry_after=float(decoded.get("retry_after", 0.1)),
-                reason=decoded.get("reason", "queue"),
-            )
+        if response.status == 200:
+            return [result_from_wire(wire) for wire in decoded["results"]]
+        message = decoded.get("message", "")
         if response.status == 400:
-            raise ConfigError(decoded.get("message", "bad request"))
-        if response.status == 404:
-            raise ServiceError(
-                decoded.get("message", f"not found: {path}")
-            )
-        if response.status >= 500:
-            if decoded.get("error") == "job_failed":
-                error = JobExecutionError(decoded.get("message", "failed"))
-                error.traceback_text = decoded.get("traceback")
-                raise error
-            raise ServiceError(
-                f"{method} {path}: {decoded.get('error', response.status)}"
-                f": {decoded.get('message', '')}"
-            )
-        return decoded
-
-    # ------------------------------------------------------------------
-
-    def submit(self, job: Any) -> Dict:
-        """Submit one job; returns the ticket descriptor.
-
-        Raises :class:`ServiceOverloadError` when the server sheds —
-        callers that want completion should use :meth:`run_jobs`.
-        """
-        return self._request("POST", "/submit", job_to_wire(job))
-
-    def submit_with_backoff(self, job: Any, max_tries: int = 64) -> Dict:
-        """Submit, sleeping off 429s via the server's retry-after hint."""
-        last: Optional[ServiceOverloadError] = None
-        for _ in range(max_tries):
-            try:
-                return self.submit(job)
-            except ServiceOverloadError as overload:
-                last = overload
-                self.clock.block(max(overload.retry_after, 0.01))
-        raise last if last is not None else ServiceError(
-            "submit_with_backoff: no attempt was made"
+            raise ConfigError(message or "bad request")
+        if decoded.get("error") == "job_failed":
+            error = JobExecutionError(message or "job failed")
+            error.traceback_text = decoded.get("traceback")
+            raise error
+        raise ServiceError(
+            f"POST /run: {decoded.get('error', response.status)}: {message}"
         )
-
-    def status(self, ticket: str) -> Dict:
-        return self._request("GET", f"/status/{ticket}")
-
-    def result(self, ticket: str) -> Any:
-        """Block until the ticket settles; returns the rehydrated result."""
-        decoded = self._request("GET", f"/result/{ticket}")
-        payload = decoded.get("result")
-        if isinstance(payload, dict) and "counters" in payload:
-            return result_from_wire(payload)
-        return payload
-
-    def run_jobs(self, jobs: List[Any]) -> List[Any]:
-        """Run a whole campaign against the service, honoring shedding."""
-        tickets = [self.submit_with_backoff(job)["ticket"] for job in jobs]
-        return [self.result(ticket) for ticket in tickets]
-
-    def healthz(self) -> Dict:
-        return self._request("GET", "/healthz")
-
-    def metrics(self) -> Dict:
-        return self._request("GET", "/metrics")

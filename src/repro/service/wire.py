@@ -16,7 +16,10 @@ from repro.core.presets import named_config
 from repro.core.results import SimulationResult
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
+from repro.gpu.simulator import BACKENDS
 from repro.runtime.job import SimulationJob
+from repro.traversal.registry import resolve_strategy
+from repro.workloads.lumibench import SCENE_NAMES
 
 #: SimulationJob fields a submission may set (everything but the config).
 _JOB_FIELDS = (
@@ -36,9 +39,10 @@ def job_from_wire(wire: Dict) -> SimulationJob:
     """Rebuild a job from a submission payload.
 
     ``config`` may be a preset label (``"RB_8+SH_8+SK+RA"``) or a full
-    field dict; unknown fields anywhere raise
-    :class:`~repro.errors.ConfigError` so a bad submission is a 400, not
-    a worker crash.
+    field dict.  Unknown fields, an unknown scene, strategy or backend,
+    and a width, height or spp below 1 all raise
+    :class:`~repro.errors.ConfigError`, so a bad submission is a 400
+    before any job runs, not a failure after the retry budget.
     """
     if not isinstance(wire, dict):
         raise ConfigError("submission body must be a JSON object")
@@ -61,14 +65,26 @@ def job_from_wire(wire: Dict) -> SimulationJob:
         raise ConfigError(f"unknown job fields: {', '.join(unknown)}")
     if "scene" not in fields:
         raise ConfigError("submission needs a scene")
-    scene = fields.pop("scene")
-    try:
-        return SimulationJob(scene=str(scene).upper(), config=config,
-                             width=int(fields.pop("width", 24)),
-                             height=int(fields.pop("height", 24)),
-                             **fields)
-    except (TypeError, ValueError) as error:
-        raise ConfigError(f"bad job fields: {error}") from error
+    scene = str(fields.pop("scene")).upper()
+    if scene not in SCENE_NAMES:
+        raise ConfigError(
+            f"unknown scene {scene!r}; available: {', '.join(SCENE_NAMES)}"
+        )
+    resolve_strategy(fields.get("strategy", "sms"))
+    backend = fields.get("backend", "stepped")
+    if backend not in BACKENDS:
+        raise ConfigError(
+            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}"
+        )
+    sizes = {}
+    for name, default in (("width", 24), ("height", 24), ("spp", 1)):
+        try:
+            sizes[name] = int(fields.pop(name, default))
+        except (TypeError, ValueError) as error:
+            raise ConfigError(f"bad job fields: {error}") from error
+        if sizes[name] < 1:
+            raise ConfigError(f"{name} must be >= 1")
+    return SimulationJob(scene=scene, config=config, **sizes, **fields)
 
 
 def result_to_wire(result: SimulationResult) -> Dict:

@@ -22,9 +22,6 @@ Rule families (see :mod:`repro.simlint.rules`):
     broad ``except`` handlers that swallow without recording.
 ``SL4xx`` (hygiene)
     mutable default arguments, stray ``print()`` in library code.
-``SL5xx`` (concurrency)
-    blocking calls, unawaited coroutines, awaits under sync locks and
-    stale read-modify-write across awaits in the asyncio service.
 ``SL6xx`` (vector)
     float64 promotion into integer counters, SoA mirror-cache mutation,
     unstable numpy sorts/reductions and unchecked CSR offsets in the

@@ -16,9 +16,6 @@ Keys (all optional — the defaults below describe this repository):
     Packages allowed to write ``Counters`` fields (SL203).
 ``print-allowed``
     Modules where ``print()`` is the job (SL402).
-``async-critical``
-    Packages whose code runs on the asyncio event loop; the SL5xx
-    concurrency family (``scope="async"``) only fires inside these.
 ``vector-packages``
     Packages holding the numpy timing backend; the SL6xx vector family
     (``scope="vector"``) only fires inside these.
@@ -65,7 +62,6 @@ DEFAULT_SINGLETONS = (
 )
 DEFAULT_COUNTER_OWNERS = ("repro.gpu",)
 DEFAULT_PRINT_ALLOWED = ("repro.cli",)
-DEFAULT_ASYNC_CRITICAL = ("repro.service",)
 DEFAULT_VECTOR_PACKAGES = ("repro.gpu.vector",)
 DEFAULT_SOA_CACHE_WRITERS = ("trace_cache", "pack_trace", "warp_plan")
 DEFAULT_TAINT_SINKS = ("key", "spec", "content_key", "cache_key", "salt")
@@ -82,7 +78,6 @@ class LintConfig:
     singletons: Tuple[str, ...] = DEFAULT_SINGLETONS
     counter_owners: Tuple[str, ...] = DEFAULT_COUNTER_OWNERS
     print_allowed: Tuple[str, ...] = DEFAULT_PRINT_ALLOWED
-    async_critical: Tuple[str, ...] = DEFAULT_ASYNC_CRITICAL
     vector_packages: Tuple[str, ...] = DEFAULT_VECTOR_PACKAGES
     soa_cache_writers: Tuple[str, ...] = DEFAULT_SOA_CACHE_WRITERS
     taint_sinks: Tuple[str, ...] = DEFAULT_TAINT_SINKS
@@ -122,9 +117,6 @@ def load_config(pyproject: Optional[Path] = None) -> LintConfig:
     )
     config.print_allowed = _str_tuple(
         table, "print-allowed", config.print_allowed
-    )
-    config.async_critical = _str_tuple(
-        table, "async-critical", config.async_critical
     )
     config.vector_packages = _str_tuple(
         table, "vector-packages", config.vector_packages

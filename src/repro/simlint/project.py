@@ -1,13 +1,14 @@
 """Whole-program analysis substrate: summaries, symbol table, call graph.
 
-File-local AST rules cannot see a blocking call hidden one module away
-or a counter fold delegated to an imported helper.  This module gives
+File-local AST rules cannot see a nondeterministic value returned from
+a helper one module away or a counter fold delegated to an imported
+helper.  This module gives
 simlint a project view without giving up the incremental property:
 
 * :func:`summarize_file` distills one parsed file into a small,
   JSON-serializable :class:`FileSummary` — imports, function table
-  (with async-ness, resolved call targets, normalized write keys and a
-  structural taint summary).  Summaries are pure functions of the file
+  (resolved call targets, normalized write keys and a structural taint
+  summary).  Summaries are pure functions of the file
   content, so the analysis cache can persist them keyed on the content
   hash and a warm run never re-parses an unchanged file.
 * :class:`ProjectGraph` assembles the summaries of one lint run into a
@@ -21,8 +22,8 @@ simlint a project view without giving up the incremental property:
   project graph.
 
 Resolution is name-based and conservative: a call through a local
-object (``handle.breaker.record()``) is not resolvable and simply drops
-off the graph.  Rules built on top treat "unresolvable" as "no
+object (``cache.store.put()``) is not resolvable and simply drops off
+the graph.  Rules built on top treat "unresolvable" as "no
 evidence", never as a finding.
 """
 
@@ -45,7 +46,8 @@ MUTATING_METHODS = {
 
 #: Bump when the FileSummary shape changes: cached summaries with a
 #: different version are discarded, not misread.
-SUMMARY_SCHEMA_VERSION = 2
+#: 3: function summaries dropped the ``is_async`` flag.
+SUMMARY_SCHEMA_VERSION = 3
 
 #: Only names under this root participate in cross-module resolution.
 PROJECT_ROOT_PACKAGE = "repro"
@@ -61,7 +63,6 @@ class FunctionSummary:
 
     name: str                      #: qualified within the module (Cls.meth)
     lineno: int
-    is_async: bool
     calls: Tuple[str, ...]         #: resolved dotted call targets
     writes: Tuple[str, ...]        #: normalized state keys written
     taint_sources: Tuple[str, ...]         #: source labels reaching a return
@@ -74,7 +75,6 @@ class FunctionSummary:
         return {
             "name": self.name,
             "lineno": self.lineno,
-            "is_async": self.is_async,
             "calls": list(self.calls),
             "writes": list(self.writes),
             "taint_sources": list(self.taint_sources),
@@ -90,7 +90,6 @@ class FunctionSummary:
         return cls(
             name=str(payload["name"]),
             lineno=int(payload["lineno"]),
-            is_async=bool(payload["is_async"]),
             calls=tuple(payload["calls"]),
             writes=tuple(payload["writes"]),
             taint_sources=tuple(payload["taint_sources"]),
@@ -210,8 +209,8 @@ def resolve_call_target(
     """Dotted target of a call, made module-absolute where possible.
 
     ``self._tick()`` inside class C of module M → ``M.C._tick``;
-    ``spawn_shard()`` under ``from repro.service.shard import spawn_shard``
-    → ``repro.service.shard.spawn_shard``; a call through a local object
+    ``run_jobs()`` under ``from repro.runtime.executor import run_jobs``
+    → ``repro.runtime.executor.run_jobs``; a call through a local object
     → ``None``.
     """
     func = node.func
@@ -262,7 +261,6 @@ def _summarize_function(
     return FunctionSummary(
         name=qual,
         lineno=node.lineno,
-        is_async=isinstance(node, ast.AsyncFunctionDef),
         calls=tuple(sorted(set(calls))),
         writes=tuple(sorted(writes)),
         taint_sources=tuple(sorted(sources)),
@@ -381,10 +379,6 @@ class ProjectGraph:
 
     def functions(self) -> Dict[str, FunctionSummary]:
         return dict(self._functions)
-
-    def is_async(self, dotted: Optional[str]) -> bool:
-        fn = self.function(dotted)
-        return bool(fn and fn.is_async)
 
     # -- dependencies ---------------------------------------------------
 

@@ -27,17 +27,17 @@ class Rule:
     #: One-line summary for catalogs and reporters.
     title: str = ""
     #: Rule family: determinism / bit-identity / diagnostics / hygiene /
-    #: concurrency / vector.
+    #: vector.
     category: str = ""
     #: Why this rule exists, in terms of the simulator's contracts.
     rationale: str = ""
     #: Default severity; pyproject ``[tool.simlint.severity]`` overrides.
     severity: str = Severity.ERROR
     #: Where the rule applies: ``"timing"`` (the timing-critical
-    #: packages), ``"async"`` (the asyncio service packages),
-    #: ``"vector"`` (the numpy timing backend), ``"repro"`` (anywhere
-    #: under the ``repro`` package — plus ``tools/``, and ``tests/`` for
-    #: the configured test families), or ``"all"`` (every linted file).
+    #: packages), ``"vector"`` (the numpy timing backend), ``"repro"``
+    #: (anywhere under the ``repro`` package — plus ``tools/``, and
+    #: ``tests/`` for the configured test families), or ``"all"`` (every
+    #: linted file).
     scope: str = "repro"
     #: Cross-file rules consume ``ctx.project`` (the project graph);
     #: their cached findings are additionally keyed on the file's
@@ -67,8 +67,6 @@ class Rule:
             return False
         if self.scope == "timing":
             return _under_any(ctx.module, ctx.config.timing_critical)
-        if self.scope == "async":
-            return _under_any(ctx.module, ctx.config.async_critical)
         if self.scope == "vector":
             return _under_any(ctx.module, ctx.config.vector_packages)
         return True  # "repro": any module under the package

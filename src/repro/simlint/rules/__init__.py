@@ -7,7 +7,6 @@ decorator.
 
 from repro.simlint.rules import (  # noqa: F401  (registration side effect)
     bitidentity,
-    concurrency,
     determinism,
     diagnostics,
     hygiene,

@@ -8,7 +8,7 @@ through helper returns in other modules — must not reach the state the
 reproduction contract declares pure: ``Counters`` fields,
 ``SimulationJob`` content keys / cache salts (the configured
 ``taint-sinks`` function names), or scheduler ordering decisions in the
-timing- and async-critical packages.
+timing-critical packages.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class TaintFlowRule(Rule):
         "calls and cross-module function summaries, and fires where a "
         "labelled value reaches a counter store, a configured key/salt "
         "sink function's return, or a sorted()/min()/max() ordering "
-        "decision in the timing- or async-critical packages."
+        "decision in the timing-critical packages."
     )
 
     def check(self, ctx) -> Iterator[Finding]:
@@ -83,10 +83,7 @@ class TaintFlowRule(Rule):
         sinks = set(ctx.config.taint_sinks)
         order_scoped = ctx.module is not None and any(
             ctx.module == pkg or ctx.module.startswith(pkg + ".")
-            for pkg in (
-                tuple(ctx.config.timing_critical)
-                + tuple(ctx.config.async_critical)
-            )
+            for pkg in ctx.config.timing_critical
         )
 
         local_defs = {

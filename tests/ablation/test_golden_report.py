@@ -13,7 +13,6 @@ canonicalization fails here.  The same equality must hold under the
 integrity guard and through the simulation service.
 """
 
-import asyncio
 import json
 import threading
 from pathlib import Path
@@ -88,38 +87,16 @@ def test_guarded_run_matches_golden_metrics():
 
 @pytest.fixture(scope="module")
 def server():
-    from repro.service import (
-        ServiceConfig,
-        ServiceHTTPServer,
-        SimulationService,
-    )
+    from repro.service import ServiceHTTPServer
 
-    ready = threading.Event()
-    state = {}
-
-    def serve():
-        async def main():
-            config = ServiceConfig(
-                shards=2, poll_tick=0.01, heartbeat_interval=0.02,
-            )
-            async with SimulationService(config) as service:
-                http = ServiceHTTPServer(service, "127.0.0.1", 0)
-                await http.start()
-                state["port"] = http.port
-                state["stop"] = asyncio.Event()
-                state["loop"] = asyncio.get_running_loop()
-                ready.set()
-                await state["stop"].wait()
-                await http.stop()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=serve, daemon=True)
+    http = ServiceHTTPServer("127.0.0.1", 0, workers=2)
+    thread = threading.Thread(target=http.serve_forever, daemon=True)
     thread.start()
-    assert ready.wait(15), "server never came up"
-    yield state
-    state["loop"].call_soon_threadsafe(state["stop"].set)
+    yield {"port": http.port}
+    http.shutdown()
+    http.server_close()
     thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_service_path_is_bit_identical_to_golden(server):

@@ -47,27 +47,13 @@ def test_runtime_cache_exposes_evictions_in_metrics(tmp_path):
     assert "evictions" in cache.metrics.summary()
 
 
-def test_trace_memo_capacity_env_knob(monkeypatch):
-    job_module = importlib.import_module("repro.runtime.job")
-    monkeypatch.setenv("REPRO_TRACE_MEMO", "2")
-    assert job_module._trace_memo_capacity() == 2
-    monkeypatch.setenv("REPRO_TRACE_MEMO", "bogus")
-    assert job_module._trace_memo_capacity() == job_module._TRACE_MEMO_CAPACITY
-    monkeypatch.delenv("REPRO_TRACE_MEMO")
-    assert job_module._trace_memo_capacity() == job_module._TRACE_MEMO_CAPACITY
-
-
 def test_trace_memo_evicts_at_capacity(monkeypatch):
     job_module = importlib.import_module("repro.runtime.job")
-    monkeypatch.setenv("REPRO_TRACE_MEMO", "1")
+    monkeypatch.setattr(job_module, "_TRACE_MEMO_CAPACITY", 1)
     config = named_config("RB_8")
-    before = job_module.trace_memo_evictions()
-    from repro.runtime.job import SimulationJob
-
     for scene in ("WKND", "SPRNG"):
-        SimulationJob(
+        job_module.SimulationJob(
             scene=scene, config=config, width=6, height=6, spp=1,
             max_bounces=2,
         ).run()
-    assert len(job_module._TRACE_MEMO) <= 1
-    assert job_module.trace_memo_evictions() > before
+    assert len(job_module._TRACE_MEMO) == 1

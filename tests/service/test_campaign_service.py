@@ -1,17 +1,11 @@
 """Campaign-over-service tests: the service path is a drop-in executor."""
 
-import asyncio
 import threading
 
 import pytest
 
 from repro.analysis.campaign import Campaign
-from repro.service import (
-    ServiceClient,
-    ServiceConfig,
-    ServiceHTTPServer,
-    SimulationService,
-)
+from repro.service import ServiceClient, ServiceHTTPServer
 from repro.workloads.params import WorkloadParams
 
 PARAMS = WorkloadParams().scaled(0.25)
@@ -19,32 +13,14 @@ PARAMS = WorkloadParams().scaled(0.25)
 
 @pytest.fixture(scope="module")
 def server():
-    ready = threading.Event()
-    state = {}
-
-    def serve():
-        async def main():
-            config = ServiceConfig(
-                shards=2, poll_tick=0.01, heartbeat_interval=0.02,
-            )
-            async with SimulationService(config) as service:
-                http = ServiceHTTPServer(service, "127.0.0.1", 0)
-                await http.start()
-                state["port"] = http.port
-                state["stop"] = asyncio.Event()
-                state["loop"] = asyncio.get_running_loop()
-                ready.set()
-                await state["stop"].wait()
-                await http.stop()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=serve, daemon=True)
+    http = ServiceHTTPServer("127.0.0.1", 0, workers=2)
+    thread = threading.Thread(target=http.serve_forever, daemon=True)
     thread.start()
-    assert ready.wait(15), "server never came up"
-    yield state
-    state["loop"].call_soon_threadsafe(state["stop"].set)
+    yield {"port": http.port}
+    http.shutdown()
+    http.server_close()
     thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def small_campaign() -> Campaign:

@@ -51,8 +51,6 @@ def test_function_table_records_async_and_methods():
         "src/repro/m.py", "repro.m",
     )
     assert set(summary.functions) == {"helper", "Runner.step", "Runner.poll"}
-    assert not summary.functions["helper"].is_async
-    assert summary.functions["Runner.poll"].is_async
 
 
 def test_decorated_defs_are_summarized():
@@ -155,15 +153,6 @@ def test_resolve_terminates_on_alias_cycles():
     })
     assert graph.resolve("repro.x.f") is None
     assert graph.resolve("repro.unknown.g") is None
-
-
-def test_is_async_through_an_alias():
-    graph = graph_of(**{
-        "repro.a": "async def poll():\n    return 1\n",
-        "repro.b": "from repro.a import poll\n",
-    })
-    assert graph.is_async("repro.b.poll")
-    assert not graph.is_async("repro.a.missing")
 
 
 # ---------------------------------------------------------------------------

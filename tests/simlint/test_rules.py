@@ -39,10 +39,6 @@ CASES = {
     "SL302": ("repro.gpu.fixture", 2),
     "SL401": ("repro.gpu.fixture", 2),
     "SL402": ("repro.gpu.fixture", 1),
-    "SL501": ("repro.service.fixture", 3),
-    "SL502": ("repro.service.fixture", 2),
-    "SL503": ("repro.service.fixture", 2),
-    "SL504": ("repro.service.fixture", 2),
     "SL601": ("repro.gpu.vector.fixture", 2),
     "SL602": ("repro.gpu.vector.fixture", 2),
     "SL603": ("repro.gpu.vector.fixture", 2),
@@ -91,10 +87,10 @@ def test_rule_catalog_is_documented():
         assert rule.title and rule.rationale
         assert rule.category in {
             "determinism", "bit-identity", "diagnostics", "hygiene",
-            "concurrency", "vector",
+            "vector",
         }
         assert rule.severity in {"error", "warning"}
-        assert rule.scope in {"timing", "async", "vector", "repro", "all"}
+        assert rule.scope in {"timing", "vector", "repro", "all"}
 
 
 def test_scope_filtering():
