@@ -1,9 +1,9 @@
 """Shared benchmark fixtures.
 
 Every benchmark regenerates one of the paper's tables/figures at the full
-16-scene suite and prints the rows/series the paper reports.  The
-expensive functional traces are shared session-wide, so each scene is
-path-traced exactly once per benchmark session.
+16-scene suite and prints the rows/series the paper reports.  One
+session-wide workload cache serves every benchmark; its functional
+traces come from the per-process phase-one memo.
 
 Set ``REPRO_BENCH_SCALE`` (e.g. ``0.5``) to shrink the workload
 resolution for quick smoke runs; ``1.0`` (default) is the scale used for
@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 from repro.workloads.params import DEFAULT_PARAMS
 
 
@@ -24,11 +24,11 @@ def _scale() -> float:
 
 
 @pytest.fixture(scope="session")
-def cache() -> WorkloadCache:
+def cache() -> CachedWorkloadCache:
     """Session-wide workload cache at the configured benchmark scale."""
     scale = _scale()
     params = DEFAULT_PARAMS if scale == 1.0 else DEFAULT_PARAMS.scaled(scale)
-    return WorkloadCache(params=params)
+    return CachedWorkloadCache(params=params)
 
 
 _CAPTURE_MANAGER = [None]

@@ -10,15 +10,18 @@ Run:  python examples/stack_depth_study.py [--quick]
 
 import sys
 
-from repro.experiments import WorkloadCache
-from repro.experiments import fig4_stack_depths, fig5_depth_distribution
+from repro.experiments import (
+    CachedWorkloadCache,
+    fig4_stack_depths,
+    fig5_depth_distribution,
+)
 from repro.workloads import DEFAULT_PARAMS
 
 
 def main() -> int:
     quick = "--quick" in sys.argv
     params = DEFAULT_PARAMS.scaled(0.5) if quick else DEFAULT_PARAMS
-    cache = WorkloadCache(params=params)
+    cache = CachedWorkloadCache(params=params)
 
     print(fig4_stack_depths.render(fig4_stack_depths.run(cache)))
     print()

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 from repro.core.results import SimulationResult
 from repro.errors import AblationError
 from repro.gpu.energy import estimate_energy
+from repro.runtime.cache import CachedWorkloadCache
 from repro.runtime.job import SimulationJob
 from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 from repro.ablation.analysis import (
@@ -215,35 +216,19 @@ def execute_matrix(
 ) -> AblationReport:
     """Run every cell and derive importance + Pareto.
 
-    ``cache`` is a :class:`~repro.runtime.cache.CachedWorkloadCache`
-    (or anything exposing ``store``/``policy``/``metrics``): its policy
-    sizes the worker pool and its store absorbs repeats.  ``service``
-    routes the matrix to a running ``repro serve`` instance instead —
-    pass a :class:`~repro.service.client.ServiceClient` or an
+    ``cache`` is a :class:`~repro.runtime.cache.CachedWorkloadCache`:
+    its policy sizes the worker pool and its store absorbs repeats.
+    ``service`` routes the matrix to a running ``repro serve`` instance
+    instead — pass a :class:`~repro.service.client.ServiceClient` or an
     ``http://host:port`` URL.  With neither, cells run serially
     in-process.
     """
     jobs = matrix_jobs(matrix, params=params, guard=guard, backend=backend)
-    if service is not None:
-        if isinstance(service, str):
-            from repro.service.client import ServiceClient
+    if isinstance(service, str):
+        from repro.service.client import ServiceClient
 
-            service = ServiceClient.from_url(service)
-        results = service.run_jobs(jobs)
-    else:
-        policy = getattr(cache, "policy", None)
-        if policy is not None:
-            from repro.runtime.executor import run_jobs
-
-            report = run_jobs(
-                jobs, store=getattr(cache, "store", None), policy=policy
-            )
-            metrics = getattr(cache, "metrics", None)
-            if metrics is not None:
-                metrics.merge(report.metrics)
-            results = report.results
-        else:
-            results = [job.run() for job in jobs]
+        service = ServiceClient.from_url(service)
+    results = (service or cache or CachedWorkloadCache()).run_jobs(jobs)
     return _assemble(matrix, params, guard, results, backend=backend)
 
 

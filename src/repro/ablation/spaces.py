@@ -35,13 +35,17 @@ def _mechanisms() -> KnobSpace:
 
 
 def _fig8() -> KnobSpace:
-    """Fig. 8: SH stack sizing under the full SMS mechanism set."""
+    """Fig. 8: plain SH stack sizing, without skewing or reallocation.
+
+    The same four configs as the ``fig8`` driver's RB_8 and RB_8+SH_n
+    bars; its RB_FULL bar is not a knob setting, so it stays outside.
+    """
     return KnobSpace(
         name="fig8",
         fixed={
             "rb_stack_entries": 8,
-            "skewed_bank_access": True,
-            "intra_warp_realloc": True,
+            "skewed_bank_access": False,
+            "intra_warp_realloc": False,
         },
         ranges={"sh_stack_entries": [0, 4, 8, 16]},
     )

@@ -21,13 +21,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.export import results_markdown, write_csv, write_json
 from repro.core.presets import named_config
 from repro.core.results import SimulationResult
-from repro.experiments.common import WorkloadCache, geomean
+from repro.experiments.common import geomean
 from repro.gpu.config import GPUConfig
-from repro.runtime.executor import ExecutionPolicy, run_jobs
-from repro.runtime.job import SimulationJob
+from repro.runtime.cache import CachedWorkloadCache
+from repro.runtime.executor import ExecutionPolicy
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.store import ResultStore
-from repro.workloads.lumibench import SCENE_NAMES
 from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 
 
@@ -37,7 +36,7 @@ class CampaignResult:
 
     results: List[SimulationResult]
     baseline_label: str
-    #: Executor counters for the run (``None`` on the legacy cache path).
+    #: The cache's executor counters (``None`` on the service path).
     metrics: Optional[RuntimeMetrics] = None
 
     def normalized_means(self) -> Dict[str, float]:
@@ -97,59 +96,43 @@ class Campaign:
 
     def run(
         self,
-        cache: Optional[WorkloadCache] = None,
+        cache: Optional[CachedWorkloadCache] = None,
         service=None,
     ) -> CampaignResult:
         """Execute every (scene, config) pair.
 
-        Passing an explicit ``cache`` keeps the legacy serial path (the
-        cache's pre-traced scenes are authoritative); otherwise the sweep
-        goes through the runtime executor and result store.
-
-        ``service`` routes the sweep to a running ``repro serve``
+        The sweep runs on ``cache`` when one is given; otherwise on a
+        cache built from this campaign's scenes, params and runtime
+        knobs.  ``service`` routes it to a running ``repro serve``
         instance instead: pass a
         :class:`~repro.service.client.ServiceClient` or a
         ``http://host:port`` URL.  The server resolves the sweep with
         the same executor, and the simulation is deterministic, so the
         service path aggregates bit-identically to local execution.
         """
-        resolved = self._resolved_configs()
-        if cache is not None:
-            results = [
-                cache.simulate(name, config)
-                for name in cache.names
-                for config in resolved
-            ]
-            return CampaignResult(
-                results=results, baseline_label=self.baseline_label
+        if cache is None:
+            cache = CachedWorkloadCache(
+                params=self.params,
+                scene_names=self.scenes,
+                store=ResultStore(self.cache_dir) if self.use_cache else None,
+                policy=ExecutionPolicy(
+                    workers=self.jobs,
+                    timeout=self.timeout,
+                    retries=self.retries,
+                    progress=self.progress,
+                ),
             )
-        names = list(self.scenes) if self.scenes else list(SCENE_NAMES)
-        sweep = [
-            SimulationJob.from_params(name, config, params=self.params)
-            for name in names
-            for config in resolved
-        ]
-        if service is not None:
-            if isinstance(service, str):
-                from repro.service.client import ServiceClient
+        if isinstance(service, str):
+            from repro.service.client import ServiceClient
 
-                service = ServiceClient.from_url(service)
-            return CampaignResult(
-                results=service.run_jobs(sweep),
-                baseline_label=self.baseline_label,
-            )
-        report = run_jobs(
-            sweep,
-            store=ResultStore(self.cache_dir) if self.use_cache else None,
-            policy=ExecutionPolicy(
-                workers=self.jobs,
-                timeout=self.timeout,
-                retries=self.retries,
-                progress=self.progress,
-            ),
-        )
+            service = ServiceClient.from_url(service)
+        results = (service or cache).run_jobs([
+            cache.job_for(name, config)
+            for name in cache.names
+            for config in self._resolved_configs()
+        ])
         return CampaignResult(
-            results=report.results,
+            results=results,
             baseline_label=self.baseline_label,
-            metrics=report.metrics,
+            metrics=None if service else cache.metrics,
         )

@@ -20,7 +20,8 @@ fig15       IPC (a) and off-chip accesses (b) vs RB size, +/- SMS
 ==========  ====================================================
 """
 
-from repro.experiments.common import WorkloadCache, geomean
+from repro.experiments.common import geomean
 from repro.experiments.runner import run_experiment, EXPERIMENTS
+from repro.runtime.cache import CachedWorkloadCache
 
-__all__ = ["WorkloadCache", "geomean", "run_experiment", "EXPERIMENTS"]
+__all__ = ["CachedWorkloadCache", "geomean", "run_experiment", "EXPERIMENTS"]

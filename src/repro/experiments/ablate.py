@@ -16,20 +16,20 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 
 # repro.ablation imports repro.experiments.common (geomean, table
 # style), so the ablation modules load lazily inside run()/render() to
 # keep this driver importable from the experiments package __init__.
 
 
-def run(cache: Optional[WorkloadCache] = None):
+def run(cache: Optional[CachedWorkloadCache] = None):
     """Execute the ``mechanisms`` space over the cache's scene suite."""
     from repro.ablation.engine import execute_matrix
     from repro.ablation.matrix import generate_matrix
     from repro.ablation.spaces import named_space
 
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     space = replace(named_space("mechanisms"), scenes=tuple(cache.names))
     return execute_matrix(
         generate_matrix(space), params=cache.params, cache=cache

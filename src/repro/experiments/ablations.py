@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.presets import baseline_config, sms_config
-from repro.experiments.common import WorkloadCache, geomean, mean_row, normalized_ipc
+from repro.experiments.common import geomean, mean_row, normalized_ipc
 from repro.experiments.report import format_table
+from repro.runtime.cache import CachedWorkloadCache
 from repro.trace.restart import restart_trail_trace
 from repro.trace.path import _default_camera
 
@@ -38,10 +39,10 @@ class SweepResult:
 
 
 def borrow_limit_sweep(
-    cache: Optional[WorkloadCache] = None, limits=(0, 1, 2, 4, 8)
+    cache: Optional[CachedWorkloadCache] = None, limits=(0, 1, 2, 4, 8)
 ) -> SweepResult:
     """IPC vs the intra-warp reallocation borrow limit."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = [baseline_config()]
     for limit in limits:
         configs.append(
@@ -61,10 +62,10 @@ def borrow_limit_sweep(
 
 
 def flush_limit_sweep(
-    cache: Optional[WorkloadCache] = None, limits=(0, 1, 3, 6)
+    cache: Optional[CachedWorkloadCache] = None, limits=(0, 1, 3, 6)
 ) -> SweepResult:
     """IPC vs the consecutive-flush limit (paper fixes 3)."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = [baseline_config()]
     for limit in limits:
         configs.append(sms_config().with_(max_flushes=max(limit, 0)))
@@ -82,14 +83,14 @@ def flush_limit_sweep(
 
 
 def skew_scaling(
-    cache: Optional[WorkloadCache] = None, sizes=(4, 8, 16)
+    cache: Optional[CachedWorkloadCache] = None, sizes=(4, 8, 16)
 ) -> Dict[str, float]:
     """Bank-conflict delay reduction from skewing, per SH stack size.
 
     Returns ``{"SH_N": fractional reduction}`` — the paper's scalability
     claim predicts consistent reductions across sizes.
     """
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     reductions: Dict[str, float] = {}
     for size in sizes:
         plain = sms_config(sh_entries=size, skewed=False, realloc=False)
@@ -104,14 +105,14 @@ def skew_scaling(
     return reductions
 
 
-def spill_policy_study(cache: Optional[WorkloadCache] = None) -> Dict[str, float]:
+def spill_policy_study(cache: Optional[CachedWorkloadCache] = None) -> Dict[str, float]:
     """Baseline IPC under each spill cacheability (normalized to uncached).
 
     Quantifies how much of the stack-traffic penalty depends on spills
     actually reaching DRAM — the scale-regime question DESIGN.md section 2
     documents.
     """
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = [
         baseline_config(spill_cache_policy=policy)
         for policy in ("uncached", "l2", "l1")
@@ -135,17 +136,18 @@ class StacklessResult:
 
 
 def stackless_comparison(
-    cache: Optional[WorkloadCache] = None, rays_per_scene: int = 128
+    cache: Optional[CachedWorkloadCache] = None, rays_per_scene: int = 128
 ) -> StacklessResult:
     """Node-visit overhead of stackless restart-trail traversal."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     overhead: Dict[str, float] = {}
     restarts: Dict[str, float] = {}
+    from repro.bvh.api import build_bvh
     from repro.trace.tracer import Tracer
+    from repro.workloads.lumibench import load_scene
 
     for name in cache.names:
-        traced = cache.traced(name)
-        bvh = traced.bvh
+        bvh = build_bvh(load_scene(name))
         camera = _default_camera(bvh, 16, 16)
         all_rays = [ray for _, ray in camera.rays()]
         stride = max(1, len(all_rays) // rays_per_scene)
@@ -224,7 +226,7 @@ def short_stack_study(
 
 
 def inter_warp_study(
-    cache: Optional[WorkloadCache] = None,
+    cache: Optional[CachedWorkloadCache] = None,
 ) -> SweepResult:
     """Inter-warp vs intra-warp reallocation (paper V-B's rejected design).
 
@@ -234,7 +236,7 @@ def inter_warp_study(
     under-provisioned one (RB_2+SH_2), where cross-warp borrowing has
     more to offer.
     """
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = [
         baseline_config(),
         sms_config(),
@@ -299,7 +301,7 @@ def size_consistency_study(
 
 
 def warp_occupancy_sweep(
-    cache: Optional[WorkloadCache] = None, slots=(1, 2, 4, 8)
+    cache: Optional[CachedWorkloadCache] = None, slots=(1, 2, 4, 8)
 ) -> SweepResult:
     """IPC vs resident warps per RT unit (Table I fixes 4).
 
@@ -307,7 +309,7 @@ def warp_occupancy_sweep(
     into a bandwidth problem; this sweep shows how much of the baseline's
     performance depends on multi-warp overlap.
     """
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = [baseline_config(max_warps_per_rt_unit=n) for n in slots]
     results = cache.sweep(configs)
     labels = list(next(iter(results.values())).keys())

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.presets import baseline_config, full_stack_config, sms_config
-from repro.experiments.common import WorkloadCache, geomean
+from repro.experiments.common import geomean
 from repro.experiments.report import format_table
 from repro.gpu.energy import EnergyModel, estimate_energy
+from repro.runtime.cache import CachedWorkloadCache
 
 
 @dataclass
@@ -25,9 +26,9 @@ class EnergyStudyResult:
     stack_energy_share: Dict[str, float]  # stack energy / total, per config
 
 
-def run(cache: Optional[WorkloadCache] = None) -> EnergyStudyResult:
+def run(cache: Optional[CachedWorkloadCache] = None) -> EnergyStudyResult:
     """Run the Fig. 13 ladder and convert counters to energy."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = [
         baseline_config(),
         sms_config(skewed=False, realloc=False),

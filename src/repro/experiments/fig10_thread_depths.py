@@ -14,8 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.experiments.common import WorkloadCache
 from repro.experiments.report import format_table
+from repro.runtime.cache import CachedWorkloadCache
 from repro.trace.depth import per_thread_depth_series
 
 
@@ -30,7 +30,7 @@ class Fig10Result:
 
 
 def run(
-    cache: Optional[WorkloadCache] = None,
+    cache: Optional[CachedWorkloadCache] = None,
     scene: str = "PARTY",
     warps: int = 2,
     warp_size: int = 32,
@@ -40,9 +40,8 @@ def run(
     The paper plots two representative warps; picking the busiest ones
     skips warps whose rays all miss the scene (e.g. image corners).
     """
-    cache = cache or WorkloadCache(scene_names=[scene])
-    traced = cache.traced(scene)
-    series = per_thread_depth_series(traced.traces)
+    cache = cache or CachedWorkloadCache(scene_names=[scene])
+    series = per_thread_depth_series(cache.traced(scene))
     groups = [
         series[start : start + warp_size]
         for start in range(0, len(series), warp_size)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.presets import baseline_config, full_stack_config, sms_config
-from repro.experiments.common import WorkloadCache, mean_row, normalized_ipc
+from repro.experiments.common import mean_row, normalized_ipc
 from repro.experiments.report import format_table
+from repro.runtime.cache import CachedWorkloadCache
 
 PAPER_MEANS = {
     "RB_8": 1.0,
@@ -33,9 +34,9 @@ class Fig13Result:
     means: Dict[str, float]
 
 
-def run(cache: Optional[WorkloadCache] = None) -> Fig13Result:
+def run(cache: Optional[CachedWorkloadCache] = None) -> Fig13Result:
     """Run the four-config ladder plus FULL over the suite."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = [
         baseline_config(),
         sms_config(skewed=False, realloc=False),

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.presets import sms_config
-from repro.experiments.common import WorkloadCache
 from repro.experiments.report import format_table
+from repro.runtime.cache import CachedWorkloadCache
 
 PAPER_REDUCTION = 0.273
 
@@ -40,9 +40,9 @@ class Fig14Result:
         return 1.0 - after / before
 
 
-def run(cache: Optional[WorkloadCache] = None) -> Fig14Result:
+def run(cache: Optional[CachedWorkloadCache] = None) -> Fig14Result:
     """Measure bank-conflict delays with and without skewed access."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     no_skew = sms_config(skewed=False, realloc=False)
     skew = sms_config(skewed=True, realloc=False)
     delay_no_skew: Dict[str, int] = {}

@@ -14,12 +14,12 @@ from typing import Dict, Optional
 
 from repro.core.presets import baseline_config, sms_config
 from repro.experiments.common import (
-    WorkloadCache,
     geomean,
     mean_row,
     normalized_ipc,
 )
 from repro.experiments.report import format_table
+from repro.runtime.cache import CachedWorkloadCache
 
 RB_SIZES = (2, 4, 8, 16)
 PAPER_IPC = {
@@ -42,9 +42,9 @@ class Fig15Result:
     per_scene_offchip: Dict[str, Dict[str, float]]
 
 
-def run(cache: Optional[WorkloadCache] = None) -> Fig15Result:
+def run(cache: Optional[CachedWorkloadCache] = None) -> Fig15Result:
     """Run the 8-config sweep (4 RB sizes x with/without SMS)."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = []
     for size in RB_SIZES:
         configs.append(baseline_config(rb_entries=size))

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.experiments.common import WorkloadCache
 from repro.experiments.report import format_table
+from repro.runtime.cache import CachedWorkloadCache
 from repro.trace.depth import DepthStats, depth_statistics
 
 
@@ -24,15 +24,15 @@ class Fig4Result:
     overall: DepthStats
 
 
-def run(cache: Optional[WorkloadCache] = None) -> Fig4Result:
+def run(cache: Optional[CachedWorkloadCache] = None) -> Fig4Result:
     """Compute the figure's data over the workload suite."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     per_scene: Dict[str, DepthStats] = {}
     all_traces = []
     for name in cache.names:
-        traced = cache.traced(name)
-        per_scene[name] = depth_statistics(traced.traces)
-        all_traces.extend(traced.traces)
+        traces = cache.traced(name)
+        per_scene[name] = depth_statistics(traces)
+        all_traces.extend(traces)
     return Fig4Result(per_scene=per_scene, overall=depth_statistics(all_traces))
 
 

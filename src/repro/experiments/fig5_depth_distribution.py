@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import WorkloadCache
 from repro.experiments.report import format_table
+from repro.runtime.cache import CachedWorkloadCache
 from repro.trace.depth import bucket_fractions, depth_histogram
 
 #: The paper's summary buckets.
@@ -28,14 +28,13 @@ class Fig5Result:
     per_scene_fractions: Dict[str, List[float]]
 
 
-def run(cache: Optional[WorkloadCache] = None) -> Fig5Result:
+def run(cache: Optional[CachedWorkloadCache] = None) -> Fig5Result:
     """Aggregate depth histogram over the workload suite."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     combined: Dict[int, int] = {}
     per_scene: Dict[str, List[float]] = {}
     for name in cache.names:
-        traced = cache.traced(name)
-        histogram = depth_histogram(traced.traces)
+        histogram = depth_histogram(cache.traced(name))
         per_scene[name] = bucket_fractions(histogram, BUCKETS)
         for depth, count in histogram.items():
             combined[depth] = combined.get(depth, 0) + count

@@ -13,11 +13,11 @@ from typing import Dict, Optional
 
 from repro.core.presets import baseline_config
 from repro.experiments.common import (
-    WorkloadCache,
     mean_row,
     normalized_ipc,
 )
 from repro.experiments.report import format_bar_series, format_table
+from repro.runtime.cache import CachedWorkloadCache
 
 KB = 1024
 
@@ -41,9 +41,9 @@ class Fig6Result:
     per_scene_l1d: Dict[str, Dict[str, float]]
 
 
-def run(cache: Optional[WorkloadCache] = None) -> Fig6Result:
+def run(cache: Optional[CachedWorkloadCache] = None) -> Fig6Result:
     """Run both sweeps over the workload suite."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
 
     stack_configs = [baseline_config(rb_entries=n) for n in STACK_SIZES]
     stack_results = cache.sweep(stack_configs)

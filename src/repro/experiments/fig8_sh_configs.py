@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.presets import baseline_config, full_stack_config, sms_config
-from repro.experiments.common import WorkloadCache, mean_row, normalized_ipc
+from repro.experiments.common import mean_row, normalized_ipc
 from repro.experiments.report import format_bar_series, format_table
+from repro.runtime.cache import CachedWorkloadCache
 
 SH_SIZES = (4, 8, 16)
 PAPER = {
@@ -36,9 +37,9 @@ class Fig8Result:
     shared_memory_bytes: Dict[str, int]
 
 
-def run(cache: Optional[WorkloadCache] = None) -> Fig8Result:
+def run(cache: Optional[CachedWorkloadCache] = None) -> Fig8Result:
     """Run the SH-size sweep over the workload suite."""
-    cache = cache or WorkloadCache()
+    cache = cache or CachedWorkloadCache()
     configs = [baseline_config()]
     configs += [
         sms_config(sh_entries=n, skewed=False, realloc=False) for n in SH_SIZES

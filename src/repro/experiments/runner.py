@@ -1,13 +1,14 @@
 """One-call regeneration of every table and figure.
 
 ``run_experiment("fig13")`` runs one driver; ``run_all()`` regenerates
-the whole evaluation section, sharing a single workload cache so each
-scene is traced exactly once.
+the whole evaluation section on one workload cache, so its store and
+metrics span every driver.
 
 Both default to a :class:`~repro.runtime.cache.CachedWorkloadCache`, so
 every driver's sweep runs on the runtime's process pool and is served
 from the persistent result store on repeat runs; pass ``jobs=1`` or
-``use_cache=False`` (or a plain :class:`WorkloadCache`) to opt out.
+``use_cache=False`` (or a bare ``CachedWorkloadCache()``, serial with
+no store) to opt out.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache, runtime_cache
 
 #: Experiment id -> driver module.  Every driver has run()/render().
 EXPERIMENTS = {
@@ -56,14 +57,14 @@ EXTRA_EXPERIMENTS = {
 _CACHELESS = ("table1",)
 
 
-def _default_cache() -> WorkloadCache:
+def _default_cache() -> CachedWorkloadCache:
     """The runtime-backed cache experiments get when none is supplied."""
-    from repro.runtime.cache import runtime_cache
-
     return runtime_cache()
 
 
-def run_experiment(name: str, cache: Optional[WorkloadCache] = None) -> str:
+def run_experiment(
+    name: str, cache: Optional[CachedWorkloadCache] = None
+) -> str:
     """Run one experiment and return its rendered report."""
     key = name.lower()
     if key in EXTRA_EXPERIMENTS:
@@ -81,7 +82,7 @@ def run_experiment(name: str, cache: Optional[WorkloadCache] = None) -> str:
 
 
 def run_all(
-    cache: Optional[WorkloadCache] = None,
+    cache: Optional[CachedWorkloadCache] = None,
     jobs: Optional[int] = None,
     use_cache: bool = True,
     cache_dir=None,
@@ -94,8 +95,6 @@ def run_all(
     persistent store, store location, live progress line).
     """
     if cache is None:
-        from repro.runtime.cache import runtime_cache
-
         cache = runtime_cache(
             jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
             progress=progress,

@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.bvh.stats import BVHStats
-from repro.experiments.common import WorkloadCache
+from repro.bvh.api import build_bvh
+from repro.bvh.stats import BVHStats, compute_stats
 from repro.experiments.report import format_table
-from repro.workloads.lumibench import scene_recipe
+from repro.runtime.cache import CachedWorkloadCache
+from repro.workloads.lumibench import load_scene, scene_recipe
 
 
 @dataclass
@@ -22,10 +23,13 @@ class Table2Result:
     stats: Dict[str, BVHStats]
 
 
-def run(cache: Optional[WorkloadCache] = None) -> Table2Result:
+def run(cache: Optional[CachedWorkloadCache] = None) -> Table2Result:
     """Build every scene's BVH and collect statistics."""
-    cache = cache or WorkloadCache()
-    stats = {name: cache.traced(name).bvh_stats for name in cache.names}
+    cache = cache or CachedWorkloadCache()
+    stats = {
+        name: compute_stats(build_bvh(load_scene(name)))
+        for name in cache.names
+    }
     return Table2Result(stats=stats)
 
 

@@ -14,12 +14,12 @@ This package turns that purity into throughput:
   serial in-process execution when workers fail;
 - :mod:`repro.runtime.metrics` — queued/running/done/failed/cache-hit
   counters, per-job latency and throughput, plus a live progress line;
-- :mod:`repro.runtime.cache` — a drop-in :class:`WorkloadCache` whose
-  sweeps run through the executor and the store, so every experiment
-  driver gains parallelism and caching without changes.
+- :mod:`repro.runtime.cache` — the workload cache every experiment
+  driver runs on: one ``run_jobs(jobs)`` call resolves a sweep through
+  the store and the executor.
 
 Because the simulation is deterministic, a parallel cached sweep is
-bit-identical to the legacy serial path.
+bit-identical to a serial one.
 """
 
 from repro.runtime.cache import CachedWorkloadCache, runtime_cache

@@ -16,25 +16,28 @@ from __future__ import annotations
 
 import hashlib
 
+#: Seconds before the first retry; each later retry doubles it.
+BACKOFF_BASE_S = 0.1
+#: Ceiling on the doubled delay, in seconds.
+BACKOFF_CAP_S = 2.0
+#: Selects the jitter stream.
+BACKOFF_SEED = 0
 
-def backoff_delay(
-    attempt: int,
-    *,
-    base: float = 0.1,
-    cap: float = 2.0,
-    seed: int = 0,
-    key: str = "",
-) -> float:
+
+def backoff_delay(attempt: int, key: str = "") -> float:
     """Seconds to wait before retry number ``attempt`` (1-based).
 
-    ``base`` is the first-attempt delay, ``cap`` bounds the exponential
-    growth, and ``(key, seed)`` select the deterministic jitter stream.
-    ``attempt < 1`` is clamped to 1; ``base <= 0`` yields 0 (no wait).
+    The module constants set the schedule: ``BACKOFF_BASE_S`` is the
+    first-attempt delay, ``BACKOFF_CAP_S`` bounds the exponential growth,
+    and ``(key, BACKOFF_SEED)`` select the deterministic jitter stream.
+    ``attempt < 1`` is clamped to 1; a base ``<= 0`` yields 0 (no wait).
     """
-    if base <= 0:
+    if BACKOFF_BASE_S <= 0:
         return 0.0
     attempt = max(1, attempt)
-    raw = min(cap, base * (2.0 ** (attempt - 1)))
-    digest = hashlib.sha256(f"{key}:{seed}:{attempt}".encode()).digest()
+    raw = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2.0 ** (attempt - 1)))
+    digest = hashlib.sha256(
+        f"{key}:{BACKOFF_SEED}:{attempt}".encode()
+    ).digest()
     fraction = int.from_bytes(digest[:8], "big") / 2.0**64
     return raw * (0.5 + 0.5 * fraction)

@@ -1,56 +1,79 @@
-"""A workload cache whose sweeps are parallel, persistent, and metered.
+"""The workload cache: how every experiment driver runs its cells.
 
-:class:`CachedWorkloadCache` is a drop-in
-:class:`~repro.experiments.common.WorkloadCache`: every experiment
-driver that takes a cache (``cache.simulate``, ``cache.sweep``,
-``cache.traced``) works unchanged, but
+A :class:`CachedWorkloadCache` names a scene suite and a workload
+resolution, turns (scene, config) cells into content-addressed
+:class:`~repro.runtime.job.SimulationJob` s, and resolves them with one
+call, :meth:`~CachedWorkloadCache.run_jobs`, which hands them to
+:func:`~repro.runtime.executor.run_jobs`:
 
-- ``simulate`` consults the persistent :class:`ResultStore` before
-  simulating, and writes back on a miss;
-- ``sweep`` dispatches the whole (scene x config) matrix through
-  :func:`~repro.runtime.executor.run_jobs` — store hits are free, the
-  misses run on a process pool per the :class:`ExecutionPolicy`;
+- store hits are free and bit-identical (``store=None`` disables
+  persistence);
+- misses run in-process or on a process pool per the
+  :class:`ExecutionPolicy`;
 - ``metrics`` accumulates cache-hit/latency/throughput counters across
   every call, for reporting at the end of a campaign.
 
-Serial paths reuse this cache's already-traced scenes, so mixing
-``traced()``-based experiments (depth figures) with sweeps never traces
-a scene twice in-process.
+``simulate`` and ``sweep`` are thin loops over ``run_jobs``.  Phase one
+(scene, BVH, trace) is configuration-independent and lives in one
+per-process memo in :mod:`repro.runtime.job`: ``traced()``, serial
+sweeps, pool workers and fallbacks all read it under the same key.  It
+keeps the four most recently used workloads, so a sweep (scene-major)
+traces each scene once, but a later sweep over a larger suite traces
+it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.results import SimulationResult
-from repro.experiments.common import WorkloadCache, _unique_labels
 from repro.gpu.config import GPUConfig
 from repro.runtime.executor import ExecutionPolicy, run_jobs
-from repro.runtime.job import SimulationJob
+from repro.runtime.job import SimulationJob, _workload_traces
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.store import ResultStore
+from repro.trace.events import RayTrace
+from repro.workloads.lumibench import SCENE_NAMES
+from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 
 
 @dataclass
-class CachedWorkloadCache(WorkloadCache):
-    """Workload cache backed by the runtime executor and result store.
+class CachedWorkloadCache:
+    """A scene suite plus the runtime that resolves its jobs.
 
-    ``store=None`` disables persistence (every simulation recomputes);
-    the default :class:`ExecutionPolicy` auto-sizes the worker pool to
-    the machine.
+    ``scene_names=None`` means the full Table II suite.  ``params``
+    controls resolution; experiments pass a scaled-down copy for quick
+    smoke runs, and ``max_bounces`` (when given) overrides its bounce
+    budget.  The defaults, serial with no store, recompute every cell
+    in-process; :func:`runtime_cache` builds the pooled, persistent
+    variant the CLI uses.
     """
 
+    params: WorkloadParams = field(default_factory=lambda: DEFAULT_PARAMS)
+    scene_names: Optional[Sequence[str]] = None
+    max_bounces: Optional[int] = None
+    #: Timing backend every job requests (``"stepped"`` or
+    #: ``"vector"``); backends are bit-identical by contract, so this
+    #: only changes wall-clock, never results.
+    backend: str = "stepped"
     store: Optional[ResultStore] = None
-    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
+    policy: ExecutionPolicy = field(
+        default_factory=lambda: ExecutionPolicy(workers=1)
+    )
     metrics: RuntimeMetrics = field(default_factory=RuntimeMetrics)
 
-    def _on_evict(self) -> None:
-        """Traced-scene LRU evictions flow into the run metrics."""
-        self.metrics.evictions += 1
+    @property
+    def names(self) -> List[str]:
+        """Scene names this cache covers."""
+        return list(self.scene_names) if self.scene_names else list(SCENE_NAMES)
 
     def job_for(
-        self, name: str, config: GPUConfig, verify_pops: bool = False
+        self,
+        name: str,
+        config: GPUConfig,
+        verify_pops: bool = False,
+        strategy: str = "sms",
     ) -> SimulationJob:
         """The content-addressed job for one (scene, config) cell."""
         return SimulationJob.from_params(
@@ -59,60 +82,44 @@ class CachedWorkloadCache(WorkloadCache):
             params=self.params,
             max_bounces=self.max_bounces,
             verify_pops=verify_pops,
+            strategy=strategy,
             backend=self.backend,
         )
+
+    def traced(self, name: str) -> List[RayTrace]:
+        """One scene's phase-one traces, from the per-process memo."""
+        return _workload_traces(self.job_for(name, GPUConfig()))[1]
+
+    def run_jobs(self, jobs: Sequence) -> List[SimulationResult]:
+        """Resolve ``jobs`` in order: store, then pool, then metrics."""
+        report = run_jobs(jobs, store=self.store, policy=self.policy)
+        self.metrics.merge(report.metrics)
+        return report.results
 
     def simulate(
         self, name: str, config: GPUConfig, verify_pops: bool = False
     ) -> SimulationResult:
-        """Time one scene under one configuration, store-first."""
-        job = self.job_for(name, config, verify_pops)
-        self.metrics.jobs_total += 1
-        if self.store is not None:
-            hit = self.store.get(job.key())
-            if hit is not None:
-                self.metrics.cache_hits += 1
-                return hit
-        result = super().simulate(name, config, verify_pops)
-        self.metrics.simulated += 1
-        backend = getattr(result, "backend", None)
-        if backend:
-            self.metrics.backends[backend] = (
-                self.metrics.backends.get(backend, 0) + 1
-            )
-        if self.store is not None:
-            self.store.put(job.key(), result, spec=job.spec())
-        return result
-
-    def _local_run(self, job: SimulationJob) -> SimulationResult:
-        """Serial runner reusing this cache's traced scenes."""
-        return WorkloadCache.simulate(self, job.scene, job.config,
-                                      job.verify_pops)
+        """Time one scene under one configuration."""
+        return self.run_jobs([self.job_for(name, config, verify_pops)])[0]
 
     def sweep(
         self, configs: Sequence[GPUConfig], verify_pops: bool = False
     ) -> Dict[str, Dict[str, SimulationResult]]:
-        """Run every (scene, config) pair through the runtime.
+        """Run every (scene, config) pair.
 
-        Same shape and values as the serial base class — the simulation
-        is deterministic, so store hits and pool results are
-        bit-identical to freshly computed ones.
+        Returns ``{scene_name: {config_label: result}}`` with config
+        labels from :meth:`GPUConfig.describe` (made unique with an index
+        suffix if two configs share a label).
         """
+        from repro.experiments.common import _unique_labels
+
         labels = _unique_labels(configs)
         names = self.names
-        jobs = [
+        flat = iter(self.run_jobs([
             self.job_for(name, config, verify_pops)
             for name in names
             for config in configs
-        ]
-        report = run_jobs(
-            jobs,
-            store=self.store,
-            policy=self.policy,
-            serial_runner=self._local_run,
-        )
-        self.metrics.merge(report.metrics)
-        flat = iter(report.results)
+        ]))
         return {
             name: {label: next(flat) for label in labels} for name in names
         }
@@ -126,7 +133,6 @@ def runtime_cache(
     cache_dir=None,
     timeout: Optional[float] = None,
     progress: bool = False,
-    max_traced: Optional[int] = None,
     backend: str = "stepped",
 ) -> CachedWorkloadCache:
     """Build a :class:`CachedWorkloadCache` from user-facing knobs.
@@ -135,18 +141,13 @@ def runtime_cache(
     worker count (``None`` auto-sizes, ``1`` forces serial),
     ``use_cache=False`` drops the persistent store entirely,
     ``cache_dir`` overrides the store location (default
-    ``~/.cache/repro-sms`` or ``$REPRO_CACHE_DIR``), ``max_traced``
-    LRU-bounds the in-memory traced-scene cache (``None`` = unbounded;
-    long-running service processes set a bound), and ``backend``
+    ``~/.cache/repro-sms`` or ``$REPRO_CACHE_DIR``), and ``backend``
     selects the timing backend every job requests (``"stepped"`` or
     ``"vector"`` — bit-identical results, different wall-clock).
     """
-    from repro.workloads.params import DEFAULT_PARAMS
-
     return CachedWorkloadCache(
         params=params or DEFAULT_PARAMS,
         scene_names=scene_names,
-        max_traced=max_traced,
         backend=backend,
         store=ResultStore(cache_dir) if use_cache else None,
         policy=ExecutionPolicy(workers=jobs, timeout=timeout,

@@ -37,7 +37,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import GuardViolationError, JobExecutionError
 from repro.runtime.backoff import backoff_delay
@@ -59,18 +59,12 @@ class ExecutionPolicy:
     and re-run serially in-process (where it cannot be preempted but
     also cannot be lost).  ``retries`` is the number of *additional*
     attempts after a failure, each preceded by a deterministic seeded
-    exponential-backoff sleep: ``backoff`` is the first-retry base
-    delay, ``backoff_cap`` bounds the exponential growth, and
-    ``backoff_seed`` selects the jitter stream (see
-    :func:`repro.runtime.backoff.backoff_delay`).
+    exponential-backoff sleep (:func:`repro.runtime.backoff.backoff_delay`).
     """
 
     workers: Optional[int] = None
     timeout: Optional[float] = None
     retries: int = 2
-    backoff: float = 0.1
-    backoff_cap: float = 2.0
-    backoff_seed: int = 0
     progress: bool = False
 
     def effective_workers(self, pending: int) -> int:
@@ -80,13 +74,7 @@ class ExecutionPolicy:
 
     def retry_delay(self, attempt: int, key: str = "") -> float:
         """The deterministic backoff before retry number ``attempt``."""
-        return backoff_delay(
-            attempt,
-            base=self.backoff,
-            cap=self.backoff_cap,
-            seed=self.backoff_seed,
-            key=key,
-        )
+        return backoff_delay(attempt, key=key)
 
 
 @dataclass
@@ -118,15 +106,11 @@ def run_jobs(
     jobs: Sequence,
     store: Optional[ResultStore] = None,
     policy: Optional[ExecutionPolicy] = None,
-    serial_runner: Optional[Callable] = None,
 ) -> RunReport:
     """Resolve every job via store, pool, or serial fallback.
 
     ``jobs`` may be :class:`~repro.runtime.job.SimulationJob` instances
     or any picklable object with ``key() -> str`` and ``run()``.
-    ``serial_runner`` overrides how jobs execute on the serial paths
-    (in-process sweeps reuse already-traced scenes this way); worker
-    processes always call ``job.run()``.
     """
     policy = policy or ExecutionPolicy()
     jobs = list(jobs)
@@ -159,10 +143,10 @@ def run_jobs(
             workers = policy.effective_workers(len(states))
             if workers <= 1:
                 _run_serial(states, results, store, policy, metrics,
-                            progress, serial_runner)
+                            progress)
             else:
                 _run_parallel(states, results, store, policy, metrics,
-                              progress, serial_runner, workers)
+                              progress, workers)
     finally:
         metrics.running = 0
         metrics.elapsed_seconds = time.monotonic() - started
@@ -234,12 +218,11 @@ def _give_up(state, exc, store, metrics, traceback_text=None):
     raise error from exc
 
 
-def _run_one_serial(state, policy, metrics, serial_runner, store=None):
+def _run_one_serial(state, policy, metrics, store=None):
     """One job in-process, honoring the retry budget."""
-    runner = serial_runner or _execute
     while True:
         try:
-            return runner(state.job)
+            return state.job.run()
         except Exception as exc:
             if (isinstance(exc, GuardViolationError)
                     or state.attempts >= policy.retries):
@@ -252,15 +235,13 @@ def _run_one_serial(state, policy, metrics, serial_runner, store=None):
             time.sleep(delay)
 
 
-def _run_serial(states, results, store, policy, metrics, progress,
-                serial_runner) -> None:
+def _run_serial(states, results, store, policy, metrics, progress) -> None:
     """Serial in-process execution (workers<=1, or fallback)."""
     for state in states:
         metrics.running = 1
         progress.update(metrics)
         begun = time.monotonic()
-        value = _run_one_serial(state, policy, metrics, serial_runner,
-                                store=store)
+        value = _run_one_serial(state, policy, metrics, store=store)
         metrics.job_seconds.append(time.monotonic() - begun)
         metrics.running = 0
         _record(state, value, results, store, metrics)
@@ -268,7 +249,7 @@ def _run_serial(states, results, store, policy, metrics, progress,
 
 
 def _run_parallel(states, results, store, policy, metrics, progress,
-                  serial_runner, workers) -> None:
+                  workers) -> None:
     """Pool execution with retry, per-job timeout, and degradation.
 
     Jobs are dispatched one per free worker slot (so a job's timeout
@@ -353,5 +334,4 @@ def _run_parallel(states, results, store, policy, metrics, progress,
                 process.terminate()
     if fallback:
         metrics.serial_fallbacks += len(fallback)
-        _run_serial(fallback, results, store, policy, metrics, progress,
-                    serial_runner)
+        _run_serial(fallback, results, store, policy, metrics, progress)

@@ -30,7 +30,8 @@ from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 #: 2: job specs gained the traversal-strategy field.
 #: 3: job specs gained the timing-backend field and stored results
 #:    record which backend executed.
-CACHE_SCHEMA_VERSION = 3
+#: 4: the timing backend left the spec again (results still record it).
+CACHE_SCHEMA_VERSION = 4
 
 #: Traced workloads memoized per process (see :func:`_workload_traces`).
 _TRACE_MEMO_CAPACITY = 4
@@ -87,11 +88,12 @@ class SimulationJob:
     #: content address: both phases depend on it — the recorded traces
     #: (stackless re-traces, reorder permutes) and the timing replay.
     strategy: str = "sms"
-    #: Timing backend (``"stepped"`` or ``"vector"``).  Backends are
-    #: bit-identical by contract, but the field is still part of the
-    #: content address: a cached result records *how* it was produced,
-    #: and keeping the addresses distinct means a backend-parity bug can
-    #: never silently satisfy a stepped request from a vector result.
+    #: Timing backend (``"stepped"`` or ``"vector"``).  A pure
+    #: performance knob: backends are bit-identical by contract (checked
+    #: by the stepped-vs-vector equivalence suites), so the field is
+    #: *not* part of the content address and either backend's stored
+    #: result satisfies a request for the other.  The backend that
+    #: actually ran is recorded on the result (``SimulationResult.backend``).
     backend: str = "stepped"
 
     @classmethod
@@ -107,9 +109,8 @@ class SimulationJob:
     ) -> "SimulationJob":
         """Build a job resolving the two-tier resolution scheme.
 
-        Mirrors :class:`~repro.experiments.common.WorkloadCache`: complex
-        scenes get the reduced tier of ``params``, and ``max_bounces``
-        (when given) overrides the params' bounce budget.
+        Complex scenes get the reduced tier of ``params``, and
+        ``max_bounces`` (when given) overrides the params' bounce budget.
         """
         width, height, spp = params.for_scene(scene)
         return cls(
@@ -131,7 +132,8 @@ class SimulationJob:
         """The canonical, JSON-serializable description of this job.
 
         Includes the :func:`cache_salt`, so the digest of this dict is
-        automatically invalidated by version bumps.
+        automatically invalidated by version bumps.  Omits ``backend``,
+        which cannot change the result.
         """
         return {
             "scene": self.scene,
@@ -145,7 +147,6 @@ class SimulationJob:
             "guard": self.guard,
             "max_cycles": self.max_cycles,
             "strategy": self.strategy,
-            "backend": self.backend,
             "salt": cache_salt(),
         }
 
@@ -194,10 +195,14 @@ class SimulationJob:
 def _workload_traces(job: SimulationJob) -> Tuple[str, List]:
     """Trace the job's workload, memoizing per process (small LRU).
 
-    The memo key deliberately excludes the GPU configuration — phase one
+    This is the process's one phase-one cache: job runs, pool workers
+    and :meth:`~repro.runtime.cache.CachedWorkloadCache.traced` all read
+    it.  The key deliberately excludes the GPU configuration — phase one
     is configuration-independent, which is the whole point of the
     two-phase split.  It keys on the strategy's *trace key* rather than
-    its name, so strategies that record identical streams share entries.
+    its name, so strategies that record identical streams share entries,
+    and on the geometry scale, so changing ``REPRO_BENCH_SCALE`` never
+    serves traces of the old scene.
     """
     from repro.traversal.registry import resolve_strategy
     from repro.workloads.lumibench import bench_scale

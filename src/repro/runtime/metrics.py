@@ -30,9 +30,6 @@ class RuntimeMetrics:
     #: Total seconds slept in retry backoff (deterministic schedule; see
     #: :func:`repro.runtime.backoff.backoff_delay`).
     backoff_total_s: float = 0.0
-    #: In-memory traced-scene entries evicted by the workload cache's LRU
-    #: bound (:class:`repro.experiments.common.WorkloadCache`).
-    evictions: int = 0
     #: Jobs whose worker execution exceeded the per-job timeout.
     timeouts: int = 0
     #: Jobs degraded to serial in-process execution (timeout/broken pool).
@@ -85,7 +82,6 @@ class RuntimeMetrics:
         self.deduplicated += other.deduplicated
         self.retries += other.retries
         self.backoff_total_s += other.backoff_total_s
-        self.evictions += other.evictions
         self.timeouts += other.timeouts
         self.serial_fallbacks += other.serial_fallbacks
         self.failed += other.failed
@@ -115,8 +111,6 @@ class RuntimeMetrics:
                 f"{self.retries} retries "
                 f"({self.backoff_total_s:.2f}s backoff)"
             )
-        if self.evictions:
-            parts.append(f"{self.evictions} evictions")
         if self.timeouts:
             parts.append(f"{self.timeouts} timeouts")
         if self.serial_fallbacks:

@@ -17,7 +17,7 @@ from repro.ablation import (
     write_report,
 )
 from repro.errors import AblationError
-from repro.runtime.executor import ExecutionPolicy
+from repro.runtime.cache import CachedWorkloadCache
 from repro.runtime.store import ResultStore
 from repro.workloads.params import WorkloadParams
 
@@ -30,15 +30,6 @@ SPACE = KnobSpace(
     ranges={"sh_stack_entries": [0, 8]},
     scenes=("WKND", "BUNNY"),
 )
-
-
-class StoreCache:
-    """Minimal store/policy/metrics triple (what runtime_cache builds)."""
-
-    def __init__(self, root):
-        self.store = ResultStore(root)
-        self.policy = ExecutionPolicy(workers=1)
-        self.metrics = None
 
 
 def test_matrix_jobs_are_scene_major_and_content_addressed():
@@ -76,12 +67,15 @@ def test_reports_are_bit_identical_across_runs_and_pool():
 
 def test_pool_path_matches_serial_and_dedups(tmp_path):
     serial = run_space(SPACE, params=TINY)
-    cache = StoreCache(tmp_path / "store")
+    cache = CachedWorkloadCache(store=ResultStore(tmp_path / "store"))
     pooled = run_space(SPACE, params=TINY, cache=cache)
     assert render_json(pooled) == render_json(serial)
     # Every cell landed in the store; a re-run is served entirely from it.
     assert len(cache.store) == 4
-    rerun = run_space(SPACE, params=TINY, cache=StoreCache(tmp_path / "store"))
+    rerun = run_space(
+        SPACE, params=TINY,
+        cache=CachedWorkloadCache(store=ResultStore(tmp_path / "store")),
+    )
     assert render_json(rerun) == render_json(serial)
     assert len(cache.store) == 4
 

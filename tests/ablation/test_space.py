@@ -176,3 +176,26 @@ def test_resolve_space_prefers_names_then_paths(tmp_path):
     path = tmp_path / "own.json"
     path.write_text(json.dumps({"ranges": {"sh_stack_entries": [0, 8]}}))
     assert resolve_space(str(path)).name == "own"
+
+
+def test_fig8_space_matches_the_fig8_driver_configs():
+    from types import SimpleNamespace
+
+    from repro.experiments import fig8_sh_configs
+    from repro.experiments.common import _unique_labels
+
+    class RecordingCache:
+        names = ["SHIP"]
+
+        def sweep(self, configs):
+            self.configs = list(configs)
+            return {"SHIP": {label: SimpleNamespace(ipc=1.0)
+                             for label in _unique_labels(configs)}}
+
+    cache = RecordingCache()
+    fig8_sh_configs.run(cache)
+    driver = {config.describe(): config for config in cache.configs}
+    space = [run.config for run in generate_matrix(named_space("fig8")).runs]
+    labels = ["RB_8", "RB_8+SH_4", "RB_8+SH_8", "RB_8+SH_16"]
+    assert [config.describe() for config in space] == labels
+    assert space == [driver[label] for label in labels]

@@ -12,7 +12,7 @@ from repro.analysis import (
     write_csv,
     write_json,
 )
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 from repro.workloads.params import WorkloadParams
 
 
@@ -88,7 +88,7 @@ def test_campaign_accepts_config_objects():
 
 
 def test_campaign_reuses_external_cache():
-    cache = WorkloadCache(
+    cache = CachedWorkloadCache(
         params=WorkloadParams().scaled(0.25), scene_names=["SHIP"]
     )
     cache.traced("SHIP")

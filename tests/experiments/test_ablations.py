@@ -3,13 +3,13 @@
 import pytest
 
 from repro.experiments import ablations
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 from repro.workloads.params import WorkloadParams
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return WorkloadCache(
+    return CachedWorkloadCache(
         params=WorkloadParams().scaled(0.3),
         scene_names=["SHIP", "CRNVL"],
     )

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import runner
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 from repro.experiments import (
     fig4_stack_depths,
     fig5_depth_distribution,
@@ -27,7 +27,7 @@ from repro.workloads.params import WorkloadParams
 
 @pytest.fixture(scope="module")
 def cache():
-    return WorkloadCache(
+    return CachedWorkloadCache(
         params=WorkloadParams().scaled(0.3),
         scene_names=["SHIP", "CRNVL"],
     )

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.experiments import energy_study
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 from repro.experiments.runner import run_experiment
 from repro.workloads.params import WorkloadParams
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return WorkloadCache(
+    return CachedWorkloadCache(
         params=WorkloadParams().scaled(0.3),
         scene_names=["SHIP", "CRNVL"],
     )

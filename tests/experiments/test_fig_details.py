@@ -8,13 +8,13 @@ from repro.experiments import (
     fig10_thread_depths,
     fig14_skewed,
 )
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 from repro.workloads.params import WorkloadParams
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return WorkloadCache(
+    return CachedWorkloadCache(
         params=WorkloadParams().scaled(0.4),
         scene_names=["PARTY", "SHIP"],
     )

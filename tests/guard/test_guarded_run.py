@@ -113,7 +113,7 @@ def test_executor_records_guard_violation_without_retry(tmp_path):
         run_jobs(
             [_ViolatingJob()],
             store=store,
-            policy=ExecutionPolicy(workers=1, retries=3, backoff=0.0),
+            policy=ExecutionPolicy(workers=1, retries=3),
         )
     assert _ViolatingJob.runs == 1  # deterministic failure: no retries
     assert isinstance(excinfo.value.__cause__, GuardViolationError)
@@ -134,7 +134,7 @@ def test_executor_records_guard_violation_from_workers(tmp_path):
         run_jobs(
             [_ViolatingJob("c"), _ViolatingJob("d")],
             store=store,
-            policy=ExecutionPolicy(workers=2, retries=3, backoff=0.0),
+            policy=ExecutionPolicy(workers=2, retries=3),
         )
     recorded = list(store.failures())
     assert recorded, "no structured failure persisted from the pool path"

@@ -12,13 +12,14 @@ from repro.core.presets import (
     full_stack_config,
     sms_config,
 )
-from repro.experiments.common import WorkloadCache, mean_row, normalized_ipc
+from repro.experiments.common import mean_row, normalized_ipc
+from repro.runtime.cache import CachedWorkloadCache
 from repro.workloads.params import WorkloadParams
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return WorkloadCache(
+    return CachedWorkloadCache(
         params=WorkloadParams().scaled(0.5),
         scene_names=["CRNVL", "PARTY", "SHIP"],
     )

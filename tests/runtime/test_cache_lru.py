@@ -1,54 +1,28 @@
-"""LRU bounds on the in-memory caches: traced scenes and the trace memo."""
+"""The one per-process phase-one memo: its bound, sharing and key."""
 
 import importlib
+from collections import OrderedDict
+
+import pytest
 
 from repro.core.presets import named_config
-from repro.experiments.common import WorkloadCache
-from repro.runtime.cache import runtime_cache
+from repro.experiments import compare_strategies
+from repro.runtime.cache import CachedWorkloadCache
+from repro.runtime.job import SimulationJob
 from repro.workloads.params import WorkloadParams
 
 PARAMS = WorkloadParams().scaled(0.25)
-SCENES = ["WKND", "SPRNG", "FOX", "LANDS"]
+
+job_module = importlib.import_module("repro.runtime.job")
 
 
-def test_workload_cache_unbounded_by_default():
-    cache = WorkloadCache(scene_names=SCENES, params=PARAMS)
-    for name in SCENES:
-        cache.traced(name)
-    assert cache.evictions == 0
-    assert len(cache._cache) == len(SCENES)
-
-
-def test_workload_cache_lru_evicts_oldest():
-    cache = WorkloadCache(scene_names=SCENES, params=PARAMS, max_traced=2)
-    for name in SCENES[:3]:
-        cache.traced(name)
-    assert cache.evictions == 1
-    assert list(cache._cache) == ["SPRNG", "FOX"]
-    # A hit refreshes recency: SPRNG survives the next insertion.
-    cache.traced("SPRNG")
-    cache.traced("LANDS")
-    assert list(cache._cache) == ["SPRNG", "LANDS"]
-    assert cache.evictions == 2
-    # Evicted scenes re-trace transparently.
-    assert cache.traced("WKND") is not None
-    assert cache.evictions == 3
-
-
-def test_runtime_cache_exposes_evictions_in_metrics(tmp_path):
-    cache = runtime_cache(
-        params=PARAMS, scene_names=SCENES[:3], jobs=1,
-        use_cache=False, max_traced=1,
-    )
-    for name in SCENES[:3]:
-        cache.traced(name)
-    assert cache.evictions == 2
-    assert cache.metrics.evictions == 2
-    assert "evictions" in cache.metrics.summary()
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty memo, so each test sees its own phase-one builds."""
+    monkeypatch.setattr(job_module, "_TRACE_MEMO", OrderedDict())
 
 
 def test_trace_memo_evicts_at_capacity(monkeypatch):
-    job_module = importlib.import_module("repro.runtime.job")
     monkeypatch.setattr(job_module, "_TRACE_MEMO_CAPACITY", 1)
     config = named_config("RB_8")
     for scene in ("WKND", "SPRNG"):
@@ -57,3 +31,37 @@ def test_trace_memo_evicts_at_capacity(monkeypatch):
             max_bounces=2,
         ).run()
     assert len(job_module._TRACE_MEMO) == 1
+
+
+def test_traced_sweep_and_compare_share_one_phase_one(fresh_memo,
+                                                      monkeypatch):
+    # Counted inside build_bvh, so every module's reference to it counts.
+    bvh_api = importlib.import_module("repro.bvh.api")
+    real_build = bvh_api.build_binary_bvh
+    built = []
+
+    def counting_build(scene, *args, **kwargs):
+        built.append(scene.name)
+        return real_build(scene, *args, **kwargs)
+
+    monkeypatch.setattr(bvh_api, "build_binary_bvh", counting_build)
+    cache = CachedWorkloadCache(params=PARAMS, scene_names=["SHIP"])
+    traces = cache.traced("SHIP")
+    swept = cache.sweep([named_config("RB_8")])
+    compared = compare_strategies.run(cache, strategies=["sms"])
+    assert built == ["SHIP"]
+    assert swept["SHIP"]["RB_8"].ray_count == len(traces)
+    assert compared.per_scene["SHIP"]["sms"].ray_count == len(traces)
+
+
+def test_bench_scale_change_is_never_served_stale(fresh_memo, monkeypatch):
+    cache = CachedWorkloadCache(params=PARAMS, scene_names=["SHIP"])
+    config = named_config("RB_8")
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
+    halved = cache.simulate("SHIP", config)
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "1.0")
+    rescaled = cache.simulate("SHIP", config)
+    monkeypatch.setattr(job_module, "_TRACE_MEMO", OrderedDict())
+    fresh = SimulationJob.from_params("SHIP", config, params=PARAMS).run()
+    assert rescaled == fresh
+    assert rescaled != halved

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import JobExecutionError
+from repro.runtime import backoff
 from repro.runtime.executor import ExecutionPolicy, run_jobs
 
 
@@ -66,12 +67,14 @@ def stub(token, tmp_path, **kwargs):
     return StubJob(token=token, counter_dir=str(tmp_path), **kwargs)
 
 
-FAST = dict(backoff=0.01)
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(backoff, "BACKOFF_BASE_S", 0.01)
 
 
 def test_serial_results_in_order(tmp_path):
     jobs = [stub(f"j{i}", tmp_path) for i in range(3)]
-    report = run_jobs(jobs, policy=ExecutionPolicy(workers=1, **FAST))
+    report = run_jobs(jobs, policy=ExecutionPolicy(workers=1))
     assert report.results == ["ok:j0", "ok:j1", "ok:j2"]
     assert report.metrics.simulated == 3
     assert report.metrics.done == 3
@@ -79,7 +82,7 @@ def test_serial_results_in_order(tmp_path):
 
 def test_parallel_results_in_order(tmp_path):
     jobs = [stub(f"p{i}", tmp_path) for i in range(5)]
-    report = run_jobs(jobs, policy=ExecutionPolicy(workers=2, **FAST))
+    report = run_jobs(jobs, policy=ExecutionPolicy(workers=2))
     assert report.results == [f"ok:p{i}" for i in range(5)]
     assert report.metrics.simulated == 5
     assert len(report.metrics.job_seconds) == 5
@@ -88,7 +91,7 @@ def test_parallel_results_in_order(tmp_path):
 def test_duplicate_jobs_computed_once(tmp_path):
     job = stub("dup", tmp_path)
     report = run_jobs([job, job, job],
-                      policy=ExecutionPolicy(workers=1, **FAST))
+                      policy=ExecutionPolicy(workers=1))
     assert report.results == ["ok:dup"] * 3
     assert report.metrics.simulated == 1
     assert report.metrics.deduplicated == 2
@@ -100,7 +103,7 @@ def test_duplicate_jobs_computed_once(tmp_path):
 def test_retry_then_succeed(tmp_path, workers):
     jobs = [stub("flaky", tmp_path, fail_first=2)]
     report = run_jobs(
-        jobs, policy=ExecutionPolicy(workers=workers, retries=3, **FAST)
+        jobs, policy=ExecutionPolicy(workers=workers, retries=3)
     )
     assert report.results == ["ok:flaky"]
     assert report.metrics.retries == 2
@@ -111,8 +114,7 @@ def test_retry_then_succeed(tmp_path, workers):
 def test_retry_budget_exhausted_raises(tmp_path, workers):
     jobs = [stub("doomed", tmp_path, fail_first=10)]
     with pytest.raises(JobExecutionError, match="stub:doomed"):
-        run_jobs(jobs, policy=ExecutionPolicy(workers=workers, retries=1,
-                                              **FAST))
+        run_jobs(jobs, policy=ExecutionPolicy(workers=workers, retries=1))
 
 
 def test_timeout_then_serial_fallback(tmp_path):
@@ -122,7 +124,7 @@ def test_timeout_then_serial_fallback(tmp_path):
             stub("quick", tmp_path)]
     started = time.monotonic()
     report = run_jobs(
-        jobs, policy=ExecutionPolicy(workers=2, timeout=0.3, **FAST)
+        jobs, policy=ExecutionPolicy(workers=2, timeout=0.3)
     )
     assert time.monotonic() - started < 30
     assert report.results == ["ok:slow", "ok:quick"]
@@ -135,7 +137,7 @@ def test_broken_pool_degrades_to_serial(tmp_path):
     # divert every unfinished job to in-process execution.
     jobs = [stub("a", tmp_path), stub("boom", tmp_path, kill_worker=True),
             stub("b", tmp_path), stub("c", tmp_path)]
-    report = run_jobs(jobs, policy=ExecutionPolicy(workers=2, **FAST))
+    report = run_jobs(jobs, policy=ExecutionPolicy(workers=2))
     assert report.results == ["ok:a", "ok:boom", "ok:b", "ok:c"]
     assert report.metrics.serial_fallbacks >= 1
     assert report.metrics.done == 4
@@ -155,20 +157,6 @@ def test_auto_worker_sizing_caps_to_pending():
     assert ExecutionPolicy(workers=0).effective_workers(5) == 1
 
 
-def test_serial_runner_override(tmp_path):
-    seen = []
-
-    def runner(job):
-        seen.append(job.token)
-        return f"local:{job.token}"
-
-    jobs = [stub("x", tmp_path), stub("y", tmp_path)]
-    report = run_jobs(jobs, policy=ExecutionPolicy(workers=1, **FAST),
-                      serial_runner=runner)
-    assert report.results == ["local:x", "local:y"]
-    assert seen == ["x", "y"]
-
-
 # -- traceback capture on terminal failures -------------------------------
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -177,8 +165,7 @@ def test_exhausted_retries_attach_traceback(tmp_path, workers):
     remote traceback when the final attempt died inside a pool worker."""
     jobs = [stub("tbdoomed", tmp_path, fail_first=10)]
     with pytest.raises(JobExecutionError) as excinfo:
-        run_jobs(jobs, policy=ExecutionPolicy(workers=workers, retries=1,
-                                              **FAST))
+        run_jobs(jobs, policy=ExecutionPolicy(workers=workers, retries=1))
     rendered = excinfo.value.traceback_text
     assert "RuntimeError" in rendered
     assert "injected failure" in rendered
@@ -216,7 +203,7 @@ def test_guard_violation_failure_record_carries_traceback(tmp_path):
     job = GuardTripJob("g1")
     with pytest.raises(JobExecutionError, match="integrity guard") as excinfo:
         run_jobs([job], store=store,
-                 policy=ExecutionPolicy(workers=1, **FAST))
+                 policy=ExecutionPolicy(workers=1))
     assert "InvariantViolationError" in excinfo.value.traceback_text
     payload = store.failure_for(job.key())
     rendered = payload["error"]["traceback"]

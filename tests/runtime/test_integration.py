@@ -9,7 +9,6 @@ store (zero simulations on the second run).
 import pytest
 
 from repro.analysis import Campaign
-from repro.experiments.common import WorkloadCache
 from repro.core.presets import named_config
 from repro.runtime import (
     CachedWorkloadCache,
@@ -85,16 +84,19 @@ def test_salt_change_invalidates(tmp_path, monkeypatch):
     assert rerun.metrics.simulated == len(SCENES) * len(CONFIGS)
 
 
-def test_legacy_cache_path_still_serial(tmp_path):
-    cache = WorkloadCache(params=PARAMS, scene_names=["SHIP"])
-    result = Campaign(configs=("RB_8",), scenes=("SHIP",)).run(cache)
-    assert result.metrics is None  # legacy path bypasses the runtime
-    assert result.results[0].scene_name == "SHIP"
+def test_campaign_runs_on_a_given_cache(tmp_path):
+    cache = CachedWorkloadCache(params=PARAMS, scene_names=["SHIP"],
+                                store=ResultStore(tmp_path / "store"))
+    result = Campaign(configs=("RB_8",), scenes=("CRNVL",)).run(cache)
+    assert result.metrics is cache.metrics
+    assert result.metrics.simulated == 1
+    assert result.results[0].scene_name == "SHIP"  # the cache's scenes
+    assert len(cache.store) == 1
 
 
 def test_cached_sweep_matches_plain_sweep(tmp_path):
     configs = [named_config(name) for name in CONFIGS]
-    plain = WorkloadCache(params=PARAMS, scene_names=list(SCENES))
+    plain = CachedWorkloadCache(params=PARAMS, scene_names=list(SCENES))
     cached = CachedWorkloadCache(
         params=PARAMS,
         scene_names=list(SCENES),

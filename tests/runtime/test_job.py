@@ -64,14 +64,19 @@ def test_from_params_uppercases_scene():
 
 
 def test_run_matches_direct_simulation():
-    from repro.experiments.common import WorkloadCache
+    from repro.bvh.api import build_bvh
+    from repro.core.api import time_traces
+    from repro.trace.path import generate_workload
+    from repro.workloads.lumibench import load_scene
 
     job = job_for()
-    direct = WorkloadCache(params=PARAMS, scene_names=["SHIP"]).simulate(
-        "SHIP", named_config("RB_8")
+    workload = generate_workload(
+        build_bvh(load_scene("SHIP")), width=job.width, height=job.height,
+        spp=job.spp, max_bounces=job.max_bounces, seed=job.seed,
     )
-    via_job = job.run()
-    assert via_job == direct
+    direct = time_traces(workload.all_traces, config=job.config,
+                         scene_name="SHIP")
+    assert job.run() == direct
 
 
 def test_job_is_hashable_and_spec_is_json_canonical():
@@ -81,3 +86,27 @@ def test_job_is_hashable_and_spec_is_json_canonical():
     assert hash(job) == hash(job_for())
     blob = json.dumps(job.spec(), sort_keys=True)
     assert json.loads(blob)["scene"] == "SHIP"
+
+
+def test_backend_is_not_part_of_the_key(tmp_path):
+    from dataclasses import replace
+
+    from repro.runtime.cache import runtime_cache
+
+    stepped = job_for("RB_8+SH_8+SK+RA")
+    vector = replace(stepped, backend="vector")
+    assert vector.key() == stepped.key()
+    assert "backend" not in stepped.spec()
+
+    def cache(backend):
+        return runtime_cache(params=PARAMS, scene_names=["SHIP"], jobs=1,
+                             cache_dir=tmp_path, backend=backend)
+
+    config = named_config("RB_8+SH_8+SK+RA")
+    primed = cache("stepped").simulate("SHIP", config)
+    served = cache("vector")
+    hit = served.simulate("SHIP", config)
+    assert served.metrics.cache_hits == 1
+    assert served.metrics.simulated == 0
+    assert hit.counters == primed.counters
+    assert hit.backend == "stepped"  # the record of what actually ran

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import compare_strategies
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 from repro.runtime.cache import runtime_cache
 from repro.workloads.params import WorkloadParams
 
@@ -14,7 +14,7 @@ SCENES = ("WKND", "BUNNY")
 
 
 def test_run_and_render_serial():
-    cache = WorkloadCache(params=TINY, scene_names=SCENES, max_bounces=2)
+    cache = CachedWorkloadCache(params=TINY, scene_names=SCENES, max_bounces=2)
     comparison = compare_strategies.run(
         cache, strategies=("sms", "stackless", "reorder")
     )
@@ -57,12 +57,12 @@ def test_run_through_the_runtime_hits_the_store(tmp_path):
 
 
 def test_unknown_strategy_fails_before_tracing():
-    cache = WorkloadCache(params=TINY, scene_names=("WKND",), max_bounces=2)
+    cache = CachedWorkloadCache(params=TINY, scene_names=("WKND",), max_bounces=2)
     with pytest.raises(ConfigError):
         compare_strategies.run(cache, strategies=("sms", "warp-sort"))
 
 
 def test_empty_selection_falls_back_to_default():
-    cache = WorkloadCache(params=TINY, scene_names=("WKND",), max_bounces=2)
+    cache = CachedWorkloadCache(params=TINY, scene_names=("WKND",), max_bounces=2)
     comparison = compare_strategies.run(cache, strategies=())
     assert comparison.strategies == list(compare_strategies.DEFAULT_STRATEGIES)

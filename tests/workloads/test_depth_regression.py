@@ -9,21 +9,21 @@ the band checks below.
 
 import pytest
 
-from repro.experiments.common import WorkloadCache
+from repro.runtime.cache import CachedWorkloadCache
 from repro.trace.depth import bucket_fractions, depth_histogram, depth_statistics
 from repro.workloads.params import WorkloadParams
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return WorkloadCache(params=WorkloadParams().scaled(0.5))
+    return CachedWorkloadCache(params=WorkloadParams().scaled(0.5))
 
 
 @pytest.fixture(scope="module")
 def all_traces(cache):
     traces = []
     for name in cache.names:
-        traces.extend(cache.traced(name).traces)
+        traces.extend(cache.traced(name))
     return traces
 
 
@@ -45,7 +45,7 @@ def test_aggregate_bucket_bands(all_traces):
 
 def test_heavyweights_deepest(cache):
     depths = {
-        name: depth_statistics(cache.traced(name).traces).avg_depth
+        name: depth_statistics(cache.traced(name)).avg_depth
         for name in ("ROBOT", "CAR", "WKND", "BUNNY", "REF")
     }
     assert depths["ROBOT"] > depths["WKND"]
@@ -58,7 +58,7 @@ def test_simple_scenes_fit_in_eight_entries(cache):
     the paper notes they gain least from SMS."""
     for name in ("REF", "BATH"):
         low, _, _ = bucket_fractions(
-            depth_histogram(cache.traced(name).traces)
+            depth_histogram(cache.traced(name))
         )
         assert low >= 0.9
 
@@ -67,7 +67,7 @@ def test_ship_leaf_heavy(cache):
     """SHIP's slivers give it the paper's high leaf-access ratio."""
     from repro.trace.events import NodeKind
 
-    traces = cache.traced("SHIP").traces
+    traces = cache.traced("SHIP")
     leaf = sum(
         1 for t in traces for s in t.steps if s.kind is NodeKind.LEAF
     )
