@@ -1,12 +1,12 @@
 """Bounding volume hierarchies.
 
 Builds the acceleration structure the paper's RT unit traverses: a binary
-SAH/median BVH collapsed into a wide BVH (``BVHk``, default ``k = 6`` as in
+median BVH collapsed into a wide BVH (``BVHk``, default ``k = 6`` as in
 the paper's Fig. 3 walkthrough), laid out into a simulated global-memory
 address space so the timing model sees realistic node-fetch addresses.
 """
 
-from repro.bvh.node import BinaryNode, WideNode
+from repro.bvh.node import WideNode
 from repro.bvh.builder import BinaryBVH, build_binary_bvh
 from repro.bvh.wide import WideBVH, collapse_to_wide
 from repro.bvh.layout import assign_addresses, MemoryLayout
@@ -15,7 +15,6 @@ from repro.bvh.validate import validate_binary, validate_wide
 from repro.bvh.api import build_bvh
 
 __all__ = [
-    "BinaryNode",
     "WideNode",
     "BinaryBVH",
     "build_binary_bvh",

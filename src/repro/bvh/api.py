@@ -15,7 +15,6 @@ def build_bvh(
     scene: Scene,
     width: int = DEFAULT_WIDTH,
     max_leaf_size: int = 4,
-    strategy: str = "median",
 ) -> WideBVH:
     """Build a laid-out wide BVH ready for traversal and timing simulation.
 
@@ -23,12 +22,11 @@ def build_bvh(
         scene: the scene to index.
         width: wide-BVH branching factor (paper uses BVH6).
         max_leaf_size: maximum triangles per leaf.
-        strategy: binary split strategy, ``"median"`` or ``"sah"``.
 
     Returns:
         A :class:`WideBVH` with node addresses assigned.
     """
-    binary = build_binary_bvh(scene, max_leaf_size=max_leaf_size, strategy=strategy)
+    binary = build_binary_bvh(scene, max_leaf_size=max_leaf_size)
     wide = collapse_to_wide(binary, width=width)
     assign_addresses(wide)
     return wide

@@ -1,205 +1,194 @@
 """Binary BVH construction.
 
-Supports two split strategies:
+Median split: every node sorts its primitives by centroid along the
+longest axis of their centroid extent and splits them in half.
 
-* ``"median"`` — sort centroids along the longest axis and split in half;
-  fast and balanced, our default for the large workload sweep.
-* ``"sah"`` — binned surface-area heuristic; produces the tighter,
-  more-adaptive trees real builders emit (and more varied traversal
-  depths), used by the higher-fidelity scenes.
+The build runs one tree level at a time over flat arrays, so its cost is a
+few numpy passes per level rather than Python work per node:
 
-Construction is iterative (explicit work stack) so pathological scenes
-cannot overflow Python's recursion limit.
+* the primitives of a level's nodes sit in contiguous segments of one
+  permutation array, and ``np.minimum.reduceat`` / ``np.maximum.reduceat``
+  give every segment its bounds and its centroid extent, hence its axis;
+* one stable argsort of the key ``(segment << 32) | rank`` sorts every
+  segment of the level at once.  ``rank`` is the dense integer rank of the
+  centroid coordinate along the segment's axis, so equal coordinates keep
+  their previous order exactly as a per-node ``argsort(kind="stable")``
+  would;
+* each segment splits at ``n // 2``.
+
+A median tree's shape depends only on its primitive count, so node numbers
+follow from subtree sizes: the root is node 0, and the children of the
+k-th internal node in left-first preorder are ``2k + 1`` and ``2k + 2``.
+Leaves own consecutive ranges of the final permutation, left to right.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 from repro.errors import BVHError
-from repro.bvh.node import NO_NODE, BinaryNode
-from repro.geometry.aabb import AABB, surface_area
+from repro.bvh.node import NO_NODE
 from repro.scene.scene import Scene
-
-_SAH_BINS = 16
-_SAH_TRAVERSAL_COST = 1.0
-_SAH_INTERSECT_COST = 2.0
 
 
 @dataclass
 class BinaryBVH:
-    """The intermediate binary BVH over a scene.
+    """The intermediate binary BVH over a scene, as flat per-node arrays.
 
-    ``prim_order`` maps leaf primitive ranges to scene ``prim_id``s: leaf
-    node ``n`` owns ``prim_order[n.first_prim : n.first_prim + n.prim_count]``.
+    Node ``i`` is a leaf when ``prim_count[i] > 0``: it owns
+    ``prim_order[first_prim[i] : first_prim[i] + prim_count[i]]`` and its
+    ``left``/``right`` are :data:`~repro.bvh.node.NO_NODE`.  Otherwise
+    ``left[i]`` and ``right[i]`` are its children.  Rows ``lo[i]`` and
+    ``hi[i]`` bound node ``i``.  The root is node 0.
     """
 
     scene: Scene
-    nodes: List[BinaryNode] = field(default_factory=list)
-    prim_order: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    root: int = NO_NODE
+    left: np.ndarray
+    right: np.ndarray
+    first_prim: np.ndarray
+    prim_count: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    prim_order: np.ndarray
+    root: int = 0
 
     @property
     def node_count(self) -> int:
         """Total number of nodes."""
-        return len(self.nodes)
+        return len(self.left)
 
     def leaf_prims(self, node_index: int) -> np.ndarray:
         """Scene prim ids owned by leaf ``node_index``."""
-        node = self.nodes[node_index]
-        if not node.is_leaf:
+        count = int(self.prim_count[node_index])
+        if count == 0:
             raise BVHError(f"node {node_index} is not a leaf")
-        return self.prim_order[node.first_prim : node.first_prim + node.prim_count]
+        start = int(self.first_prim[node_index])
+        return self.prim_order[start : start + count]
 
 
-def _prim_bounds_arrays(scene: Scene) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-triangle (lo, hi) arrays, each of shape (n, 3)."""
-    los = scene.vertices.min(axis=1)
-    his = scene.vertices.max(axis=1)
-    return los, his
-
-
-def _range_bounds(los: np.ndarray, his: np.ndarray, ids: np.ndarray) -> AABB:
-    return AABB(lo=los[ids].min(axis=0), hi=his[ids].max(axis=0))
-
-
-def _median_split(
-    centroids: np.ndarray, ids: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split ``ids`` at the centroid median of the longest-extent axis."""
-    cents = centroids[ids]
-    extent = cents.max(axis=0) - cents.min(axis=0)
-    axis = int(np.argmax(extent))
-    order = ids[np.argsort(cents[:, axis], kind="stable")]
-    mid = len(order) // 2
-    return order[:mid], order[mid:]
-
-
-def _sah_split(
-    centroids: np.ndarray,
-    los: np.ndarray,
-    his: np.ndarray,
-    ids: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Binned SAH split; falls back to median when SAH finds no gain."""
-    cents = centroids[ids]
-    lo = cents.min(axis=0)
-    hi = cents.max(axis=0)
-    extent = hi - lo
-    axis = int(np.argmax(extent))
-    if extent[axis] <= 1e-12:
-        return _median_split(centroids, ids)
-
-    bins = np.minimum(
-        ((cents[:, axis] - lo[axis]) / extent[axis] * _SAH_BINS).astype(np.int64),
-        _SAH_BINS - 1,
-    )
-    # Sweep bin boundaries accumulating bounds+counts from both ends.
-    best_cost = np.inf
-    best_boundary = -1
-    counts = np.bincount(bins, minlength=_SAH_BINS)
-    left_area = np.zeros(_SAH_BINS)
-    right_area = np.zeros(_SAH_BINS)
-    acc = AABB.empty()
-    for b in range(_SAH_BINS):
-        members = ids[bins == b]
-        if len(members):
-            acc = AABB(
-                lo=np.minimum(acc.lo, los[members].min(axis=0)),
-                hi=np.maximum(acc.hi, his[members].max(axis=0)),
-            )
-        left_area[b] = surface_area(acc)
-    acc = AABB.empty()
-    for b in range(_SAH_BINS - 1, -1, -1):
-        members = ids[bins == b]
-        if len(members):
-            acc = AABB(
-                lo=np.minimum(acc.lo, los[members].min(axis=0)),
-                hi=np.maximum(acc.hi, his[members].max(axis=0)),
-            )
-        right_area[b] = surface_area(acc)
-    left_counts = np.cumsum(counts)
-    for b in range(_SAH_BINS - 1):
-        n_left = left_counts[b]
-        n_right = len(ids) - n_left
-        if n_left == 0 or n_right == 0:
-            continue
-        cost = _SAH_TRAVERSAL_COST + _SAH_INTERSECT_COST * (
-            left_area[b] * n_left + right_area[b + 1] * n_right
+def _internal_nodes(count: int, max_leaf_size: int, memo: Dict[int, int]) -> int:
+    """Internal-node count of a median subtree over ``count`` primitives."""
+    if count <= max_leaf_size:
+        return 0
+    if count not in memo:
+        half = count // 2
+        memo[count] = (
+            1
+            + _internal_nodes(half, max_leaf_size, memo)
+            + _internal_nodes(count - half, max_leaf_size, memo)
         )
-        if cost < best_cost:
-            best_cost = cost
-            best_boundary = b
-    if best_boundary < 0:
-        return _median_split(centroids, ids)
-    left_mask = bins <= best_boundary
-    return ids[left_mask], ids[~left_mask]
+    return memo[count]
 
 
-def build_binary_bvh(
-    scene: Scene,
-    max_leaf_size: int = 4,
-    strategy: str = "median",
-) -> BinaryBVH:
-    """Build a binary BVH over ``scene``.
+def _segment_starts(counts: np.ndarray) -> np.ndarray:
+    """Start offsets of back-to-back segments of ``counts`` elements."""
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
+
+
+def build_binary_bvh(scene: Scene, max_leaf_size: int = 4) -> BinaryBVH:
+    """Build a median-split binary BVH over ``scene``.
 
     Args:
-        scene: the scene to index; must contain at least one triangle.
+        scene: the scene to index; it must contain at least one triangle,
+            and every vertex coordinate must be finite.
         max_leaf_size: maximum primitives per leaf.
-        strategy: ``"median"`` or ``"sah"``.
 
     Returns:
         The built :class:`BinaryBVH` with root index 0.
     """
-    if scene.triangle_count == 0:
+    n = scene.triangle_count
+    if n == 0:
         raise BVHError("cannot build a BVH over an empty scene")
     if max_leaf_size < 1:
         raise BVHError("max_leaf_size must be >= 1")
-    if strategy not in ("median", "sah"):
-        raise BVHError(f"unknown split strategy {strategy!r}")
+    if not np.isfinite(scene.vertices).all():
+        raise BVHError(f"scene {scene.name!r} has non-finite vertices")
 
-    los, his = _prim_bounds_arrays(scene)
+    tri_lo = scene.vertices.min(axis=1)
+    tri_hi = scene.vertices.max(axis=1)
     centroids = scene.centroids()
-    bvh = BinaryBVH(scene=scene)
-    prim_order: List[np.ndarray] = []
-    next_prim_offset = 0
-
-    all_ids = np.arange(scene.triangle_count, dtype=np.int64)
-    bvh.nodes.append(BinaryNode(bounds=_range_bounds(los, his, all_ids)))
-    bvh.root = 0
-    # Work stack of (node_index, prim ids to place under it).
-    work: List[Tuple[int, np.ndarray]] = [(0, all_ids)]
-    while work:
-        node_index, ids = work.pop()
-        node = bvh.nodes[node_index]
-        if len(ids) <= max_leaf_size:
-            node.first_prim = next_prim_offset
-            node.prim_count = len(ids)
-            prim_order.append(ids)
-            next_prim_offset += len(ids)
-            continue
-        if strategy == "sah":
-            left_ids, right_ids = _sah_split(centroids, los, his, ids)
-        else:
-            left_ids, right_ids = _median_split(centroids, ids)
-        if len(left_ids) == 0 or len(right_ids) == 0:
-            # Degenerate split (all centroids identical): force a half split.
-            mid = len(ids) // 2
-            left_ids, right_ids = ids[:mid], ids[mid:]
-        left_index = len(bvh.nodes)
-        bvh.nodes.append(BinaryNode(bounds=_range_bounds(los, his, left_ids)))
-        right_index = len(bvh.nodes)
-        bvh.nodes.append(BinaryNode(bounds=_range_bounds(los, his, right_ids)))
-        node.left = left_index
-        node.right = right_index
-        # LIFO order: right first so left subtrees materialize first.
-        work.append((right_index, right_ids))
-        work.append((left_index, left_ids))
-
-    bvh.prim_order = (
-        np.concatenate(prim_order) if prim_order else np.zeros(0, dtype=np.int64)
+    # Equal coordinates share a dense rank, so ranks tie exactly where
+    # the coordinates do.
+    ranks = np.stack(
+        [np.unique(centroids[:, axis], return_inverse=True)[1] for axis in range(3)]
     )
-    return bvh
+    memo: Dict[int, int] = {}
+
+    node_count = 2 * _internal_nodes(n, max_leaf_size, memo) + 1
+    left = np.full(node_count, NO_NODE, dtype=np.int64)
+    right = np.full(node_count, NO_NODE, dtype=np.int64)
+    first_prim = np.zeros(node_count, dtype=np.int64)
+    prim_count = np.zeros(node_count, dtype=np.int64)
+    lo = np.empty((node_count, 3))
+    hi = np.empty((node_count, 3))
+    prim_order = np.empty(n, dtype=np.int64)
+
+    # The current level: ``perm`` holds each segment's primitives back to
+    # back, ``counts`` elements each.  Per segment, ``offsets`` is where it
+    # starts in ``prim_order``, ``nodes`` its node index and ``rank`` its
+    # index among internal nodes in preorder.
+    perm = np.arange(n, dtype=np.int64)
+    counts = np.array([n], dtype=np.int64)
+    offsets = np.zeros(1, dtype=np.int64)
+    nodes = np.zeros(1, dtype=np.int64)
+    rank = np.zeros(1, dtype=np.int64)
+    while True:
+        starts = _segment_starts(counts)
+        # Reduced in the order the parent's sort left, as a per-node
+        # build reduces them.
+        lo[nodes] = np.minimum.reduceat(tri_lo[perm], starts)
+        hi[nodes] = np.maximum.reduceat(tri_hi[perm], starts)
+
+        is_leaf = counts <= max_leaf_size
+        segment = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        in_leaf = is_leaf[segment]
+        first_prim[nodes[is_leaf]] = offsets[is_leaf]
+        prim_count[nodes[is_leaf]] = counts[is_leaf]
+        position = offsets[segment] + np.arange(len(perm)) - starts[segment]
+        prim_order[position[in_leaf]] = perm[in_leaf]
+
+        inner = ~is_leaf
+        if not inner.any():
+            break
+        perm = perm[~in_leaf]
+        counts = counts[inner]
+        offsets = offsets[inner]
+        nodes = nodes[inner]
+        rank = rank[inner]
+
+        starts = _segment_starts(counts)
+        segment = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        cents = centroids[perm]
+        extent = np.maximum.reduceat(cents, starts) - np.minimum.reduceat(cents, starts)
+        axis = np.argmax(extent, axis=1)
+        key = (segment << 32) | ranks[axis[segment], perm]
+        perm = perm[np.argsort(key, kind="stable")]
+
+        half = counts // 2
+        sizes, inverse = np.unique(half, return_inverse=True)
+        left_internal = np.array(
+            [_internal_nodes(int(size), max_leaf_size, memo) for size in sizes],
+            dtype=np.int64,
+        )[inverse]
+        left[nodes] = 2 * rank + 1
+        right[nodes] = 2 * rank + 2
+        counts = np.stack([half, counts - half], axis=1).ravel()
+        offsets = np.stack([offsets, offsets + half], axis=1).ravel()
+        nodes = np.stack([2 * rank + 1, 2 * rank + 2], axis=1).ravel()
+        rank = np.stack([rank + 1, rank + 1 + left_internal], axis=1).ravel()
+
+    return BinaryBVH(
+        scene=scene,
+        left=left,
+        right=right,
+        first_prim=first_prim,
+        prim_count=prim_count,
+        lo=lo,
+        hi=hi,
+        prim_order=prim_order,
+    )

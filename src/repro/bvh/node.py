@@ -1,10 +1,10 @@
 """BVH node records.
 
-Two node flavours exist: :class:`BinaryNode` for the intermediate binary
-tree and :class:`WideNode` for the collapsed wide BVH that traversal and
-the timing model consume.  Both are stored in flat lists and reference
+:class:`WideNode` is a node of the collapsed wide BVH that traversal and
+the timing model consume.  Nodes are stored in a flat list and reference
 children by index, never by Python object pointer, so trees serialize and
-address-map cleanly.
+address-map cleanly.  The intermediate binary tree has no node record: it
+is flat per-node arrays (:class:`~repro.bvh.builder.BinaryBVH`).
 """
 
 from __future__ import annotations
@@ -16,27 +16,6 @@ from repro.geometry.aabb import AABB
 
 #: Sentinel index meaning "no node".
 NO_NODE = -1
-
-
-@dataclass
-class BinaryNode:
-    """A node of the intermediate binary BVH.
-
-    Leaves carry a primitive range ``[first_prim, first_prim + prim_count)``
-    into the builder's primitive-order array; internal nodes carry the two
-    child indices.
-    """
-
-    bounds: AABB
-    left: int = NO_NODE
-    right: int = NO_NODE
-    first_prim: int = 0
-    prim_count: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        """Leaves own primitives; internal nodes own children."""
-        return self.prim_count > 0
 
 
 @dataclass

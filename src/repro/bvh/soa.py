@@ -108,5 +108,7 @@ class BVHSoA:
         self.tri_a = np.ascontiguousarray(verts[:, 0, :])
         self.tri_e1 = np.ascontiguousarray(verts[:, 1, :] - verts[:, 0, :])
         self.tri_e2 = np.ascontiguousarray(verts[:, 2, :] - verts[:, 0, :])
-        self.tri_e1_f = [tuple(row) for row in self.tri_e1.tolist()]
-        self.tri_e2_f = [tuple(row) for row in self.tri_e2.tolist()]
+        # Zipped column lists: the same tuples as ``tuple(row)`` per row,
+        # without a temporary list per triangle.
+        self.tri_e1_f = list(zip(*(col.tolist() for col in self.tri_e1.T)))
+        self.tri_e2_f = list(zip(*(col.tolist() for col in self.tri_e2.T)))

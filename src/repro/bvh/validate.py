@@ -19,28 +19,32 @@ _EPS = 1e-9
 
 def validate_binary(bvh: BinaryBVH) -> None:
     """Raise :class:`BVHError` if the binary BVH violates an invariant."""
-    if bvh.root == NO_NODE:
+    if not 0 <= bvh.root < bvh.node_count:
         raise BVHError("binary BVH has no root")
+    left = bvh.left.tolist()
+    right = bvh.right.tolist()
+    prim_count = bvh.prim_count.tolist()
     seen_prims: Set[int] = set()
     stack = [bvh.root]
     visited = 0
     while stack:
         index = stack.pop()
-        node = bvh.nodes[index]
         visited += 1
-        if node.is_leaf:
-            if node.left != NO_NODE or node.right != NO_NODE:
+        children = (left[index], right[index])
+        if prim_count[index] > 0:
+            if children != (NO_NODE, NO_NODE):
                 raise BVHError(f"leaf {index} has children")
-            for prim in bvh.leaf_prims(index):
-                if int(prim) in seen_prims:
+            for prim in bvh.leaf_prims(index).tolist():
+                if prim in seen_prims:
                     raise BVHError(f"primitive {prim} reachable from two leaves")
-                seen_prims.add(int(prim))
+                seen_prims.add(prim)
         else:
-            if node.left == NO_NODE or node.right == NO_NODE:
+            if NO_NODE in children:
                 raise BVHError(f"internal node {index} is missing a child")
-            for child in (node.left, node.right):
-                child_bounds = bvh.nodes[child].bounds
-                if not _contained(node.bounds, child_bounds):
+            for child in children:
+                if not _contained(
+                    bvh.lo[index], bvh.hi[index], bvh.lo[child], bvh.hi[child]
+                ):
                     raise BVHError(
                         f"child {child} bounds escape parent {index} bounds"
                     )
@@ -82,7 +86,9 @@ def validate_wide(wide: WideBVH) -> None:
             child_node = wide.nodes[child]
             if child_node.depth != node.depth + 1:
                 raise BVHError(f"node {child} has wrong depth annotation")
-            if not _contained(node.bounds, child_node.bounds):
+            if not _contained(
+                node.bounds.lo, node.bounds.hi, child_node.bounds.lo, child_node.bounds.hi
+            ):
                 raise BVHError(f"child {child} bounds escape parent {index} bounds")
             stack.append(child)
     if visited != wide.node_count:
@@ -91,8 +97,8 @@ def validate_wide(wide: WideBVH) -> None:
         raise BVHError("wide BVH does not cover every scene primitive exactly once")
 
 
-def _contained(parent, child) -> bool:
+def _contained(parent_lo, parent_hi, child_lo, child_hi) -> bool:
     """Containment with a small epsilon for floating-point slack."""
     return bool(
-        (child.lo >= parent.lo - _EPS).all() and (child.hi <= parent.hi + _EPS).all()
+        (child_lo >= parent_lo - _EPS).all() and (child_hi <= parent_hi + _EPS).all()
     )

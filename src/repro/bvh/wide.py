@@ -6,19 +6,23 @@ short traversal stacks in the paper (Fig. 3 shows a BVH6 with a 4-entry
 stack).  Collapse follows the usual approach: repeatedly replace the
 largest-surface-area internal slot with its two binary children until the
 node has ``k`` slots or only leaves remain.
+
+The collapse reads the binary tree's flat arrays: every binary node's
+surface area is computed once, and the wide nodes' bounds are gathered
+once, so no node costs an ``AABB`` method call or an ``np.stack``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from repro.errors import BVHError
 from repro.bvh.builder import BinaryBVH
 from repro.bvh.node import WideNode
-from repro.geometry.aabb import surface_area
+from repro.geometry.aabb import AABB, surface_areas
 from repro.scene.scene import Scene
 
 
@@ -100,25 +104,32 @@ class WideBVH:
         return max((node.depth for node in self.nodes), default=0)
 
 
-def _gather_wide_children(binary: BinaryBVH, binary_root: int, width: int) -> List[int]:
-    """Pick up to ``width`` binary-node indices forming one wide node's children."""
-    slots = [binary_root]
+def _gather_wide_children(
+    root: int,
+    width: int,
+    left: List[int],
+    right: List[int],
+    area: List[float],
+    is_leaf: List[bool],
+) -> List[int]:
+    """Pick up to ``width`` binary-node indices forming one wide node's children.
+
+    ``root`` is internal, so its two children always fill the first slots.
+    """
+    slots = [left[root], right[root]]
     while len(slots) < width:
-        # Expand the internal slot with the largest surface area.
+        # Expand the internal slot with the largest surface area; the
+        # first one wins a tie.
         best = -1
         best_area = -1.0
         for pos, b_index in enumerate(slots):
-            node = binary.nodes[b_index]
-            if node.is_leaf:
-                continue
-            area = surface_area(node.bounds)
-            if area > best_area:
-                best_area = area
+            if not is_leaf[b_index] and area[b_index] > best_area:
+                best_area = area[b_index]
                 best = pos
         if best < 0:
             break  # all slots are leaves
-        node = binary.nodes[slots[best]]
-        slots[best : best + 1] = [node.left, node.right]
+        b_index = slots[best]
+        slots[best : best + 1] = [left[b_index], right[b_index]]
     return slots
 
 
@@ -130,48 +141,51 @@ def collapse_to_wide(binary: BinaryBVH, width: int = 6) -> WideBVH:
     """
     if width < 2:
         raise BVHError("wide BVH width must be >= 2")
-    wide = WideBVH(scene=binary.scene, width=width)
+    left = binary.left.tolist()
+    right = binary.right.tolist()
+    is_leaf = (binary.prim_count > 0).tolist()
+    area = surface_areas(binary.lo, binary.hi).tolist()
 
-    root_binary = binary.nodes[binary.root]
-    wide.nodes.append(WideNode(index=0, bounds=root_binary.bounds, depth=0))
-    if root_binary.is_leaf:
-        wide.nodes[0].prim_ids = list(binary.leaf_prims(binary.root))
-        _finalize_child_arrays(wide)
-        return wide
-
-    # Work stack of (wide node index, binary node index backing it).
-    work: List[Tuple[int, int]] = [(0, binary.root)]
+    # Wide node ``w`` stands for binary node ``source[w]``.  A node's
+    # children are numbered together, so their indices are consecutive.
+    source = [binary.root]
+    depth = [0]
+    children: List[List[int]] = [[]]
+    work = [] if is_leaf[binary.root] else [0]
     while work:
-        wide_index, binary_index = work.pop()
-        parent = wide.nodes[wide_index]
-        for child_binary in _gather_wide_children(binary, binary_index, width):
-            child_node = binary.nodes[child_binary]
-            child_index = len(wide.nodes)
-            child = WideNode(
-                index=child_index, bounds=child_node.bounds, depth=parent.depth + 1
+        wide_index = work.pop()
+        kids = children[wide_index]
+        for child_binary in _gather_wide_children(
+            source[wide_index], width, left, right, area, is_leaf
+        ):
+            child_index = len(source)
+            kids.append(child_index)
+            source.append(child_binary)
+            depth.append(depth[wide_index] + 1)
+            children.append([])
+            if not is_leaf[child_binary]:
+                work.append(child_index)
+
+    rows = np.array(source, dtype=np.int64)
+    node_lo, node_hi = binary.lo[rows], binary.hi[rows]
+    # Each node's child bounds are one slice of these copies.
+    child_lo, child_hi = node_lo.copy(), node_hi.copy()
+    first_prim = binary.first_prim[rows].tolist()
+    prim_count = binary.prim_count[rows].tolist()
+    prim_order = binary.prim_order.tolist()
+    wide = WideBVH(scene=binary.scene, width=width)
+    for index, kids in enumerate(children):
+        start = first_prim[index]
+        wide.nodes.append(
+            WideNode(
+                index=index,
+                bounds=AABB(lo=node_lo[index], hi=node_hi[index]),
+                children=kids,
+                prim_ids=prim_order[start : start + prim_count[index]],
+                depth=depth[index],
             )
-            wide.nodes.append(child)
-            parent.children.append(child_index)
-            if child_node.is_leaf:
-                child.prim_ids = list(binary.leaf_prims(child_binary))
-            else:
-                work.append((child_index, child_binary))
-    _finalize_child_arrays(wide)
+        )
+        first = kids[0] if kids else 0
+        wide.child_los.append(child_lo[first : first + len(kids)])
+        wide.child_his.append(child_hi[first : first + len(kids)])
     return wide
-
-
-def _finalize_child_arrays(wide: WideBVH) -> None:
-    """Precompute per-node child-bounds arrays for the batched slab test."""
-    wide.child_los = []
-    wide.child_his = []
-    for node in wide.nodes:
-        if node.is_leaf:
-            wide.child_los.append(np.zeros((0, 3)))
-            wide.child_his.append(np.zeros((0, 3)))
-        else:
-            wide.child_los.append(
-                np.stack([wide.nodes[c].bounds.lo for c in node.children])
-            )
-            wide.child_his.append(
-                np.stack([wide.nodes[c].bounds.hi for c in node.children])
-            )

@@ -81,9 +81,15 @@ def union(a: AABB, b: AABB) -> AABB:
     return AABB(lo=np.minimum(a.lo, b.lo), hi=np.maximum(a.hi, b.hi))
 
 
+def surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Surface areas of non-empty boxes given as ``(..., 3)`` corner arrays."""
+    ext = hi - lo
+    ex, ey, ez = ext[..., 0], ext[..., 1], ext[..., 2]
+    return 2.0 * (ex * ey + ey * ez + ez * ex)
+
+
 def surface_area(box: AABB) -> float:
-    """Surface area of the box; 0 for empty boxes (SAH cost convention)."""
+    """Surface area of the box; 0 for empty boxes."""
     if box.is_empty():
         return 0.0
-    ext = box.extent()
-    return float(2.0 * (ext[0] * ext[1] + ext[1] * ext[2] + ext[2] * ext[0]))
+    return float(surface_areas(box.lo, box.hi))

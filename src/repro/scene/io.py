@@ -9,6 +9,7 @@ simulator consumes pure triangle soup.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import List
 
@@ -39,7 +40,12 @@ def load_obj(path, name: str = "") -> Scene:
                     raise SceneError(
                         f"{path}:{line_number}: vertex needs 3 coordinates"
                     )
-                vertices.append([float(c) for c in parts[1:4]])
+                coords = [float(c) for c in parts[1:4]]
+                if not all(math.isfinite(c) for c in coords):
+                    raise SceneError(
+                        f"{path}:{line_number}: non-finite vertex coordinate"
+                    )
+                vertices.append(coords)
             elif parts[0] == "f":
                 if len(parts) < 4:
                     raise SceneError(

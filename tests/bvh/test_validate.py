@@ -30,8 +30,8 @@ def test_valid_wide_passes(wide):
 
 
 def test_binary_detects_escaping_child_bounds(binary):
-    child = binary.nodes[binary.root].left
-    binary.nodes[child].bounds.hi[0] += 100.0
+    child = binary.left[binary.root]
+    binary.hi[child, 0] += 100.0
     with pytest.raises(BVHError):
         validate_binary(binary)
 

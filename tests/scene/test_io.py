@@ -94,6 +94,13 @@ def test_short_vertex_raises(tmp_path):
         load_obj(write(tmp_path, "v 0 0\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_coordinate_raises(tmp_path, value):
+    text = f"v 0 0 0\nv 1 {value} 0\nv 0 1 0\nf 1 2 3\n"
+    with pytest.raises(SceneError, match=r"scene\.obj:2: non-finite"):
+        load_obj(write(tmp_path, text))
+
+
 def test_empty_file_raises(tmp_path):
     with pytest.raises(SceneError):
         load_obj(write(tmp_path, "# nothing\n"))
