@@ -33,10 +33,6 @@ Installed as ``python -m repro``.  Commands:
     Serve ``POST /run`` over HTTP: each request's job batch runs through
     the same executor and result store as a local sweep (see
     ``docs/architecture.md`` §12).
-``bench``
-    Run the pinned benchmark matrix (trace generation and timing
-    simulation measured separately), write ``BENCH_<tag>.json``, and
-    optionally gate against a committed baseline payload.
 ``lint``
     Run the simlint determinism/invariant static analysis over source
     trees; exit 0 clean, 1 on findings, 2 on unusable input.
@@ -188,20 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8642,
                        help="bind port (default 8642; 0 = ephemeral)")
     _add_execution_args(serve)
-
-    bench = sub.add_parser(
-        "bench", help="run the pinned benchmark matrix and gate regressions"
-    )
-    bench.add_argument("--tag", default="local",
-                       help="payload tag (written to BENCH_<tag>.json)")
-    bench.add_argument("--out", default=None,
-                       help="output path (default BENCH_<tag>.json)")
-    bench.add_argument("--compare", default=None,
-                       help="baseline BENCH_*.json to gate against")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="allowed calibrated slowdown (default 0.15)")
-    bench.add_argument("--repeats", type=int, default=2,
-                       help="repetitions per case; fastest wins (default 2)")
 
     lint = sub.add_parser(
         "lint", help="run the simlint static analysis over source trees"
@@ -568,36 +550,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.perf import (
-        compare_benchmarks,
-        format_comparison,
-        format_payload,
-        load_payload,
-        run_benchmarks,
-        save_payload,
-    )
-    from repro.perf.bench import DEFAULT_TOLERANCE
-
-    payload = run_benchmarks(
-        args.tag, repeats=args.repeats,
-        log=lambda message: print(message, file=sys.stderr),
-    )
-    out = args.out or f"BENCH_{args.tag}.json"
-    save_payload(payload, out)
-    print(format_payload(payload))
-    print(f"written  : {out}")
-    if args.compare is None:
-        return 0
-    tolerance = (
-        args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    )
-    baseline = load_payload(args.compare)
-    regressions = compare_benchmarks(payload, baseline, tolerance=tolerance)
-    print(format_comparison(payload, baseline, regressions, tolerance))
-    return 1 if regressions else 0
-
-
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
@@ -688,8 +640,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_chaos(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "lint":
             return _cmd_lint(args)
         parser.error(f"unknown command {args.command!r}")

@@ -44,18 +44,15 @@ def time_traces(
     scene_name: str = "",
     verify_pops: bool = True,
     guard=None,
-    fast_forward: bool = True,
     strategy=None,
     backend: str = "stepped",
 ) -> SimulationResult:
     """Phase two: replay traces through the timing model.
 
     ``guard`` (a :class:`~repro.guard.config.GuardConfig`) enables the
-    simulation integrity layer for this run.  ``fast_forward=False``
-    forces the fully stepped scheduler loop (bit-identical output; the
-    default fast path only skips redundant arbitration).  ``strategy``
-    selects the traversal strategy (:mod:`repro.traversal`); the traces
-    must have been generated by the same strategy's phase one.
+    simulation integrity layer for this run.  ``strategy`` selects the
+    traversal strategy (:mod:`repro.traversal`); the traces must have
+    been generated by the same strategy's phase one.
     ``backend`` selects the timing core (``"stepped"`` or ``"vector"``,
     bit-identical outputs); the result records which one actually ran,
     since a ``"vector"`` request can fall back to stepped (see
@@ -63,7 +60,7 @@ def time_traces(
     """
     simulator = GPUSimulator(
         config=config, verify_pops=verify_pops, guard=guard,
-        fast_forward=fast_forward, strategy=strategy, backend=backend,
+        strategy=strategy, backend=backend,
     )
     output = simulator.run_traces(traces)
     return SimulationResult(

@@ -91,14 +91,19 @@ def skew_scaling(
     claim predicts consistent reductions across sizes.
     """
     cache = cache or CachedWorkloadCache()
+    configs = [
+        sms_config(sh_entries=size, skewed=skewed, realloc=False)
+        for size in sizes
+        for skewed in (False, True)
+    ]
+    results = cache.sweep(configs)
+    rows = [list(per_scene.values()) for per_scene in results.values()]
     reductions: Dict[str, float] = {}
-    for size in sizes:
-        plain = sms_config(sh_entries=size, skewed=False, realloc=False)
-        skewed = sms_config(sh_entries=size, skewed=True, realloc=False)
+    for index, size in enumerate(sizes):
         ratios = []
-        for name in cache.names:
-            before = cache.simulate(name, plain).counters.bank_conflict_delay_cycles
-            after = cache.simulate(name, skewed).counters.bank_conflict_delay_cycles
+        for row in rows:
+            before = row[2 * index].counters.bank_conflict_delay_cycles
+            after = row[2 * index + 1].counters.bank_conflict_delay_cycles
             if before > 0:
                 ratios.append(after / before)
         reductions[f"SH_{size}"] = 1.0 - geomean(ratios) if ratios else 0.0

@@ -43,17 +43,16 @@ class Fig14Result:
 def run(cache: Optional[CachedWorkloadCache] = None) -> Fig14Result:
     """Measure bank-conflict delays with and without skewed access."""
     cache = cache or CachedWorkloadCache()
-    no_skew = sms_config(skewed=False, realloc=False)
-    skew = sms_config(skewed=True, realloc=False)
+    results = cache.sweep([
+        sms_config(skewed=False, realloc=False),
+        sms_config(skewed=True, realloc=False),
+    ])
     delay_no_skew: Dict[str, int] = {}
     delay_skew: Dict[str, int] = {}
-    for name in cache.names:
-        delay_no_skew[name] = cache.simulate(
-            name, no_skew
-        ).counters.bank_conflict_delay_cycles
-        delay_skew[name] = cache.simulate(
-            name, skew
-        ).counters.bank_conflict_delay_cycles
+    for name, per_scene in results.items():
+        before, after = per_scene.values()
+        delay_no_skew[name] = before.counters.bank_conflict_delay_cycles
+        delay_skew[name] = after.counters.bank_conflict_delay_cycles
     return Fig14Result(delay_no_skew=delay_no_skew, delay_skew=delay_skew)
 
 

@@ -46,7 +46,6 @@ class RTUnit:
         sm_id: int = 0,
         verify_pops: bool = True,
         guard: Optional[GuardConfig] = None,
-        fast_forward: bool = True,
         strategy=None,
     ) -> None:
         from repro.traversal.registry import resolve_strategy
@@ -57,7 +56,6 @@ class RTUnit:
         self.sm_id = sm_id
         self.verify_pops = verify_pops
         self.guard = guard
-        self.fast_forward = fast_forward
         #: The traversal strategy owns lane-state construction (which
         #: stack model each warp slot replays against, or none at all).
         self.strategy = resolve_strategy(strategy)
@@ -123,35 +121,6 @@ class RTUnit:
 
         admit(0)
         while resident:
-            if (
-                self.fast_forward
-                and len(resident) == 1
-                and not pending
-                and self._checker is None
-                and self._watchdog is None
-            ):
-                # Event-driven fast-forward: with one resident warp and an
-                # empty admission queue the scheduler is a foregone
-                # conclusion (GTO always re-picks the sole warp), so drain
-                # it without per-iteration arbitration.  Each iteration
-                # still jumps time exactly as the stepped loop does —
-                # start = max(ready, pipeline_free) is the next wake-up
-                # across the warp buffer, L1D/L2 ports and DRAM queue —
-                # so counters and completion times are bit-identical.
-                warp, slot = resident[0]
-                stack = self._stacks[slot]
-                while not warp.done:
-                    start = max(warp.ready_time, pipeline_free)
-                    end, issue_cycles = self._execute_iteration(
-                        warp, stack, start
-                    )
-                    pipeline_free = start + issue_cycles
-                    warp.ready_time = end
-                    if end > completion:
-                        completion = end
-                resident.clear()
-                free_slots.append(slot)
-                continue
             warp, slot = self._pick_warp(resident, greedy_warp_id)
             greedy_warp_id = warp.warp_id
             start = max(warp.ready_time, pipeline_free)

@@ -8,7 +8,8 @@ independent, capacity sharing in L2/DRAM bandwidth pressure is retained,
 fine-grained cross-SM interleaving is not.  Total cycles are the slowest
 SM's completion time, matching how the paper reports whole-frame IPC.
 
-Two timing backends execute the same schedule:
+Two timing backends execute the same schedule, one greedy-then-oldest
+warp pick per traversal iteration (paper section VI-A):
 
 * ``"stepped"`` (default) — :class:`~repro.gpu.rt_unit.RTUnit`, the
   per-lane oracle every other path is validated against;
@@ -84,7 +85,6 @@ class GPUSimulator:
         config: Optional[GPUConfig] = None,
         verify_pops: bool = True,
         guard=None,
-        fast_forward: bool = True,
         strategy=None,
         backend: str = "stepped",
     ) -> None:
@@ -103,11 +103,6 @@ class GPUSimulator:
         self.config = self.strategy.adapt_config(config or GPUConfig())
         self.verify_pops = verify_pops
         self.guard = guard
-        #: When True (default), RT units may take the event-driven
-        #: fast-forward drain path; False forces the fully stepped
-        #: scheduler loop.  Outputs are bit-identical either way — the
-        #: flag exists so the equivalence suite can prove it.
-        self.fast_forward = fast_forward
         self.backend = backend
 
     def _resolve_backend(self, warps: Sequence[Warp]) -> str:
@@ -170,7 +165,7 @@ class GPUSimulator:
             rt_unit = unit_class(
                 config, hierarchy, counters, sm_id=sm_id,
                 verify_pops=self.verify_pops, guard=guard,
-                fast_forward=self.fast_forward, strategy=self.strategy,
+                strategy=self.strategy,
             )
             cycles = rt_unit.run(sm_warps)
             per_sm_cycles.append(cycles)

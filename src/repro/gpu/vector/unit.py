@@ -1,9 +1,9 @@
 """The vector RT unit: plan-driven replica of the stepped scheduler.
 
 :class:`VectorRTUnit` runs the *same* event-driven schedule as
-:class:`~repro.gpu.rt_unit.RTUnit` — greedy-then-oldest arbitration,
-``pipeline_free`` issue serialization, the single-resident-warp
-fast-forward drain — but each iteration's work is a precomputed
+:class:`~repro.gpu.rt_unit.RTUnit` — greedy-then-oldest arbitration
+of every iteration and ``pipeline_free`` issue serialization — but each
+iteration's work is a precomputed
 :class:`~repro.gpu.vector.plan.BoundPlan` record instead of a per-lane
 replay.  What remains in the loop is exactly the timing-coupled state:
 the L1 mirror (:class:`~repro.gpu.vector.lru.LazyL1`), the shared L2
@@ -57,7 +57,6 @@ class VectorRTUnit:
         sm_id: int = 0,
         verify_pops: bool = True,
         guard=None,
-        fast_forward: bool = True,
         strategy=None,
     ) -> None:
         from repro.traversal.registry import resolve_strategy
@@ -72,7 +71,6 @@ class VectorRTUnit:
         self.counters = counters
         self.sm_id = sm_id
         self.verify_pops = verify_pops
-        self.fast_forward = fast_forward
         self.strategy = resolve_strategy(strategy)
         # Timing-coupled memory state.  The L2 Cache object is shared
         # across SMs (by the simulator); the DRAM queue and L2 port are
@@ -130,30 +128,6 @@ class VectorRTUnit:
 
         admit(0)
         while resident:
-            if self.fast_forward and len(resident) == 1 and not pending:
-                # Event-driven fast-forward, verbatim from the stepped
-                # unit: the GTO pick of a sole resident warp is a
-                # foregone conclusion, so drain it without arbitration.
-                entry = resident[0]
-                warp = entry[0]
-                plan = entry[2]
-                spill_base = entry[4]
-                iteration = entry[3]
-                n_iters = plan.n_iters
-                while iteration < n_iters:
-                    start = max(warp.ready_time, pipeline_free)
-                    end, issue_cycles = self._execute_iteration(
-                        warp, plan, iteration, start, spill_base
-                    )
-                    pipeline_free = start + issue_cycles
-                    warp.ready_time = end
-                    if end > completion:
-                        completion = end
-                    iteration += 1
-                entry[3] = iteration
-                resident.clear()
-                free_slots.append(entry[1])
-                continue
             entry = self._pick_warp(resident, greedy_warp_id)
             warp = entry[0]
             greedy_warp_id = warp.warp_id

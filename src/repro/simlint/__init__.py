@@ -1,7 +1,7 @@
 """repro.simlint — determinism & invariant static analysis for the simulator.
 
 The reproduction's contracts — bit-identical event streams between the
-scalar and wave tracers, fast-forward ≡ stepped timing, the SMS
+scalar and wave tracers, stepped ≡ vector timing, the SMS
 conservation laws, picklable ``__slots__`` hot-path records — are all
 *runtime*-checkable, which means a violation is only caught when a test
 happens to exercise it.  ``simlint`` rejects whole classes of hazard at
@@ -16,7 +16,7 @@ Rule families (see :mod:`repro.simlint.rules`):
 ``SL2xx`` (bit-identity)
     module-level singleton mutation, ``__slots__`` pickle-contract
     violations, counter writes outside the owning package, and the
-    fast-forward/stepped mutation-surface parity proof.
+    counter-parity obligation of an alternative timing backend.
 ``SL3xx`` (diagnostics conventions)
     raw builtin exceptions where a ``DiagnosticError`` is required,
     broad ``except`` handlers that swallow without recording.

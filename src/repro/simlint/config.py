@@ -55,7 +55,6 @@ DEFAULT_TIMING_CRITICAL = (
 DEFAULT_SINGLETONS = (
     "EMPTY_ACTIVITY",
     "DEFAULT_PARAMS",
-    "REFERENCE_MATRIX",
     "SCENE_NAMES",
     "FAULT_CLASSES",
     "RULES",

@@ -15,11 +15,9 @@ simlint a project view without giving up the incremental property:
   symbol table with re-export (alias) resolution, a cross-module call
   graph, per-module import closures (the invalidation unit for
   cross-file rules), and transitive write surfaces.
-* :class:`WriteSurfaceGraph` is the file-local write collector SL204
-  always used, re-based here so the fast-forward parity check and the
-  counter-parity oracle share one resolver — and so the oracle can
-  optionally credit writes made by *imported* helpers through the
-  project graph.
+* :class:`WriteSurfaceGraph` collects the writes reachable from one
+  class's ``run`` for SL204's counter-parity oracle, crediting writes
+  made by *imported* helpers through the project graph.
 
 Resolution is name-based and conservative: a call through a local
 object (``cache.store.put()``) is not resolvable and simply drops off
@@ -174,8 +172,8 @@ def iter_functions(
     """Top-level functions and class methods: (qualname, node, class).
 
     Nested (closure) functions are deliberately not summarized: they are
-    not addressable across modules, and the file-local
-    :class:`WriteSurfaceGraph` resolves them where they matter.
+    not addressable across modules, and :class:`WriteSurfaceGraph`
+    resolves them inside their own file where they matter.
     """
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -489,14 +487,11 @@ class ProjectGraph:
 class WriteSurfaceGraph:
     """Write-surface collector over a class + module call graph.
 
-    The resolver SL204 has always used: methods of the same class
-    (``self._drain()``), helper closures defined inside ``run`` and
-    module-level functions.  With a :class:`ProjectGraph` attached, the
-    *oracle* coverage check may additionally credit transitive writes of
-    imported project functions (``cross_module=True``); the fast-forward
-    / stepped parity diff never does — an imported helper's write keys
-    are spelled in the callee's own namespace and would poison the
-    key-set comparison.
+    Follows methods of the same class (``self._tick()``), helper
+    closures defined inside ``run`` and module-level functions.  With a
+    :class:`ProjectGraph` attached it also credits the transitive writes
+    of imported project functions, spelled in the callee's own
+    namespace.
     """
 
     def __init__(
@@ -528,21 +523,15 @@ class WriteSurfaceGraph:
         self._module = module
         self._imports = imports or {}
 
-    def reachable_writes(
-        self, stmts: List[ast.stmt], cross_module: bool = False
-    ) -> Set[str]:
+    def reachable_writes(self, stmts: List[ast.stmt]) -> Set[str]:
         """State keys written by ``stmts`` and every callee they reach."""
         writes: Set[str] = set()
         visited: Set[str] = set()
-        self._collect(stmts, writes, visited, cross_module)
+        self._collect(stmts, writes, visited)
         return writes
 
     def _collect(
-        self,
-        stmts: List[ast.stmt],
-        writes: Set[str],
-        visited: Set[str],
-        cross_module: bool,
+        self, stmts: List[ast.stmt], writes: Set[str], visited: Set[str]
     ) -> None:
         for stmt in stmts:
             for node in ast.walk(stmt):
@@ -551,8 +540,8 @@ class WriteSurfaceGraph:
                 if callee is not None and callee[0] not in visited:
                     name, fn = callee
                     visited.add(name)
-                    self._collect(fn.body, writes, visited, cross_module)
-                elif callee is None and cross_module:
+                    self._collect(fn.body, writes, visited)
+                elif callee is None:
                     writes.update(self._imported_writes(node, visited))
 
     def _imported_writes(

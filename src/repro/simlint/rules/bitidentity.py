@@ -1,10 +1,10 @@
 """SL2xx — bit-identity rules.
 
-PR 3's contracts (wave ≡ scalar tracing, fast-forward ≡ stepped timing)
-and the runtime's content-addressed cache both assume that shared
-objects are immutable and that every counter is written by exactly one
-component.  These rules make those assumptions checkable at review
-time.  The fast-forward mutation-surface proof (SL204) lives in
+The bit-identity contracts (wave ≡ scalar tracing, stepped ≡ vector
+timing) and the runtime's content-addressed cache both assume that
+shared objects are immutable and that every counter is written by
+exactly one component.  These rules make those assumptions checkable at
+review time.  The backend counter-parity oracle (SL204) lives in
 :mod:`repro.simlint.rules.mutation_surface`.
 """
 
@@ -37,7 +37,7 @@ class SingletonMutationRule(Rule):
     category = "bit-identity"
     rationale = (
         "Module-level singletons (EMPTY_ACTIVITY, DEFAULT_PARAMS, "
-        "REFERENCE_MATRIX, ...) are shared by every warp, job and worker "
+        "SCENE_NAMES, ...) are shared by every warp, job and worker "
         "in the process; mutating one turns a local change into "
         "action-at-a-distance that breaks bit-identity between runs that "
         "touch it in different orders.  Treat them as frozen: copy, "

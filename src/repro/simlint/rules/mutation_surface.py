@@ -1,42 +1,22 @@
-"""SL204 — fast-forward ≡ stepped mutation-surface parity.
+"""SL204 — counter parity between a timing backend and its oracle.
 
-PR 3's equivalence tests prove at runtime that the event-driven
-fast-forward drain in ``RTUnit.run`` produces bit-identical counters and
-cycles to the stepped scheduler loop.  That proof is only as good as the
-workloads the tests happen to run; this rule turns it into a static
-obligation on the *write surface*:
-
-    every piece of state the fast-forward branch can write must also be
-    written somewhere on the stepped path.
-
-The check walks the call graph rooted at each branch (methods of the
-same class, locally defined helper functions, and module-level
-functions), collecting normalized "state keys" for attribute stores,
-subscript stores, augmented assignments and in-place mutating method
-calls (``resident.clear()`` and ``resident.remove(...)`` both write
-``resident``).  A key reachable from the fast-forward branch but not
-from the stepped loop is exactly a way the two schedules can diverge
-that no equivalence test will catch until a workload trips it — so it
-is rejected here instead.
-
-The rule fires on any class whose ``run`` method guards a branch on a
-``fast_forward`` attribute, which makes it testable on miniature
-fixtures and automatically covers future RT-unit variants.
-
-PR 9 adds a second obligation for whole-backend parity (stepped ≡
-vector).  A timing backend that reimplements the RT unit cannot share
-the stepped loop's write surface — it has its own ``run`` — so instead
-it *declares its oracle*: a class-level
+A timing backend that reimplements the RT unit (the vector core's
+:class:`~repro.gpu.vector.unit.VectorRTUnit`) must maintain exactly the
+counters the stepped oracle does.  It *declares its oracle* with a
+class-level
 
     COUNTER_PARITY_ORACLE = "../counters.py"
 
-names the file whose counter dataclass defines the complete counter
+naming the file whose counter dataclass defines the complete counter
 surface, and the rule then requires every declared field (minus an
 optional ``COUNTER_PARITY_EXEMPT`` tuple) to be written somewhere in the
-call graph reachable from the class's ``run``.  A counter the backend
-never touches is exactly the kind of silent divergence the runtime
-equivalence tests only catch when a workload happens to exercise it —
-here it is a static finding the moment the write is dropped.
+call graph reachable from the class's ``run``: methods of the same
+class, helper closures defined inside ``run``, module-level functions
+and, through the project graph, imported project helpers.  A counter
+the backend never touches is exactly the kind of silent divergence the
+runtime equivalence tests only catch when a workload happens to
+exercise it — here it is a static finding the moment the write is
+dropped.
 """
 
 from __future__ import annotations
@@ -51,32 +31,35 @@ from repro.simlint.registry import Rule, register
 
 
 @register
-class FastForwardParityRule(Rule):
+class CounterParityRule(Rule):
     id = "SL204"
-    title = "fast-forward drain writes state the stepped loop does not"
+    title = "timing backend leaves an oracle counter unwritten"
     severity = "error"
     scope = "timing"
     category = "bit-identity"
-    # The oracle coverage check credits writes of *imported* project
-    # helpers through ctx.project, so cached findings must invalidate
-    # when anything in the import closure changes.
+    # Coverage credits writes of *imported* project helpers through
+    # ctx.project, so cached findings must invalidate when anything in
+    # the import closure changes.
     cross_file = True
     rationale = (
-        "The fast-forward drain skips scheduler arbitration on the "
-        "promise that it is observationally identical to the stepped "
-        "loop.  Any state written only on the fast-forward path is a "
-        "divergence the runtime equivalence tests can miss (they sample "
-        "workloads; this is a property of the code).  Writes must be a "
-        "subset of the stepped path's writes — new fast-forward "
-        "bookkeeping needs a stepped-path counterpart or a redesign.  "
-        "Alternative timing backends declare a COUNTER_PARITY_ORACLE "
-        "instead: every counter field the oracle file defines must be "
-        "written by code reachable from the backend's run(), so a "
-        "counter the backend silently stops maintaining is a lint error "
-        "rather than a workload-dependent test escape."
+        "A timing backend that reimplements the stepped RT unit must "
+        "produce every counter the stepped oracle does.  Such a backend "
+        "declares a COUNTER_PARITY_ORACLE: every counter field the "
+        "oracle file defines must be written by code reachable from the "
+        "backend's run(), so a counter the backend silently stops "
+        "maintaining is a lint error rather than a workload-dependent "
+        "test escape."
     )
 
     def check(self, ctx) -> Iterator[Finding]:
+        """Classes with a ``run`` that declare a counter-parity oracle.
+
+        A class opts in with a class-level ``COUNTER_PARITY_ORACLE =
+        "<relative path>"`` declaration (the vector backend's
+        :class:`~repro.gpu.vector.unit.VectorRTUnit`).  The oracle path
+        resolves relative to the linted file, so the check follows the
+        source tree wherever it is checked out.
+        """
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -87,129 +70,47 @@ class FastForwardParityRule(Rule):
                 ),
                 None,
             )
-            if run is None:
+            oracle = _class_literal(node, "COUNTER_PARITY_ORACLE")
+            if run is None or oracle is None:
                 continue
-            split = _split_fast_forward(run)
-            if split is not None:
-                ff_stmts, stepped_stmts, anchor = split
-                # The parity diff is deliberately file-local even when a
-                # project graph is attached: an imported helper's write
-                # keys are spelled in the callee's own namespace and
-                # would poison the key-set comparison.
-                graph = WriteSurfaceGraph(ctx.tree, node, run)
-                ff_writes = graph.reachable_writes(ff_stmts)
-                stepped_writes = graph.reachable_writes(stepped_stmts)
-                outside_reads = _name_reads(run, skip=anchor)
-                for key in sorted(ff_writes - stepped_writes):
-                    if "." not in key and key not in outside_reads:
-                        # A bare local the rest of run() never reads is
-                        # branch-private scratch, not shared schedule
-                        # state.
-                        continue
-                    yield ctx.finding(
-                        self, anchor,
-                        f"class {node.name}: fast-forward drain writes "
-                        f"`{key}` but the stepped loop never does — the "
-                        f"two schedules can diverge",
-                    )
-            yield from self._check_counter_oracle(ctx, node, run)
-
-    def _check_counter_oracle(
-        self, ctx, node: ast.ClassDef, run: ast.FunctionDef
-    ) -> Iterator[Finding]:
-        """Backend parity: ``run`` must write every oracle counter field.
-
-        Applies only to classes that opt in with a class-level
-        ``COUNTER_PARITY_ORACLE = "<relative path>"`` declaration (the
-        vector backend's :class:`~repro.gpu.vector.unit.VectorRTUnit`).
-        The oracle path resolves relative to the linted file, so the
-        check follows the source tree wherever it is checked out.
-        """
-        oracle = _class_literal(node, "COUNTER_PARITY_ORACLE")
-        if oracle is None:
-            return
-        anchor, relpath = oracle
-        fields = (
-            _oracle_fields(Path(ctx.path).parent / relpath)
-            if isinstance(relpath, str)
-            else None
-        )
-        if fields is None:
-            yield ctx.finding(
-                self, anchor,
-                f"class {node.name}: counter-parity oracle {relpath!r} "
-                f"could not be read or declares no counter fields",
+            anchor, relpath = oracle
+            fields = (
+                _oracle_fields(Path(ctx.path).parent / relpath)
+                if isinstance(relpath, str)
+                else None
             )
-            return
-        exempt: Set[str] = set()
-        declared = _class_literal(node, "COUNTER_PARITY_EXEMPT")
-        if declared is not None and isinstance(declared[1], (tuple, list)):
-            exempt = {item for item in declared[1] if isinstance(item, str)}
-        # Coverage (unlike the parity diff) may credit writes delegated
-        # to imported project helpers: the question is "does *anything*
-        # reachable from run() maintain this counter", so the callee-
-        # local key spelling is exactly what _writes_counter matches.
-        graph = WriteSurfaceGraph(
-            ctx.tree, node, run,
-            project=ctx.project, module=ctx.module, imports=ctx.imports,
-        )
-        writes = graph.reachable_writes(run.body, cross_module=True)
-        for field in fields:
-            if field in exempt or _writes_counter(writes, field):
+            if fields is None:
+                yield ctx.finding(
+                    self, anchor,
+                    f"class {node.name}: counter-parity oracle {relpath!r} "
+                    f"could not be read or declares no counter fields",
+                )
                 continue
-            yield ctx.finding(
-                self, anchor,
-                f"class {node.name}: oracle {relpath} declares counter "
-                f"`{field}` but no code reachable from run() writes "
-                f"`counters.{field}` — the backends can silently "
-                f"diverge",
+            exempt: Set[str] = set()
+            declared = _class_literal(node, "COUNTER_PARITY_EXEMPT")
+            if declared is not None and isinstance(declared[1], (tuple, list)):
+                exempt = {
+                    item for item in declared[1] if isinstance(item, str)
+                }
+            # The question is "does *anything* reachable from run()
+            # maintain this counter", so writes delegated to imported
+            # helpers count, and the callee-local key spelling is
+            # exactly what _writes_counter matches.
+            graph = WriteSurfaceGraph(
+                ctx.tree, node, run,
+                project=ctx.project, module=ctx.module, imports=ctx.imports,
             )
-
-
-def _split_fast_forward(
-    run: ast.FunctionDef,
-) -> Optional[Tuple[List[ast.stmt], List[ast.stmt], ast.AST]]:
-    """(fast-forward stmts, stepped stmts, anchor) of ``run``, if any.
-
-    The fast-forward branch is the top-level ``if`` inside ``run``'s
-    scheduler loop whose condition mentions a ``fast_forward`` attribute
-    or name; the stepped path is everything else in that loop body plus
-    the branch's ``else``.
-    """
-    for loop in ast.walk(run):
-        if not isinstance(loop, (ast.While, ast.For)):
-            continue
-        for stmt in loop.body:
-            if isinstance(stmt, ast.If) and _mentions_fast_forward(stmt.test):
-                stepped = [s for s in loop.body if s is not stmt]
-                stepped.extend(stmt.orelse)
-                return list(stmt.body), stepped, stmt
-    return None
-
-
-def _name_reads(run: ast.FunctionDef, skip: ast.AST) -> Set[str]:
-    """Names loaded anywhere in ``run`` outside the ``skip`` branch body.
-
-    Used to tell branch-private scratch locals apart from loop-carried
-    state: a name the fast-forward branch writes is only schedule state
-    if some code outside that branch reads it.
-    """
-    reads: Set[str] = set()
-
-    def visit(node: ast.AST) -> None:
-        if node is skip:
-            # Keep the branch condition and else-arm, drop the body.
-            for child in ast.iter_child_nodes(node):
-                if child not in node.body:
-                    visit(child)
-            return
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads.add(node.id)
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(run)
-    return reads
+            writes = graph.reachable_writes(run.body)
+            for field in fields:
+                if field in exempt or _writes_counter(writes, field):
+                    continue
+                yield ctx.finding(
+                    self, anchor,
+                    f"class {node.name}: oracle {relpath} declares counter "
+                    f"`{field}` but no code reachable from run() writes "
+                    f"`counters.{field}` — the backends can silently "
+                    f"diverge",
+                )
 
 
 def _class_literal(
@@ -270,13 +171,3 @@ def _writes_counter(writes: Set[str], field: str) -> bool:
     """
     leaf = f"counters.{field}"
     return any(key == leaf or key.endswith("." + leaf) for key in writes)
-
-
-def _mentions_fast_forward(test: ast.AST) -> bool:
-    for node in ast.walk(test):
-        if isinstance(node, ast.Attribute) and node.attr == "fast_forward":
-            return True
-        if isinstance(node, ast.Name) and node.id == "fast_forward":
-            return True
-    return False
-

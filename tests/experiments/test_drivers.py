@@ -11,6 +11,7 @@ from repro.errors import ExperimentError
 from repro.experiments import runner
 from repro.runtime.cache import CachedWorkloadCache
 from repro.experiments import (
+    ablations,
     fig4_stack_depths,
     fig5_depth_distribution,
     fig6_stack_l1d,
@@ -99,6 +100,30 @@ def test_fig14(cache):
     result = fig14_skewed.run(cache)
     assert set(result.delay_no_skew) == {"SHIP", "CRNVL"}
     assert "Fig. 14" in fig14_skewed.render(result)
+
+
+@pytest.mark.parametrize(
+    "experiment, cells_per_scene",
+    [
+        (fig14_skewed.run, 2),
+        (lambda cache: ablations.skew_scaling(cache, sizes=(4, 8)), 4),
+    ],
+    ids=["fig14", "skew_scaling"],
+)
+def test_experiment_is_one_run_jobs_call(cache, monkeypatch, experiment,
+                                         cells_per_scene):
+    """Every cell goes to the runtime in one batch, so ``--jobs`` can
+    spread it over the pool."""
+    batches = []
+    run_jobs = CachedWorkloadCache.run_jobs
+
+    def counting(self, jobs):
+        batches.append(len(jobs))
+        return run_jobs(self, jobs)
+
+    monkeypatch.setattr(CachedWorkloadCache, "run_jobs", counting)
+    experiment(cache)
+    assert batches == [cells_per_scene * len(cache.names)]
 
 
 def test_fig15(cache):

@@ -1,30 +1,30 @@
-"""SL204 positive: the fast-forward drain writes state the stepped
-loop never touches (both an attribute and a loop-carried local)."""
+"""SL204 positive: the unit names this file's ``Counters`` class as its
+counter-parity oracle, but nothing reachable from ``run`` writes the
+declared ``stalls`` counter."""
+
+
+class Counters:
+    steps: int = 0
+    fetches: int = 0
+    stalls: int = 0
+    cycles: int = 0
 
 
 class MiniUnit:
-    def __init__(self):
-        self.fast_forward = True
-        self.drained = 0
+    COUNTER_PARITY_ORACLE = "sl204_bad.py"
+    COUNTER_PARITY_EXEMPT = ("cycles",)
+
+    def __init__(self, counters):
+        self.counters = counters
 
     def run(self, warps):
-        pending = list(warps)
         completion = 0
-        bonus = 0
-        while pending:
-            if self.fast_forward and len(pending) == 1:
-                warp = pending[0]
-                end = self._step(warp, completion)
-                self.drained += 1
-                bonus = end
-                completion = max(completion, end)
-                pending.clear()
-                continue
-            warp = pending.pop(0)
-            end = self._step(warp, completion)
-            completion = max(completion, end)
-        return completion + bonus
+        for warp in warps:
+            completion = self._step(warp, completion)
+        return completion
 
     def _step(self, warp, start):
-        warp.ready_time = start + 1
-        return warp.ready_time
+        counters = self.counters
+        counters.steps += 1
+        counters.fetches += len(warp)
+        return start + 1

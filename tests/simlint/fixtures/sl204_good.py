@@ -1,29 +1,34 @@
-"""SL204 negative: fast-forward writes are a subset of stepped writes;
-branch-private scratch locals are allowed."""
+"""SL204 negative: every counter the oracle declares is written by code
+reachable from ``run`` — directly, through a method, or through a
+module-level helper — except the exempt ``cycles``."""
+
+
+class Counters:
+    steps: int = 0
+    fetches: int = 0
+    stalls: int = 0
+    cycles: int = 0
+
+
+def _stall(counters, cycles):
+    counters.stalls += cycles
 
 
 class MiniUnit:
-    def __init__(self):
-        self.fast_forward = True
-        self.retired = 0
+    COUNTER_PARITY_ORACLE = "sl204_good.py"
+    COUNTER_PARITY_EXEMPT = ("cycles",)
+
+    def __init__(self, counters):
+        self.counters = counters
 
     def run(self, warps):
-        pending = list(warps)
         completion = 0
-        while pending:
-            if self.fast_forward and len(pending) == 1:
-                warp = pending[0]  # branch-private scratch binding
-                end = self._step(warp, completion)
-                self.retired += 1
-                completion = max(completion, end)
-                pending.clear()
-                continue
-            chosen = pending.pop(0)
-            end = self._step(chosen, completion)
-            self.retired += 1
-            completion = max(completion, end)
+        for warp in warps:
+            completion = self._step(warp, completion)
+            self.counters.steps += 1
         return completion
 
     def _step(self, warp, start):
-        warp.ready_time = start + 1
-        return warp.ready_time
+        self.counters.fetches += len(warp)
+        _stall(self.counters, 1)
+        return start + 1

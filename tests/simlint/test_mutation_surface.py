@@ -1,11 +1,10 @@
-"""SL204 mutation-surface parity: the cross-module call-graph check.
+"""SL204 counter parity: the backend's oracle-coverage check.
 
-The fixture pair covers the headline cases; these tests pin the edge
-behavior — no fast-forward branch at all, writes reached through
-helper-method calls, tuple-unpacking targets — and the meta-cases that
-the real ``RTUnit.run`` passes the fast-forward check and the real
-``VectorRTUnit.run`` passes the counter-parity-oracle check today,
-plus the seeded red gates proving both checks still fire.
+The fixture pair covers the headline case; these tests pin the edge
+behavior — exempt counters, writes reached through helper methods and
+local aliases, an unreadable oracle path, classes that declare no
+oracle — and the meta-case that the real ``VectorRTUnit.run`` passes
+the check today, plus the seeded red gate proving it still fires.
 """
 
 from pathlib import Path
@@ -13,126 +12,7 @@ from pathlib import Path
 from repro.simlint import lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-RT_UNIT = REPO_ROOT / "src" / "repro" / "gpu" / "rt_unit.py"
 VECTOR_UNIT = REPO_ROOT / "src" / "repro" / "gpu" / "vector" / "unit.py"
-
-
-def sl204(source):
-    findings = lint_source(source, module="repro.gpu.unit")
-    return [f for f in findings if f.rule == "SL204"]
-
-
-def test_no_fast_forward_branch_no_findings():
-    source = (
-        "class Unit:\n"
-        "    def run(self):\n"
-        "        total = 0\n"
-        "        for step in range(4):\n"
-        "            total += step\n"
-        "        return total\n"
-    )
-    assert sl204(source) == []
-
-
-def test_write_through_helper_method_is_tracked():
-    """A drain-only write hidden inside a helper is still caught."""
-    source = (
-        "class Unit:\n"
-        "    def run(self):\n"
-        "        pending = [1]\n"
-        "        while pending:\n"
-        "            if self.fast_forward:\n"
-        "                self._drain()\n"
-        "                pending.clear()\n"
-        "                continue\n"
-        "            pending.pop()\n"
-        "    def _drain(self):\n"
-        "        self.counters.drained += 1\n"
-    )
-    (finding,) = sl204(source)
-    assert "self.counters.drained" in finding.message
-
-
-def test_shared_helper_write_is_parity():
-    """Both schedules reaching the same write through a helper is fine."""
-    source = (
-        "class Unit:\n"
-        "    def run(self):\n"
-        "        pending = [1]\n"
-        "        while pending:\n"
-        "            if self.fast_forward:\n"
-        "                self._step()\n"
-        "                pending.clear()\n"
-        "                continue\n"
-        "            self._step()\n"
-        "            pending.pop()\n"
-        "    def _step(self):\n"
-        "        self.counters.steps += 1\n"
-    )
-    assert sl204(source) == []
-
-
-def test_tuple_unpacking_targets_all_count():
-    source = (
-        "class Unit:\n"
-        "    def run(self):\n"
-        "        pending = [1]\n"
-        "        while pending:\n"
-        "            if self.fast_forward:\n"
-        "                self.a, self.b = 1, 2\n"
-        "                pending.clear()\n"
-        "                continue\n"
-        "            self.a = 1\n"
-        "            pending.pop()\n"
-    )
-    (finding,) = sl204(source)
-    assert "self.b" in finding.message and "self.a" not in finding.message
-
-
-def test_branch_private_scratch_local_allowed():
-    """A local bound and consumed inside the drain is not shared state."""
-    source = (
-        "class Unit:\n"
-        "    def run(self):\n"
-        "        pending = [1]\n"
-        "        while pending:\n"
-        "            if self.fast_forward:\n"
-        "                scratch = pending[0]\n"
-        "                self.total = scratch\n"
-        "                pending.clear()\n"
-        "                continue\n"
-        "            self.total = pending.pop()\n"
-    )
-    assert sl204(source) == []
-
-
-def test_real_rt_unit_fast_forward_is_parity_clean():
-    source = RT_UNIT.read_text()
-    findings = lint_source(source, path=str(RT_UNIT),
-                           module="repro.gpu.rt_unit")
-    assert [f for f in findings if f.rule == "SL204"] == []
-
-
-def test_seeded_drain_only_write_in_rt_unit_is_caught():
-    """The acceptance-criteria probe: perturb the real fast-forward
-    drain with a write the stepped loop lacks and SL204 must fire."""
-    source = RT_UNIT.read_text()
-    # Anchor on the first statement of the drain branch and seed the
-    # probe write right next to it, at the same indentation.
-    needle = "warp, slot = resident[0]"
-    assert needle in source
-    lines = source.splitlines()
-    anchor = next(i for i, line in enumerate(lines) if needle in line)
-    indent = len(lines[anchor]) - len(lines[anchor].lstrip())
-    lines.insert(anchor + 1, " " * indent + "self.counters.ff_probe = 1")
-    seeded = "\n".join(lines) + "\n"
-    findings = lint_source(seeded, module="repro.gpu.rt_unit")
-    assert any(
-        f.rule == "SL204" and "ff_probe" in f.message for f in findings
-    ), [f"{f.rule}:{f.message}" for f in findings]
-
-
-# -- counter-parity oracle (the vector backend obligation) --------------
 
 
 def sl204_oracle(source, path, module="repro.gpu.vector.unit"):

@@ -34,7 +34,7 @@ CASES = {
     "SL201": ("repro.gpu.fixture", 3),
     "SL202": ("repro.gpu.fixture", 2),
     "SL203": ("repro.runtime.fixture", 2),
-    "SL204": ("repro.gpu.fixture", 2),
+    "SL204": ("repro.gpu.fixture", 1),
     "SL301": ("repro.gpu.fixture", 2),
     "SL302": ("repro.gpu.fixture", 2),
     "SL401": ("repro.gpu.fixture", 2),
@@ -44,6 +44,14 @@ CASES = {
     "SL603": ("repro.gpu.vector.fixture", 2),
     "SL604": ("repro.gpu.vector.fixture", 2),
 }
+
+
+@pytest.fixture(autouse=True)
+def _run_beside_fixtures(monkeypatch):
+    """Fixtures lint under ``path="fixtures/<name>"``, and SL204 resolves
+    a fixture's oracle path against that path, so run from the directory
+    that holds ``fixtures/``."""
+    monkeypatch.chdir(FIXTURES.parent)
 
 
 def lint_fixture(name: str, module: str):

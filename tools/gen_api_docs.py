@@ -76,7 +76,8 @@ def document_module(name: str) -> str:
     return "\n".join(parts)
 
 
-def main() -> int:
+def api_reference() -> str:
+    """The text of ``docs/api.md``: every public module, sorted by name."""
     module_names = ["repro"]
     package_path = Path(repro.__file__).parent
     for info in pkgutil.walk_packages([str(package_path)], prefix="repro."):
@@ -91,11 +92,15 @@ def main() -> int:
     ]
     for name in sorted(module_names):
         sections.append(document_module(name))
+    return "\n".join(sections) + "\n"
+
+
+def main() -> int:
     out = Path(__file__).parent.parent / "docs" / "api.md"
-    out.write_text("\n".join(sections) + "\n")
+    out.write_text(api_reference())
     # Generator status line for the operator who just ran it.
     # simlint: disable=SL402
-    print(f"wrote {out} ({len(module_names)} modules)")
+    print(f"wrote {out}")
     return 0
 
 
