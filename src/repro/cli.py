@@ -25,7 +25,8 @@ Installed as ``python -m repro``.  Commands:
 ``overhead``
     Print the SMS hardware-overhead analysis (paper VI-C).
 ``cache``
-    Inspect or clear the persistent result store.
+    Inspect or clear the persistent result store: its results and its
+    phase-one (trace) artifacts.
 ``chaos``
     Run the guard layer's fault-injection campaign: every simulation
     fault class must be detected with a structured error.
@@ -164,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="result store directory (default "
                            "~/.cache/repro-sms or $REPRO_CACHE_DIR)")
     cache_cmd.add_argument("--clear", action="store_true",
-                           help="delete every stored result")
+                           help="delete every stored result and "
+                           "phase-one artifact")
 
     chaos = sub.add_parser(
         "chaos", help="run the guard layer's fault-injection campaign"
@@ -508,13 +510,18 @@ def _cmd_cache(args) -> int:
     store = ResultStore(args.cache_dir)
     if args.clear:
         removed = store.clear()
-        print(f"cleared {removed} stored results from {store.root}")
+        artifacts = store.clear_traces()
+        print(f"cleared {removed} stored results and {artifacts} phase-one "
+              f"artifacts from {store.root}")
         return 0
     count = len(store)
     failures = sum(1 for _ in store.failures())
+    artifacts = store.trace_artifacts()
+    artifact_mb = sum(path.stat().st_size for path in artifacts) / 1e6
     print(f"store    : {store.root}")
     print(f"entries  : {count}")
     print(f"disk     : {store.size_bytes() / 1024:.1f} KB")
+    print(f"phase one: {len(artifacts)} artifacts, {artifact_mb:.1f} MB")
     if failures:
         print(f"failures : {failures} recorded guard violations "
               f"(see {store.root / 'failures'})")

@@ -8,7 +8,8 @@ This package turns that purity into throughput:
 - :mod:`repro.runtime.job` — one simulation as a hashable, picklable
   spec with a deterministic content-address key;
 - :mod:`repro.runtime.store` — a JSON-per-key on-disk result store so
-  repeated sweeps load instead of re-simulating;
+  repeated sweeps load instead of re-simulating, which also keeps each
+  scene's phase one (its traces) so it is traced once per store;
 - :mod:`repro.runtime.executor` — a process-pool executor with per-job
   timeouts, bounded retry with backoff, and graceful degradation to
   serial in-process execution when workers fail;

@@ -14,12 +14,13 @@ call, :meth:`~CachedWorkloadCache.run_jobs`, which hands them to
   every call, for reporting at the end of a campaign.
 
 ``simulate`` and ``sweep`` are thin loops over ``run_jobs``.  Phase one
-(scene, BVH, trace) is configuration-independent and lives in one
-per-process memo in :mod:`repro.runtime.job`: ``traced()``, serial
-sweeps, pool workers and fallbacks all read it under the same key.  It
-keeps the four most recently used workloads, so a sweep (scene-major)
-traces each scene once, but a later sweep over a larger suite traces
-it again.
+(scene, BVH, trace) is configuration-independent and has one path in
+:mod:`repro.runtime.job`: ``traced()``, serial sweeps, pool workers and
+fallbacks all read a four-entry per-process memo, then the store's
+phase-one artifact, under the same phase key.  With a store, each
+scene is traced once per store: a later sweep, another worker or a
+later process loads the traces instead of tracing them again.  Without
+one, only the memo remains.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class CachedWorkloadCache:
         )
 
     def traced(self, name: str) -> List[RayTrace]:
-        """One scene's phase-one traces, from the per-process memo."""
-        return _workload_traces(self.job_for(name, GPUConfig()))[1]
+        """One scene's phase-one traces, through the memo and the store."""
+        return _workload_traces(self.job_for(name, GPUConfig()), self.store)[1]
 
     def run_jobs(self, jobs: Sequence) -> List[SimulationResult]:
         """Resolve ``jobs`` in order: store, then pool, then metrics."""

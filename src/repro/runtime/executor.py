@@ -21,6 +21,15 @@ This is the one scheduler for content-addressed jobs: local sweeps,
 campaigns and ``repro serve`` (:mod:`repro.service`) all resolve their
 jobs here.
 
+A job is any picklable object with ``key() -> str`` and
+``run(store)``; every run (pool worker, serial, fallback) receives the
+call's store, through which a :class:`~repro.runtime.job.SimulationJob`
+also reads and writes its phase one.  A job that has a ``phase_key()``
+is held back while another in-flight job is still building the same
+phase one (its artifact is not yet in the store), so a cold sweep
+builds each scene once and the other workers load it.  Without a
+store nothing is persisted and jobs dispatch in submission order.
+
 Guard violations (:class:`~repro.errors.GuardViolationError`) are
 *deterministic* — the same spec fails the same way every time — so they
 skip the retry budget entirely.  Instead the structured failure is
@@ -95,11 +104,13 @@ class _JobState:
     key: str
     indices: List[int] = field(default_factory=list)
     attempts: int = 0
+    #: The job's phase key, when it has one and the call has a store.
+    phase: Optional[str] = None
 
 
-def _execute(job):
+def _execute(job, store):
     """Worker entry point: run the job (module-level, so it pickles)."""
-    return job.run()
+    return job.run(store)
 
 
 def run_jobs(
@@ -110,7 +121,7 @@ def run_jobs(
     """Resolve every job via store, pool, or serial fallback.
 
     ``jobs`` may be :class:`~repro.runtime.job.SimulationJob` instances
-    or any picklable object with ``key() -> str`` and ``run()``.
+    or any picklable object with ``key() -> str`` and ``run(store)``.
     """
     policy = policy or ExecutionPolicy()
     jobs = list(jobs)
@@ -135,7 +146,11 @@ def run_jobs(
                 metrics.cache_hits += 1
                 progress.update(metrics)
                 continue
-        pending[key] = _JobState(job=job, key=key, indices=[index])
+        phase_key = getattr(job, "phase_key", None)
+        pending[key] = _JobState(
+            job=job, key=key, indices=[index],
+            phase=phase_key() if store is not None and phase_key else None,
+        )
 
     states = list(pending.values())
     try:
@@ -222,7 +237,7 @@ def _run_one_serial(state, policy, metrics, store=None):
     """One job in-process, honoring the retry budget."""
     while True:
         try:
-            return state.job.run()
+            return state.job.run(store)
         except Exception as exc:
             if (isinstance(exc, GuardViolationError)
                     or state.attempts >= policy.retries):
@@ -254,26 +269,37 @@ def _run_parallel(states, results, store, policy, metrics, progress,
 
     Jobs are dispatched one per free worker slot (so a job's timeout
     clock starts when it can actually start running, not when it is
-    queued).  Timeouts and a broken pool both divert jobs to
-    ``fallback``, which re-runs them serially in this process.
+    queued).  A job whose phase one an in-flight job is still building
+    waits (see :func:`_next_ready`); while one waits beside a free
+    slot, the loop polls the store every tick.  Timeouts and a broken
+    pool both divert jobs to ``fallback``, which re-runs them serially
+    in this process.
     """
     queue = deque(states)
     in_flight = {}  # future -> (state, start time)
+    building = set()  # phase keys an in-flight job is building
     fallback: List[_JobState] = []
     broken = False
     abandoned = False  # a timed-out task is still occupying a worker
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while queue or in_flight:
+            building = {phase for phase in building
+                        if not store.has_traces(phase)}
             while queue and len(in_flight) < workers and not broken:
-                state = queue.popleft()
+                state = _next_ready(queue, building)
+                if state is None:
+                    break
                 try:
-                    future = pool.submit(_execute, state.job)
+                    future = pool.submit(_execute, state.job, store)
                 except RuntimeError:  # pool broken or shut down
                     broken = True
                     fallback.append(state)
                     break
                 in_flight[future] = (state, time.monotonic())
+                if state.phase is not None \
+                        and not store.has_traces(state.phase):
+                    building.add(state.phase)
             metrics.running = len(in_flight)
             progress.update(metrics)
             if not in_flight:
@@ -282,12 +308,15 @@ def _run_parallel(states, results, store, policy, metrics, progress,
                     queue.clear()
                     break
                 continue
-            tick = _TIMEOUT_TICK if policy.timeout is not None else None
+            held = bool(queue) and len(in_flight) < workers
+            tick = (_TIMEOUT_TICK
+                    if policy.timeout is not None or held else None)
             done, _ = wait(
                 list(in_flight), timeout=tick, return_when=FIRST_COMPLETED
             )
             for future in done:
                 state, begun = in_flight.pop(future)
+                building.discard(state.phase)
                 try:
                     value = future.result()
                 except BrokenProcessPool:
@@ -321,6 +350,7 @@ def _run_parallel(states, results, store, policy, metrics, progress,
                         if not future.cancel():
                             abandoned = True
                         del in_flight[future]
+                        building.discard(state.phase)
                         metrics.timeouts += 1
                         fallback.append(state)
     finally:
@@ -335,3 +365,16 @@ def _run_parallel(states, results, store, policy, metrics, progress,
     if fallback:
         metrics.serial_fallbacks += len(fallback)
         _run_serial(fallback, results, store, policy, metrics, progress)
+
+
+def _next_ready(queue, building) -> Optional[_JobState]:
+    """Take the first queued job whose phase one nobody is building.
+
+    ``None`` when every queued job waits on an in-flight build.  With
+    nothing being built this is ``queue.popleft()``.
+    """
+    for index, state in enumerate(queue):
+        if state.phase not in building:
+            del queue[index]
+            return state
+    return None

@@ -12,6 +12,13 @@ The key also folds in a *code-version salt* (:func:`cache_salt`): bump
 ``repro.__version__`` (or set ``REPRO_CACHE_SALT``) and every previously
 stored result is invalidated at once, because no new key can collide
 with an old one.
+
+Phase one (scene → BVH → traces) does not depend on the configuration,
+so it has its own content address, :meth:`SimulationJob.phase_key`.
+:meth:`SimulationJob.run` takes the result store it resolves under and
+reads its traces from a small per-process memo, then from the store,
+and builds (and stores) them only when both miss: each scene is traced
+once per store, not once per worker per sweep.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.gpu.config import GPUConfig
+from repro.runtime.store import PHASE_CODEC_VERSION
 from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
 
 #: Bump when the stored-result layout changes incompatibly.
@@ -36,7 +44,7 @@ CACHE_SCHEMA_VERSION = 4
 #: Traced workloads memoized per process (see :func:`_workload_traces`).
 _TRACE_MEMO_CAPACITY = 4
 
-_TRACE_MEMO: "OrderedDict[tuple, Tuple[str, list]]" = OrderedDict()
+_TRACE_MEMO: "OrderedDict[str, Tuple[str, list]]" = OrderedDict()
 
 
 def cache_salt() -> str:
@@ -152,17 +160,40 @@ class SimulationJob:
 
     def key(self) -> str:
         """Deterministic content-address: SHA-256 of the canonical spec."""
-        blob = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _digest(self.spec())
 
-    def run(self):
+    def phase_key(self) -> str:
+        """Content address of this job's phase one (its traces).
+
+        Digests exactly what phase one depends on: the scene, the
+        workload resolution, the strategy's trace key, the
+        :func:`cache_salt` (which carries the geometry scale) and the
+        artifact codec version.  Never a ``GPUConfig`` field: phase one
+        is configuration-independent, the point of the two-phase split.
+        """
+        from repro.traversal.registry import resolve_strategy
+
+        return _digest({
+            "scene": self.scene,
+            "width": self.width,
+            "height": self.height,
+            "spp": self.spp,
+            "max_bounces": self.max_bounces,
+            "seed": self.seed,
+            "trace_key": resolve_strategy(self.strategy).trace_key(),
+            "salt": cache_salt(),
+            "codec": PHASE_CODEC_VERSION,
+        })
+
+    def run(self, store=None):
         """Execute the job in this process and return the result.
 
         Pure with respect to the spec: no reliance on ambient state
         beyond the deterministic scene generators, so it is safe to run
-        in any worker process.  Traces are memoized per process (keyed by
-        everything but the config), so a worker that draws several
-        configurations of the same scene traces it once.
+        in any worker process.  Phase one comes from the per-process
+        memo, then from ``store`` (a
+        :class:`~repro.runtime.store.ResultStore`, or ``None`` to
+        persist nothing), and is built only when both miss.
         """
         from repro.core.api import time_traces
 
@@ -171,7 +202,7 @@ class SimulationJob:
             from repro.guard import GuardConfig
 
             guard = GuardConfig(max_cycles=self.max_cycles)
-        scene_name, traces = _workload_traces(self)
+        scene_name, traces = _workload_traces(self, store)
         return time_traces(
             traces,
             config=self.config,
@@ -192,45 +223,50 @@ class SimulationJob:
         return label
 
 
-def _workload_traces(job: SimulationJob) -> Tuple[str, List]:
-    """Trace the job's workload, memoizing per process (small LRU).
+def _digest(fields: Dict) -> str:
+    blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    This is the process's one phase-one cache: job runs, pool workers
-    and :meth:`~repro.runtime.cache.CachedWorkloadCache.traced` all read
-    it.  The key deliberately excludes the GPU configuration — phase one
-    is configuration-independent, which is the whole point of the
-    two-phase split.  It keys on the strategy's *trace key* rather than
-    its name, so strategies that record identical streams share entries,
-    and on the geometry scale, so changing ``REPRO_BENCH_SCALE`` never
-    serves traces of the old scene.
+
+def _workload_traces(job: SimulationJob, store=None) -> Tuple[str, List]:
+    """The job's phase one: ``(scene name, traces)``.
+
+    This is the process's one phase-one path: job runs, pool workers
+    and :meth:`~repro.runtime.cache.CachedWorkloadCache.traced` all call
+    it.  It reads a small per-process LRU memo, then ``store``'s
+    artifact, and only when both miss builds scene, BVH and traces.
+    Both tiers are keyed by :meth:`SimulationJob.phase_key`.  On return
+    ``store`` holds the artifact, written before any timing starts, so
+    another worker can load it (the executor's hold-back relies on it).
     """
-    from repro.traversal.registry import resolve_strategy
-    from repro.workloads.lumibench import bench_scale
+    key = job.phase_key()
+    entry = _TRACE_MEMO.get(key)
+    if entry is None and store is not None:
+        entry = store.get_traces(key)
+    if entry is None:
+        entry = _build_phase_one(job)
+    if store is not None and not store.has_traces(key):
+        store.put_traces(key, *entry)
+    _TRACE_MEMO[key] = entry
+    _TRACE_MEMO.move_to_end(key)
+    while len(_TRACE_MEMO) > _TRACE_MEMO_CAPACITY:
+        _TRACE_MEMO.popitem(last=False)
+    return entry
 
-    strategy = resolve_strategy(job.strategy)
-    memo_key = (
-        job.scene, job.width, job.height, job.spp, job.max_bounces, job.seed,
-        strategy.trace_key(), bench_scale(),
-    )
-    cached = _TRACE_MEMO.get(memo_key)
-    if cached is not None:
-        _TRACE_MEMO.move_to_end(memo_key)
-        return cached
+
+def _build_phase_one(job: SimulationJob) -> Tuple[str, List]:
+    """Load the scene, build its BVH and trace the job's workload."""
     from repro.bvh.api import build_bvh
+    from repro.traversal.registry import resolve_strategy
     from repro.workloads.lumibench import load_scene
 
     scene = load_scene(job.scene)
-    bvh = build_bvh(scene)
-    workload = strategy.build_workload(
-        bvh,
+    workload = resolve_strategy(job.strategy).build_workload(
+        build_bvh(scene),
         width=job.width,
         height=job.height,
         spp=job.spp,
         max_bounces=job.max_bounces,
         seed=job.seed,
     )
-    entry = (scene.name, workload.all_traces)
-    _TRACE_MEMO[memo_key] = entry
-    while len(_TRACE_MEMO) > _TRACE_MEMO_CAPACITY:
-        _TRACE_MEMO.popitem(last=False)
-    return entry
+    return scene.name, workload.all_traces

@@ -63,7 +63,9 @@ DEFAULT_COUNTER_OWNERS = ("repro.gpu",)
 DEFAULT_PRINT_ALLOWED = ("repro.cli",)
 DEFAULT_VECTOR_PACKAGES = ("repro.gpu.vector",)
 DEFAULT_SOA_CACHE_WRITERS = ("trace_cache", "pack_trace", "warp_plan")
-DEFAULT_TAINT_SINKS = ("key", "spec", "content_key", "cache_key", "salt")
+DEFAULT_TAINT_SINKS = (
+    "key", "spec", "content_key", "cache_key", "salt", "phase_key",
+)
 DEFAULT_TEST_FAMILIES = ("determinism", "hygiene")
 
 

@@ -45,7 +45,9 @@ MUTATING_METHODS = {
 #: Bump when the FileSummary shape changes: cached summaries with a
 #: different version are discarded, not misread.
 #: 3: function summaries dropped the ``is_async`` flag.
-SUMMARY_SCHEMA_VERSION = 3
+#: 4: a method call's result carries its receiver's taint, which
+#:    changes the taint summaries.
+SUMMARY_SCHEMA_VERSION = 4
 
 #: Only names under this root participate in cross-module resolution.
 PROJECT_ROOT_PACKAGE = "repro"

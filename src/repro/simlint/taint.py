@@ -289,7 +289,11 @@ class TaintAnalyzer:
                     taint = taint | per_arg[index]
             return taint
         # Unknown callee: conservatively, the result carries whatever
-        # its arguments carried (str(now), math.floor(now), ...).
+        # its arguments carried (str(now), math.floor(now), ...), and a
+        # method call whatever its receiver carried (blob.encode(), a
+        # digest's .hexdigest(), ...).
+        if isinstance(node.func, ast.Attribute):
+            args_taint = args_taint | self._eval(node.func.value, emit)
         return args_taint
 
     def _is_unordered(self, node: ast.AST) -> bool:

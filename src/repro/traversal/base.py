@@ -17,8 +17,9 @@ The interface is the seam extracted from the old ``RTUnit`` /
   stack/inter-warp branching now lives.
 * :meth:`adapt_config` — strategy-implied configuration changes (e.g.
   stackless frees the SH carve-out back to the L1D).
-* :meth:`trace_key` — discriminates phase-one outputs in the per-process
-  trace memo and the content-addressed job key.  Strategies producing
+* :meth:`trace_key` — discriminates phase-one outputs in the phase key
+  (the trace memo and the stored phase one) and the content-addressed
+  job key.  Strategies producing
   identical traces may share a key; strategies with tunables must fold
   them in.
 

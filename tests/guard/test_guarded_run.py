@@ -98,7 +98,7 @@ class _ViolatingJob:
     def describe(self):
         return f"SYNTH/violating-{self.tag}"
 
-    def run(self):
+    def run(self, store=None):
         _ViolatingJob.runs += 1
         raise GuardViolationError(
             "entry conservation violated", cycle=812, sm_id=0, warp_id=3,

@@ -68,7 +68,7 @@ class FlakyJob:
     def key(self) -> str:
         return hashlib.sha256(f"flaky:{self.name}".encode()).hexdigest()
 
-    def run(self):
+    def run(self, store=None):
         import os
 
         marker = os.path.join(self.marker_dir, f"flaky-{self.name}")

@@ -42,16 +42,24 @@ class StubJob:
         return f"stub:{self.token}"
 
     def _attempt(self) -> int:
-        """Count executions across processes via a file per token."""
+        """Count executions across processes via a file per token.
+
+        The count is replaced atomically: a broken pool terminates every
+        worker, and one killed between truncating and writing the file
+        would leave the serial fallback an empty count to parse.
+        """
         path = os.path.join(self.counter_dir, f"{self.token}.count")
         count = 1
         if os.path.exists(path):
-            count = int(open(path).read()) + 1
-        with open(path, "w") as handle:
+            with open(path) as handle:
+                count = int(handle.read()) + 1
+        tmp = f"{path}.{os.getpid()}"
+        with open(tmp, "w") as handle:
             handle.write(str(count))
+        os.replace(tmp, path)
         return count
 
-    def run(self) -> str:
+    def run(self, store=None) -> str:
         if self.sleep_in_worker and _in_worker():
             time.sleep(self.sleep_in_worker)
         if self.kill_worker and _in_worker():
@@ -187,7 +195,7 @@ class GuardTripJob:
     def spec(self):
         return {"token": self.token}
 
-    def run(self):
+    def run(self, store=None):
         from repro.errors import InvariantViolationError
 
         raise InvariantViolationError(

@@ -171,10 +171,16 @@ def test_cli_cache_command(tmp_path, capsys):
     make_campaign(tmp_path, jobs=1, cache_dir=store_dir).run()
     assert main(["cache", "--cache-dir", str(store_dir)]) == 0
     out = capsys.readouterr().out
-    assert "entries" in out
-    assert "6" in out
+    assert "entries  : 6" in out
+    # One phase-one artifact per scene, counted apart from the results.
+    assert "phase one: 2 artifacts" in out
+    assert len(ResultStore(store_dir)) == 6
     assert main(["cache", "--cache-dir", str(store_dir), "--clear"]) == 0
-    assert "cleared 6" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "cleared 6 stored results and 2 phase-one artifacts" in out
+    assert ResultStore(store_dir).trace_artifacts() == []
+    assert main(["cache", "--cache-dir", str(store_dir)]) == 0
+    assert "phase one: 0 artifacts, 0.0 MB" in capsys.readouterr().out
 
 
 def test_progress_line_renders(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.presets import named_config
 from repro.runtime.job import SimulationJob
-from repro.runtime.store import ResultStore, _write_json_crash_safe
+from repro.runtime.store import ResultStore, _write_crash_safe
 from repro.workloads.params import WorkloadParams
 
 PARAMS = WorkloadParams().scaled(0.25)
@@ -50,15 +50,16 @@ def test_crash_between_tmp_and_replace_preserves_old_entry(
 
 def test_tmp_names_never_collide(tmp_path):
     path = tmp_path / "ab" / "entry.json"
-    _write_json_crash_safe(path, {"v": 1})
-    _write_json_crash_safe(path, {"v": 2})
+    _write_crash_safe(path, b'{"v": 1}')
+    _write_crash_safe(path, b'{"v": 2}')
     assert json.loads(path.read_text()) == {"v": 2}
     assert list(path.parent.glob("*.tmp.*")) == []
 
 
 _WRITER_SCRIPT = r"""
+import json
 import sys
-from repro.runtime.store import _write_json_crash_safe
+from repro.runtime.store import _write_crash_safe
 from pathlib import Path
 
 root = Path(sys.argv[1])
@@ -67,8 +68,8 @@ index = 0
 print("ready", flush=True)
 while True:
     index += 1
-    _write_json_crash_safe(root / "aa" / f"entry-{index % 32}.json",
-                           dict(payload, index=index))
+    _write_crash_safe(root / "aa" / f"entry-{index % 32}.json",
+                      json.dumps(dict(payload, index=index)).encode())
 """
 
 

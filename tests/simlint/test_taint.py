@@ -129,6 +129,24 @@ def test_parameters_flow_to_returns_as_pass_through():
     assert not analyzer.return_taint.labels
 
 
+def test_method_calls_carry_their_receivers_taint():
+    analyzer = analyzer_for(
+        """
+        import hashlib
+        import json
+        import time
+
+        def f(fields):
+            blob = json.dumps({"at": time.time(), "fields": fields})
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """
+    )
+    analyzer.run()
+    # A digest of a tainted blob is tainted, and so passes its input on.
+    assert analyzer.return_taint.labels == {LABEL_CLOCK}
+    assert analyzer.return_taint.params == {0}
+
+
 def test_materializing_a_set_carries_hash_order():
     analyzer = analyzer_for(
         """

@@ -1,9 +1,10 @@
 """Seeded red-gate for SL110 taint flow through the real config.
 
 The test copies the *real* job module into a scratch tree, seeds a
-content-key helper derived from ``id()`` into it, and lints through the
-real config: the gate must flip to exit code 1 with SL110.  The
-unmodified copy linting clean is the control.
+content-key helper derived from ``id()`` (or a wall-clock field in
+``phase_key``'s digest) into it, and lints through the real config: the
+gate must flip to exit code 1 with SL110.  The unmodified copy linting
+clean is the control.
 """
 
 import shutil
@@ -46,3 +47,18 @@ def test_seeded_tainted_cache_key_fires_sl110(tmp_path):
     assert report.exit_code == 1
     # SL110 is the flow finding: the taint reaches the sink's return.
     assert rules_of(report) == ["SL110"]
+
+
+def test_seeded_wall_clock_phase_key_fires_sl110(tmp_path):
+    def seed(source):
+        source = source.replace("import hashlib\n",
+                                "import hashlib\nimport time\n")
+        return source.replace(
+            '"codec": PHASE_CODEC_VERSION,',
+            '"codec": PHASE_CODEC_VERSION, "at": time.time(),',
+        )
+
+    report = seeded_report(tmp_path, seed)
+    assert report.exit_code == 1
+    flows = [f for f in report.errors if f.rule == "SL110"]
+    assert any("phase_key" in f.message for f in flows), rules_of(report)
