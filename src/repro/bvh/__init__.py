@@ -6,8 +6,7 @@ the paper's Fig. 3 walkthrough), laid out into a simulated global-memory
 address space so the timing model sees realistic node-fetch addresses.
 """
 
-from repro.bvh.node import WideNode
-from repro.bvh.builder import BinaryBVH, build_binary_bvh
+from repro.bvh.builder import NO_NODE, BinaryBVH, build_binary_bvh
 from repro.bvh.wide import WideBVH, collapse_to_wide
 from repro.bvh.layout import assign_addresses, MemoryLayout
 from repro.bvh.stats import BVHStats, compute_stats
@@ -15,7 +14,7 @@ from repro.bvh.validate import validate_binary, validate_wide
 from repro.bvh.api import build_bvh
 
 __all__ = [
-    "WideNode",
+    "NO_NODE",
     "BinaryBVH",
     "build_binary_bvh",
     "WideBVH",

@@ -30,8 +30,10 @@ from typing import Dict
 import numpy as np
 
 from repro.errors import BVHError
-from repro.bvh.node import NO_NODE
 from repro.scene.scene import Scene
+
+#: Sentinel index meaning "no node".
+NO_NODE = -1
 
 
 @dataclass
@@ -40,7 +42,7 @@ class BinaryBVH:
 
     Node ``i`` is a leaf when ``prim_count[i] > 0``: it owns
     ``prim_order[first_prim[i] : first_prim[i] + prim_count[i]]`` and its
-    ``left``/``right`` are :data:`~repro.bvh.node.NO_NODE`.  Otherwise
+    ``left``/``right`` are :data:`NO_NODE`.  Otherwise
     ``left[i]`` and ``right[i]`` are its children.  Rows ``lo[i]`` and
     ``hi[i]`` bound node ``i``.  The root is node 0.
     """

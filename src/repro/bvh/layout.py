@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.bvh.wide import WideBVH
 
 #: Byte alignment for node records.
@@ -42,8 +44,13 @@ class MemoryLayout:
         return self.total_bytes / (1024.0 * 1024.0)
 
 
-def node_size_bytes(child_count: int, prim_count: int) -> int:
-    """Size of a node record, aligned to :data:`NODE_ALIGNMENT`."""
+def node_size_bytes(
+    child_count: int | np.ndarray, prim_count: int | np.ndarray
+) -> int | np.ndarray:
+    """Size of a node record, aligned to :data:`NODE_ALIGNMENT`.
+
+    Takes one node's counts as ints, or every node's as integer arrays.
+    """
     raw = NODE_HEADER_BYTES + child_count * CHILD_SLOT_BYTES + prim_count * TRIANGLE_BYTES
     return (raw + NODE_ALIGNMENT - 1) // NODE_ALIGNMENT * NODE_ALIGNMENT
 
@@ -56,22 +63,23 @@ def assign_addresses(wide: WideBVH, base_address: int = BVH_BASE_ADDRESS) -> Mem
     and what makes *incoherent* traversals miss, the effect the paper's
     L1D study (Fig. 6b) measures.
     """
-    cursor = base_address
-    wide.address_to_node.clear()
-    wide.invalidate_derived()  # SoA mirror and escape index both embed layout
-
+    first_child = wide.first_child.tolist()
+    child_count = wide.child_count.tolist()
+    order = []
     stack = [wide.root]
     while stack:
         index = stack.pop()
-        node = wide.nodes[index]
-        node.address = cursor
-        node.size_bytes = node_size_bytes(node.child_count, len(node.prim_ids))
-        wide.address_to_node[cursor] = index
-        cursor += node.size_bytes
+        order.append(index)
         # Reversed push so children come out in left-to-right order.
-        for child in reversed(node.children):
-            stack.append(child)
-    wide.total_bytes = cursor - base_address
+        first = first_child[index]
+        stack.extend(range(first + child_count[index] - 1, first - 1, -1))
+
+    wide.size_bytes = node_size_bytes(wide.child_count, wide.prim_count)
+    sizes = wide.size_bytes[order]
+    ends = np.cumsum(sizes)
+    wide.address = np.zeros(wide.node_count, dtype=np.int64)
+    wide.address[order] = base_address + ends - sizes
+    wide.total_bytes = int(ends[-1])
     return MemoryLayout(
         base_address=base_address,
         total_bytes=wide.total_bytes,

@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Set
 
 from repro.errors import BVHError
-from repro.bvh.builder import BinaryBVH
-from repro.bvh.node import NO_NODE
+from repro.bvh.builder import NO_NODE, BinaryBVH
 from repro.bvh.wide import WideBVH
 
 _EPS = 1e-9
@@ -58,41 +57,68 @@ def validate_binary(bvh: BinaryBVH) -> None:
 
 
 def validate_wide(wide: WideBVH) -> None:
-    """Raise :class:`BVHError` if the wide BVH violates an invariant."""
+    """Raise :class:`BVHError` if the wide BVH violates an invariant.
+
+    Besides coverage, bounds, depths and addresses, this checks the
+    collapse's numbering: an internal node ``i`` has 2..``width``
+    children, numbered consecutively after ``i`` and inside the node
+    arrays, and a leaf's primitive range lies inside ``prim_order``.
+    """
+    node_count = wide.node_count
+    first_child = wide.first_child.tolist()
+    child_count = wide.child_count.tolist()
+    first_prim = wide.first_prim.tolist()
+    prim_count = wide.prim_count.tolist()
+    depth = wide.depth.tolist()
+    address = wide.address.tolist()
+    prim_order = wide.prim_order.tolist()
+    lo, hi = wide.lo, wide.hi
     seen_prims: Set[int] = set()
+    addresses: Set[int] = set()
     stack = [wide.root]
     visited = 0
-    addresses: Set[int] = set()
     while stack:
         index = stack.pop()
-        node = wide.nodes[index]
         visited += 1
-        if node.children and node.prim_ids:
+        first, count = first_child[index], child_count[index]
+        if count and prim_count[index]:
             raise BVHError(f"node {index} is both internal and leaf")
-        if node.is_leaf and not node.prim_ids:
-            raise BVHError(f"leaf {index} owns no primitives")
-        if not node.is_leaf and node.child_count > wide.width:
+        if address[index] in addresses:
+            raise BVHError(f"duplicate node address {address[index]:#x}")
+        addresses.add(address[index])
+        if not count:
+            start = first_prim[index]
+            stop = start + prim_count[index]
+            if start == stop:
+                raise BVHError(f"leaf {index} owns no primitives")
+            if start < 0 or stop > len(prim_order):
+                raise BVHError(
+                    f"leaf {index} primitive range [{start}, {stop}) is "
+                    f"outside prim_order"
+                )
+            for prim in prim_order[start:stop]:
+                if prim in seen_prims:
+                    raise BVHError(f"primitive {prim} reachable from two leaves")
+                seen_prims.add(prim)
+            continue
+        if not 2 <= count <= wide.width:
             raise BVHError(
-                f"node {index} has {node.child_count} children, width {wide.width}"
+                f"node {index} has {count} children, expected 2..{wide.width}"
             )
-        if node.address in addresses:
-            raise BVHError(f"duplicate node address {node.address:#x}")
-        addresses.add(node.address)
-        for prim in node.prim_ids:
-            if prim in seen_prims:
-                raise BVHError(f"primitive {prim} reachable from two leaves")
-            seen_prims.add(prim)
-        for child in node.children:
-            child_node = wide.nodes[child]
-            if child_node.depth != node.depth + 1:
+        stop = first + count
+        if first <= index or stop > node_count:
+            raise BVHError(
+                f"node {index} child range [{first}, {stop}) is outside "
+                f"nodes ({index}, {node_count})"
+            )
+        for child in range(first, stop):
+            if depth[child] != depth[index] + 1:
                 raise BVHError(f"node {child} has wrong depth annotation")
-            if not _contained(
-                node.bounds.lo, node.bounds.hi, child_node.bounds.lo, child_node.bounds.hi
-            ):
+            if not _contained(lo[index], hi[index], lo[child], hi[child]):
                 raise BVHError(f"child {child} bounds escape parent {index} bounds")
             stack.append(child)
-    if visited != wide.node_count:
-        raise BVHError(f"{wide.node_count - visited} wide nodes unreachable from root")
+    if visited != node_count:
+        raise BVHError(f"{node_count - visited} wide nodes unreachable from root")
     if seen_prims != set(range(wide.scene.triangle_count)):
         raise BVHError("wide BVH does not cover every scene primitive exactly once")
 

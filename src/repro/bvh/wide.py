@@ -7,22 +7,21 @@ stack).  Collapse follows the usual approach: repeatedly replace the
 largest-surface-area internal slot with its two binary children until the
 node has ``k`` slots or only leaves remain.
 
-The collapse reads the binary tree's flat arrays: every binary node's
-surface area is computed once, and the wide nodes' bounds are gathered
-once, so no node costs an ``AABB`` method call or an ``np.stack``.
+The collapse reads the binary tree's flat arrays and emits the wide tree's
+flat arrays: every binary node's surface area is computed once, and the
+wide nodes' bounds are gathered in one indexing pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from repro.errors import BVHError
-from repro.bvh.builder import BinaryBVH
-from repro.bvh.node import WideNode
-from repro.geometry.aabb import AABB, surface_areas
+from repro.bvh.builder import NO_NODE, BinaryBVH
+from repro.geometry.aabb import surface_areas
 from repro.scene.scene import Scene
 
 
@@ -30,78 +29,46 @@ from repro.scene.scene import Scene
 class WideBVH:
     """The wide BVH consumed by traversal and the timing model.
 
-    ``child_los[i]`` / ``child_his[i]`` hold node ``i``'s child bounds as
-    ``(c, 3)`` arrays for the batched ray/AABB kernel.  ``address_to_node``
-    is populated by the layout pass.
+    Flat per-node arrays, one row per node; the root is node 0.  Node ``i``
+    is a leaf when ``child_count[i] == 0``: it owns
+    ``prim_order[first_prim[i] : first_prim[i] + prim_count[i]]`` and its
+    ``first_child`` is :data:`~repro.bvh.builder.NO_NODE`.  Otherwise its
+    children are the ``child_count[i]`` consecutive nodes from
+    ``first_child[i]``, all numbered after ``i``, so their bounds are the
+    rows ``lo[f : f + c]`` / ``hi[f : f + c]``.  ``depth`` counts edges
+    from the root.  ``address`` and ``size_bytes`` give each node's
+    location in the simulated global-memory space; they are zero until
+    :func:`~repro.bvh.layout.assign_addresses` fills them.
     """
 
     scene: Scene
     width: int
-    nodes: List[WideNode] = field(default_factory=list)
+    lo: np.ndarray
+    hi: np.ndarray
+    first_child: np.ndarray
+    child_count: np.ndarray
+    first_prim: np.ndarray
+    prim_count: np.ndarray
+    prim_order: np.ndarray
+    depth: np.ndarray
+    address: np.ndarray
+    size_bytes: np.ndarray
     root: int = 0
-    child_los: List[np.ndarray] = field(default_factory=list)
-    child_his: List[np.ndarray] = field(default_factory=list)
-    address_to_node: Dict[int, int] = field(default_factory=dict)
     total_bytes: int = 0
-    _soa: object = field(default=None, repr=False, compare=False)
-    _escape: object = field(default=None, repr=False, compare=False)
-
-    #: Cache slots of lazily built derived structures; every slot listed
-    #: here is cleared together by :meth:`invalidate_derived`.
-    _DERIVED_SLOTS = ("_soa", "_escape")
 
     @property
     def node_count(self) -> int:
         """Total number of wide nodes."""
-        return len(self.nodes)
-
-    def _derived(self, slot: str, build):
-        """Shared build-once logic for every derived-structure cache."""
-        value = getattr(self, slot)
-        if value is None:
-            value = build(self)
-            setattr(self, slot, value)
-        return value
-
-    def invalidate_derived(self) -> None:
-        """Drop every cached derived structure.
-
-        The layout pass calls this when it reassigns node addresses —
-        addresses are baked into the SoA mirror, and the escape index's
-        DFS link order mirrors the address assignment walk.
-        """
-        for slot in self._DERIVED_SLOTS:
-            setattr(self, slot, None)
-
-    def soa(self):
-        """The flat structure-of-arrays mirror (built once, cached).
-
-        Must be requested after layout assigns node addresses; the tracer
-        does so via its constructor.
-        """
-        from repro.bvh.soa import BVHSoA
-
-        return self._derived("_soa", BVHSoA)
-
-    def escape(self):
-        """The escape-link index for stackless traversal (built once, cached).
-
-        Same caching and invalidation contract as :meth:`soa`.
-        """
-        from repro.bvh.escape import EscapeIndex
-
-        return self._derived("_escape", EscapeIndex)
-
-    def node_at_address(self, address: int) -> WideNode:
-        """Resolve a global-memory address back to its node."""
-        try:
-            return self.nodes[self.address_to_node[address]]
-        except KeyError:
-            raise BVHError(f"no BVH node at address {address:#x}") from None
+        return len(self.lo)
 
     def max_depth(self) -> int:
         """Depth of the deepest node (root = 0)."""
-        return max((node.depth for node in self.nodes), default=0)
+        return int(self.depth.max(initial=0))
+
+    def leaf_prims(self, node: int) -> List[int]:
+        """Scene prim ids owned by ``node`` (none for an internal node)."""
+        start = int(self.first_prim[node])
+        return self.prim_order[start : start + int(self.prim_count[node])].tolist()
 
 
 def _gather_wide_children(
@@ -147,45 +114,40 @@ def collapse_to_wide(binary: BinaryBVH, width: int = 6) -> WideBVH:
     area = surface_areas(binary.lo, binary.hi).tolist()
 
     # Wide node ``w`` stands for binary node ``source[w]``.  A node's
-    # children are numbered together, so their indices are consecutive.
+    # children are numbered together, after every node numbered so far.
     source = [binary.root]
     depth = [0]
-    children: List[List[int]] = [[]]
+    first_child = [NO_NODE]
+    child_count = [0]
     work = [] if is_leaf[binary.root] else [0]
     while work:
         wide_index = work.pop()
-        kids = children[wide_index]
-        for child_binary in _gather_wide_children(
+        kids = _gather_wide_children(
             source[wide_index], width, left, right, area, is_leaf
-        ):
-            child_index = len(source)
-            kids.append(child_index)
-            source.append(child_binary)
-            depth.append(depth[wide_index] + 1)
-            children.append([])
+        )
+        first_child[wide_index] = len(source)
+        child_count[wide_index] = len(kids)
+        child_depth = depth[wide_index] + 1
+        for child_binary in kids:
             if not is_leaf[child_binary]:
-                work.append(child_index)
+                work.append(len(source))
+            source.append(child_binary)
+        depth.extend([child_depth] * len(kids))
+        first_child.extend([NO_NODE] * len(kids))
+        child_count.extend([0] * len(kids))
 
     rows = np.array(source, dtype=np.int64)
-    node_lo, node_hi = binary.lo[rows], binary.hi[rows]
-    # Each node's child bounds are one slice of these copies.
-    child_lo, child_hi = node_lo.copy(), node_hi.copy()
-    first_prim = binary.first_prim[rows].tolist()
-    prim_count = binary.prim_count[rows].tolist()
-    prim_order = binary.prim_order.tolist()
-    wide = WideBVH(scene=binary.scene, width=width)
-    for index, kids in enumerate(children):
-        start = first_prim[index]
-        wide.nodes.append(
-            WideNode(
-                index=index,
-                bounds=AABB(lo=node_lo[index], hi=node_hi[index]),
-                children=kids,
-                prim_ids=prim_order[start : start + prim_count[index]],
-                depth=depth[index],
-            )
-        )
-        first = kids[0] if kids else 0
-        wide.child_los.append(child_lo[first : first + len(kids)])
-        wide.child_his.append(child_hi[first : first + len(kids)])
-    return wide
+    return WideBVH(
+        scene=binary.scene,
+        width=width,
+        lo=binary.lo[rows],
+        hi=binary.hi[rows],
+        first_child=np.array(first_child, dtype=np.int64),
+        child_count=np.array(child_count, dtype=np.int64),
+        first_prim=binary.first_prim[rows],
+        prim_count=binary.prim_count[rows],
+        prim_order=binary.prim_order,
+        depth=np.array(depth, dtype=np.int64),
+        address=np.zeros(len(source), dtype=np.int64),
+        size_bytes=np.zeros(len(source), dtype=np.int64),
+    )

@@ -107,20 +107,18 @@ def moeller_trumbore(
     a: np.ndarray,
     e1: np.ndarray,
     e2: np.ndarray,
-    e1f,
-    e2f,
 ) -> Optional[float]:
     """Moeller-Trumbore core on precomputed edge vectors.
 
-    ``e1`` / ``e2`` are ``b - a`` / ``c - a`` as float64 rows (fed to
-    ``np.dot``); ``e1f`` / ``e2f`` are the same values as python-float
-    triples (fed to the expanded cross products, which are bitwise
-    identical to ``np.cross`` on IEEE doubles).  The four dot products
-    stay on ``np.dot``: its reduction order is not reproducible by plain
-    scalar multiply-adds, and the bit-exactness contract pins this kernel
-    to the historical ``np.dot``-based results.
+    ``e1`` / ``e2`` are ``b - a`` / ``c - a`` as float64 rows.  The two
+    cross products are expanded over their components as Python floats,
+    which is bitwise identical to ``np.cross`` on IEEE doubles and much
+    cheaper on three elements.  The four dot products stay on ``np.dot``:
+    its reduction order is not reproducible by plain scalar multiply-adds,
+    and the bit-exactness contract pins this kernel to the historical
+    ``np.dot``-based results.
     """
-    f0, f1, f2 = e2f
+    f0, f1, f2 = e2.tolist()
     pvec = np.array((d1 * f2 - d2 * f1, d2 * f0 - d0 * f2, d0 * f1 - d1 * f0))
     det = float(np.dot(e1, pvec))
     if abs(det) < 1e-12:
@@ -131,7 +129,7 @@ def moeller_trumbore(
     if u < 0.0 or u > 1.0:
         return None
     tv0, tv1, tv2 = tvec
-    g0, g1, g2 = e1f
+    g0, g1, g2 = e1.tolist()
     qvec = np.array(
         (tv1 * g2 - tv2 * g1, tv2 * g0 - tv0 * g2, tv0 * g1 - tv1 * g0)
     )
@@ -151,8 +149,6 @@ def ray_triangle_intersect(ray: Ray, tri: Triangle) -> Optional[float]:
     triangle unit does by default for closest-hit traversal.  Boxed-
     triangle convenience wrapper over :func:`moeller_trumbore`.
     """
-    e1 = tri.b - tri.a
-    e2 = tri.c - tri.a
     direction = ray.direction
     return moeller_trumbore(
         ray.origin,
@@ -163,8 +159,6 @@ def ray_triangle_intersect(ray: Ray, tri: Triangle) -> Optional[float]:
         ray.t_min,
         ray.t_max,
         tri.a,
-        e1,
-        e2,
-        (float(e1[0]), float(e1[1]), float(e1[2])),
-        (float(e2[0]), float(e2[1]), float(e2[2])),
+        tri.b - tri.a,
+        tri.c - tri.a,
     )

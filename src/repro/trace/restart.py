@@ -60,7 +60,7 @@ def restart_trail_trace(bvh: WideBVH, ray: Ray) -> RestartTraceResult:
     max_depth = 0
 
     while True:
-        node = bvh.nodes[bvh.root]
+        node = bvh.root
         depth = 0
         ascended = False
         while not ascended:
@@ -68,8 +68,9 @@ def restart_trail_trace(bvh: WideBVH, ray: Ray) -> RestartTraceResult:
             if depth == len(trail):
                 trail.append(0)
             max_depth = max(max_depth, depth + 1)
-            if node.is_leaf:
-                for prim_id in node.prim_ids:
+            count = int(bvh.child_count[node])
+            if not count:
+                for prim_id in bvh.leaf_prims(node):
                     clipped = Ray(ray.origin, ray.direction, ray.t_min, best_t)
                     t = ray_triangle_intersect(clipped, scene.triangle(prim_id))
                     if t is not None and t < best_t:
@@ -77,18 +78,19 @@ def restart_trail_trace(bvh: WideBVH, ray: Ray) -> RestartTraceResult:
                         best_prim = prim_id
                 ascended = True
                 break
+            first = int(bvh.first_child[node])
             clipped = Ray(ray.origin, ray.direction, ray.t_min, best_t)
             hit_mask, _ = ray_aabb_intersect_batch(
-                clipped, bvh.child_los[node.index], bvh.child_his[node.index]
+                clipped, bvh.lo[first : first + count], bvh.hi[first : first + count]
             )
             slot = trail[depth]
-            while slot < node.child_count and not hit_mask[slot]:
+            while slot < count and not hit_mask[slot]:
                 slot += 1
             trail[depth] = slot
-            if slot >= node.child_count:
+            if slot >= count:
                 ascended = True
                 break
-            node = bvh.nodes[node.children[slot]]
+            node = first + slot
             depth += 1
 
         # The subtree rooted at `depth` is complete: advance the parent's
@@ -136,7 +138,7 @@ def short_stack_restart_trace(
     max_depth = 0
     ever_dropped = False
 
-    node = bvh.nodes[bvh.root]
+    node = bvh.root
     depth = 0
     replay_limit = 0  # depths below this follow the trail directly
     while True:
@@ -144,14 +146,16 @@ def short_stack_restart_trace(
         if depth == len(trail):
             trail.append(0)
         max_depth = max(max_depth, depth + 1)
+        first = int(bvh.first_child[node])
+        count = int(bvh.child_count[node])
         if depth < replay_limit - 1:
             # Trail replay after a restart: follow the recorded slot.
             node_visits += 1
-            descend_target = bvh.nodes[node.children[trail[depth]]]
+            descend_target = first + trail[depth]
         else:
             node_visits += 1
-            if node.is_leaf:
-                for prim_id in node.prim_ids:
+            if not count:
+                for prim_id in bvh.leaf_prims(node):
                     clipped = Ray(ray.origin, ray.direction, ray.t_min, best_t)
                     t = ray_triangle_intersect(clipped, scene.triangle(prim_id))
                     if t is not None and t < best_t:
@@ -160,26 +164,26 @@ def short_stack_restart_trace(
             else:
                 clipped = Ray(ray.origin, ray.direction, ray.t_min, best_t)
                 hit_mask, _ = ray_aabb_intersect_batch(
-                    clipped, bvh.child_los[node.index], bvh.child_his[node.index]
+                    clipped,
+                    bvh.lo[first : first + count],
+                    bvh.hi[first : first + count],
                 )
                 slot = trail[depth]
-                while slot < node.child_count and not hit_mask[slot]:
+                while slot < count and not hit_mask[slot]:
                     slot += 1
                 trail[depth] = slot
-                if slot < node.child_count:
+                if slot < count:
                     # Push the remaining hit siblings (nearest-slot pops
                     # first); drop the oldest entries beyond capacity.
-                    for later in range(node.child_count - 1, slot, -1):
+                    for later in range(count - 1, slot, -1):
                         if hit_mask[later]:
-                            stack.append(
-                                (node.children[later], depth + 1, later)
-                            )
+                            stack.append((first + later, depth + 1, later))
                             if len(stack) > stack_entries:
                                 # Drop the oldest (shallowest/farthest-slot)
                                 # entry; the trail rediscovers it later.
                                 stack.pop(0)
                                 ever_dropped = True
-                    descend_target = bvh.nodes[node.children[slot]]
+                    descend_target = first + slot
         if descend_target is not None:
             node = descend_target
             depth += 1
@@ -193,7 +197,7 @@ def short_stack_restart_trace(
             popped_node, popped_depth, popped_slot = stack.pop()
             del trail[popped_depth:]
             trail[popped_depth - 1] = popped_slot
-            node = bvh.nodes[popped_node]
+            node = popped_node
             depth = popped_depth
             replay_limit = 0
             continue
@@ -205,7 +209,7 @@ def short_stack_restart_trace(
         trail[-1] += 1
         restarts += 1
         replay_limit = len(trail)
-        node = bvh.nodes[bvh.root]
+        node = bvh.root
         depth = 0
 
     return RestartTraceResult(

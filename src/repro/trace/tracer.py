@@ -9,9 +9,9 @@ first triangle hit.
 
 Two tracing entry points share one set of kernels:
 
-* :meth:`Tracer.trace` — the scalar reference: one ray, one DFS, all data
-  read from the BVH's structure-of-arrays mirror (no per-visit slicing or
-  ``Ray`` boxing).
+* :meth:`Tracer.trace` — the scalar reference: one ray, one DFS, child
+  bounds read as row slices of the BVH's node arrays and everything else
+  from :class:`TraversalTables` (no ``Ray`` boxing per visit).
 * :meth:`Tracer.trace_wave` — the batched path: a whole wavefront of rays
   streamed through the DFS node-major.  Each round groups active rays by
   the node they currently occupy and intersects the group against that
@@ -55,13 +55,57 @@ class TraceResult:
         return self.hit_prim >= 0
 
 
+class TraversalTables:
+    """The working copies a tracer's inner loop reads, built once per tracer.
+
+    The wide BVH holds only numpy arrays.  A traversal visit indexes
+    several per-node fields, and a Python list index is several times
+    faster than an ndarray scalar index; it also yields the Python ints
+    the event stream carries.  So the per-node fields become lists here.
+    Child bounds stay rows of ``bvh.lo`` / ``bvh.hi``: siblings are
+    consecutive, so one slice feeds the slab test.  A leaf's prim ids stay
+    a slice of ``bvh.prim_order``: a list copy would cost about as much to
+    build as it saves.
+
+    Triangles are kept in Moeller-Trumbore form: vertex ``a`` (a view of
+    the scene's vertices) and the two edges as ``(n, 3)`` arrays, the same
+    ``b - a`` / ``c - a`` subtractions the boxed
+    :func:`~repro.geometry.intersect.ray_triangle_intersect` performs, so
+    both paths give the same bits.
+    """
+
+    __slots__ = (
+        "address",
+        "size_bytes",
+        "first_child",
+        "child_count",
+        "first_prim",
+        "prim_count",
+        "tri_a",
+        "tri_e1",
+        "tri_e2",
+    )
+
+    def __init__(self, bvh: WideBVH) -> None:
+        self.address = bvh.address.tolist()
+        self.size_bytes = bvh.size_bytes.tolist()
+        self.first_child = bvh.first_child.tolist()
+        self.child_count = bvh.child_count.tolist()
+        self.first_prim = bvh.first_prim.tolist()
+        self.prim_count = bvh.prim_count.tolist()
+        verts = bvh.scene.vertices
+        self.tri_a = verts[:, 0, :]
+        self.tri_e1 = verts[:, 1, :] - verts[:, 0, :]
+        self.tri_e2 = verts[:, 2, :] - verts[:, 0, :]
+
+
 class Tracer:
     """Traces rays through one wide BVH, emitting :class:`RayTrace` records."""
 
     def __init__(self, bvh: WideBVH) -> None:
         self.bvh = bvh
         self.scene = bvh.scene
-        self.soa = bvh.soa()
+        self.tables = TraversalTables(bvh)
 
     def trace(
         self,
@@ -76,24 +120,19 @@ class Tracer:
         Returns a :class:`TraceResult` whose trace carries the full stack
         event stream.
         """
-        soa = self.soa
-        node_address = soa.node_address
-        node_size = soa.node_size_bytes
-        node_is_leaf = soa.node_is_leaf
-        child_offset = soa.child_offset
-        child_count = soa.child_count
-        child_index = soa.child_index
-        child_address = soa.child_address
-        child_lo = soa.child_lo
-        child_hi = soa.child_hi
-        prim_offset = soa.prim_offset
-        prim_count = soa.prim_count
-        prim_ids = soa.prim_ids
-        tri_a = soa.tri_a
-        tri_e1 = soa.tri_e1
-        tri_e2 = soa.tri_e2
-        tri_e1_f = soa.tri_e1_f
-        tri_e2_f = soa.tri_e2_f
+        tables = self.tables
+        node_address = tables.address
+        node_size = tables.size_bytes
+        first_child = tables.first_child
+        child_count = tables.child_count
+        first_prim = tables.first_prim
+        prim_count = tables.prim_count
+        tri_a = tables.tri_a
+        tri_e1 = tables.tri_e1
+        tri_e2 = tables.tri_e2
+        prim_order = self.bvh.prim_order
+        node_lo = self.bvh.lo
+        node_hi = self.bvh.hi
 
         origin = ray.origin
         direction = ray.direction
@@ -115,15 +154,14 @@ class Tracer:
         with np.errstate(invalid="ignore"):
             while not done:
                 pushes: List[int] = []
-                if node_is_leaf[current]:
+                if not child_count[current]:
                     node_kind = NodeKind.LEAF
-                    p0 = prim_offset[current]
+                    p0 = first_prim[current]
                     tests = prim_count[current]
-                    for prim_id in prim_ids[p0 : p0 + tests]:
+                    for prim_id in prim_order[p0 : p0 + tests].tolist():
                         t = moeller_trumbore(
                             origin, d0, d1, d2, direction, t_min, best_t,
                             tri_a[prim_id], tri_e1[prim_id], tri_e2[prim_id],
-                            tri_e1_f[prim_id], tri_e2_f[prim_id],
                         )
                         if t is not None and t < best_t:
                             best_t = t
@@ -133,18 +171,16 @@ class Tracer:
                     next_node: Optional[int] = None
                 else:
                     node_kind = NodeKind.INTERNAL
-                    c0 = child_offset[current]
+                    c0 = first_child[current]
                     tests = child_count[current]
                     hit_mask, t_enter = slab_test(
                         origin, inv, t_min, best_t,
-                        child_lo[c0 : c0 + tests], child_hi[c0 : c0 + tests],
+                        node_lo[c0 : c0 + tests], node_hi[c0 : c0 + tests],
                     )
                     hits = hit_mask.tolist()
                     enters = t_enter.tolist()
                     hit_children = [
-                        (enters[i], child_index[c0 + i], child_address[c0 + i])
-                        for i in range(tests)
-                        if hits[i]
+                        (enters[i], c0 + i) for i in range(tests) if hits[i]
                     ]
                     if hit_children:
                         # Nearest child visited next; others pushed far-to-near
@@ -152,8 +188,9 @@ class Tracer:
                         hit_children.sort(key=itemgetter(0))
                         next_node = hit_children[0][1]
                         for pos in range(len(hit_children) - 1, 0, -1):
-                            pushes.append(hit_children[pos][2])
-                            stack.append(hit_children[pos][1])
+                            child = hit_children[pos][1]
+                            pushes.append(node_address[child])
+                            stack.append(child)
                     else:
                         next_node = None
 
@@ -198,24 +235,19 @@ class Tracer:
         count = len(rays)
         if count == 0:
             return []
-        soa = self.soa
-        node_address = soa.node_address
-        node_size = soa.node_size_bytes
-        node_is_leaf = soa.node_is_leaf
-        child_offset = soa.child_offset
-        child_count = soa.child_count
-        child_index = soa.child_index
-        child_address = soa.child_address
-        child_lo = soa.child_lo
-        child_hi = soa.child_hi
-        prim_offset = soa.prim_offset
-        prim_count = soa.prim_count
-        prim_ids = soa.prim_ids
-        tri_a = soa.tri_a
-        tri_e1 = soa.tri_e1
-        tri_e2 = soa.tri_e2
-        tri_e1_f = soa.tri_e1_f
-        tri_e2_f = soa.tri_e2_f
+        tables = self.tables
+        node_address = tables.address
+        node_size = tables.size_bytes
+        first_child = tables.first_child
+        child_count = tables.child_count
+        first_prim = tables.first_prim
+        prim_count = tables.prim_count
+        tri_a = tables.tri_a
+        tri_e1 = tables.tri_e1
+        tri_e2 = tables.tri_e2
+        prim_order = self.bvh.prim_order
+        node_lo = self.bvh.lo
+        node_hi = self.bvh.hi
 
         origins = np.stack([ray.origin for ray in rays])
         invs = np.stack([ray.inv_direction for ray in rays])
@@ -253,16 +285,16 @@ class Tracer:
                 # that order is part of the wave≡scalar byte-identity
                 # contract.  # simlint: disable=SL103
                 for node, members in groups.items():
-                    leaf = node_is_leaf[node]
+                    leaf = not child_count[node]
                     if leaf:
-                        p0 = prim_offset[node]
+                        p0 = first_prim[node]
                         tests = prim_count[node]
-                        leaf_prims = prim_ids[p0 : p0 + tests]
+                        leaf_prims = prim_order[p0 : p0 + tests].tolist()
                     else:
-                        c0 = child_offset[node]
+                        c0 = first_child[node]
                         tests = child_count[node]
-                        los = child_lo[c0 : c0 + tests]
-                        his = child_hi[c0 : c0 + tests]
+                        los = node_lo[c0 : c0 + tests]
+                        his = node_hi[c0 : c0 + tests]
                         if len(members) >= _BATCH_THRESHOLD:
                             sel = np.array(members)
                             hit_mask, t_enter = slab_test(
@@ -299,7 +331,6 @@ class Tracer:
                                     origin, d0, d1, d2, direction, t_min, bt,
                                     tri_a[prim_id], tri_e1[prim_id],
                                     tri_e2[prim_id],
-                                    tri_e1_f[prim_id], tri_e2_f[prim_id],
                                 )
                                 if t is not None and t < bt:
                                     bt = t
@@ -314,11 +345,7 @@ class Tracer:
                             hits = hit_rows[row]
                             enters = enter_rows[row]
                             hit_children = [
-                                (
-                                    enters[q],
-                                    child_index[c0 + q],
-                                    child_address[c0 + q],
-                                )
+                                (enters[q], c0 + q)
                                 for q in range(tests)
                                 if hits[q]
                             ]
@@ -327,8 +354,9 @@ class Tracer:
                                 next_node = hit_children[0][1]
                                 stack = stacks[i]
                                 for pos in range(len(hit_children) - 1, 0, -1):
-                                    pushes.append(hit_children[pos][2])
-                                    stack.append(hit_children[pos][1])
+                                    child = hit_children[pos][1]
+                                    pushes.append(node_address[child])
+                                    stack.append(child)
                             else:
                                 next_node = None
 

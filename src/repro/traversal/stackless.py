@@ -2,14 +2,13 @@
 
 The backend has two halves matching the two simulator phases:
 
-* :class:`EscapeTracer` — phase one: traces rays by following the
-  precomputed skip pointers of :class:`~repro.bvh.escape.EscapeIndex`.
-  One box test per visit (the node's own bounds); hit + internal enters
-  ``first_child``, hit + leaf runs the primitive tests, miss (or a
-  finished leaf) takes ``escape``.  The walk is the exhaustive
-  depth-first order in static slot order, so closest hits match the
-  reference tracer while the event stream carries **no pushes and no
-  pops** — there is no stack to spill.
+* :class:`EscapeTracer` — phase one: traces rays by following two links
+  per node (Smits-style ropes).  One box test per visit (the node's own
+  bounds); hit + internal enters the BVH's ``first_child``, hit + leaf
+  runs the primitive tests, miss (or a finished leaf) takes the node's
+  escape link.  The walk is the exhaustive depth-first order in static
+  slot order, so closest hits match the reference tracer while the event
+  stream carries **no pushes and no pops** — there is no stack to spill.
 * :class:`StacklessState` — phase two: the lane-state model the RT unit
   replays those streams against.  It holds nothing; any stack operation
   reaching it is a structural bug (a stack-ful trace was timed under the
@@ -31,20 +30,19 @@ from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
+from repro.bvh.builder import NO_NODE
 from repro.errors import StackError
 from repro.geometry.intersect import moeller_trumbore, slab_test
 from repro.stack.base import StackModel
 from repro.stack.ops import StackActivity
 from repro.trace.events import NodeKind, RayKind, RayTrace, Step
-from repro.trace.tracer import TraceResult
+from repro.trace.tracer import TraceResult, TraversalTables
 from repro.traversal.base import TraversalStrategy
 
 if TYPE_CHECKING:
     from repro.bvh.wide import WideBVH
     from repro.geometry.ray import Ray
     from repro.gpu.config import GPUConfig
-
-from repro.bvh.escape import NO_NODE
 
 
 class StacklessState(StackModel):
@@ -86,19 +84,36 @@ class StacklessState(StackModel):
 
 
 class EscapeTracer:
-    """Traces rays through one wide BVH via its escape-link index.
+    """Traces rays through one wide BVH via its escape links.
 
     Same construction and tracing surface as
     :class:`~repro.trace.tracer.Tracer`, so
     :func:`~repro.trace.path.generate_workload` swaps it in through its
     ``tracer_factory`` hook.
+
+    ``escape[n]`` is the node entered when the ray misses ``n``'s bounds
+    (or finishes ``n``'s primitives): the next sibling in slot order,
+    inherited from the parent when ``n`` is a last child, and
+    :data:`~repro.bvh.builder.NO_NODE` for the root and the last node of
+    the depth-first order.  Following ``first_child`` on a hit and
+    ``escape`` otherwise enumerates the depth-first order a stack-based
+    traversal with static slot order would visit.
     """
 
     def __init__(self, bvh: "WideBVH") -> None:
         self.bvh = bvh
         self.scene = bvh.scene
-        self.soa = bvh.soa()
-        self.links = bvh.escape()
+        self.tables = TraversalTables(bvh)
+        first_child = self.tables.first_child
+        escape = [NO_NODE] * bvh.node_count
+        # Children are numbered after their parent, so in index order each
+        # parent's link is final before its last child inherits it.
+        for index, count in enumerate(self.tables.child_count):
+            if count:
+                first = first_child[index]
+                escape[first : first + count - 1] = range(first + 1, first + count)
+                escape[first + count - 1] = escape[index]
+        self.escape = escape
 
     def trace(
         self,
@@ -109,23 +124,20 @@ class EscapeTracer:
         any_hit: bool = False,
     ) -> TraceResult:
         """Trace one ray to its closest hit (or first hit when ``any_hit``)."""
-        soa = self.soa
-        node_address = soa.node_address
-        node_size = soa.node_size_bytes
-        node_is_leaf = soa.node_is_leaf
-        prim_offset = soa.prim_offset
-        prim_count = soa.prim_count
-        prim_ids = soa.prim_ids
-        tri_a = soa.tri_a
-        tri_e1 = soa.tri_e1
-        tri_e2 = soa.tri_e2
-        tri_e1_f = soa.tri_e1_f
-        tri_e2_f = soa.tri_e2_f
-        links = self.links
-        first_child = links.first_child
-        escape = links.escape
-        node_lo = links.node_lo
-        node_hi = links.node_hi
+        tables = self.tables
+        node_address = tables.address
+        node_size = tables.size_bytes
+        first_child = tables.first_child
+        child_count = tables.child_count
+        first_prim = tables.first_prim
+        prim_count = tables.prim_count
+        tri_a = tables.tri_a
+        tri_e1 = tables.tri_e1
+        tri_e2 = tables.tri_e2
+        prim_order = self.bvh.prim_order
+        escape = self.escape
+        node_lo = self.bvh.lo
+        node_hi = self.bvh.hi
 
         origin = ray.origin
         direction = ray.direction
@@ -148,16 +160,15 @@ class EscapeTracer:
                     node_hi[current : current + 1],
                 )
                 box_hit = bool(hit_mask[0])
-                leaf = node_is_leaf[current]
+                leaf = not child_count[current]
                 if box_hit and leaf:
                     node_kind = NodeKind.LEAF
-                    p0 = prim_offset[current]
+                    p0 = first_prim[current]
                     tests = prim_count[current]
-                    for prim_id in prim_ids[p0 : p0 + tests]:
+                    for prim_id in prim_order[p0 : p0 + tests].tolist():
                         t = moeller_trumbore(
                             origin, d0, d1, d2, direction, t_min, best_t,
                             tri_a[prim_id], tri_e1[prim_id], tri_e2[prim_id],
-                            tri_e1_f[prim_id], tri_e2_f[prim_id],
                         )
                         if t is not None and t < best_t:
                             best_t = t

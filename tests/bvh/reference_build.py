@@ -1,23 +1,25 @@
-"""Reference BVH build: the per-node median builder and the object collapse.
+"""Reference BVH build: the per-node median builder, the object collapse,
+the per-node layout and the escape-link walk.
 
-These are the construction routines that :mod:`repro.bvh.builder` and
-:mod:`repro.bvh.wide` replaced with array code.  The builder places one
-node at a time, each sorting its own primitives with a stable argsort; the
-collapse expands slots through ``AABB`` objects and stacks each node's
-child bounds.  Every golden bakes in the tree they emit, so
-``test_build_equivalence.py`` requires the array build to match them bit
-for bit.
+These are the routines that :mod:`repro.bvh.builder`, :mod:`repro.bvh.wide`,
+:mod:`repro.bvh.layout` and the stackless tracer replaced with array code.
+The builder places one node at a time, each sorting its own primitives
+with a stable argsort; the collapse expands slots through ``AABB`` objects
+into a list of node objects and stacks each node's child bounds; the
+layout walks those objects depth first; the escape walk links them.  Every
+golden bakes in the tree they emit, so ``test_build_equivalence.py``
+requires the array build to match them bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.bvh.node import NO_NODE, WideNode
-from repro.bvh.wide import WideBVH
+from repro.bvh.builder import NO_NODE
+from repro.bvh.layout import BVH_BASE_ADDRESS, node_size_bytes
 from repro.geometry.aabb import AABB, surface_area
 from repro.scene.scene import Scene
 
@@ -101,17 +103,52 @@ def _gather_wide_children(
     return slots
 
 
+@dataclass
+class RefWideNode:
+    """A node of the reference wide tree."""
+
+    index: int
+    bounds: AABB
+    children: List[int] = field(default_factory=list)
+    prim_ids: List[int] = field(default_factory=list)
+    address: int = 0
+    size_bytes: int = 0
+    depth: int = 0
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+    @property
+    def child_count(self) -> int:
+        return len(self.children)
+
+
+@dataclass
+class RefWide:
+    """The reference wide tree: node objects plus per-node child bounds."""
+
+    scene: Scene
+    width: int
+    nodes: List[RefWideNode] = field(default_factory=list)
+    root: int = 0
+    child_los: List[np.ndarray] = field(default_factory=list)
+    child_his: List[np.ndarray] = field(default_factory=list)
+    address_to_node: Dict[int, int] = field(default_factory=dict)
+    total_bytes: int = 0
+
+
 def reference_wide(
     scene: Scene, nodes: List[RefNode], prim_order: np.ndarray, width: int = 6
-) -> WideBVH:
-    """Collapse the reference binary tree into a wide BVH (not laid out)."""
+) -> RefWide:
+    """Collapse the reference binary tree into a wide tree (not laid out)."""
 
     def leaf_prims(index: int) -> list:
         node = nodes[index]
         return list(prim_order[node.first_prim : node.first_prim + node.prim_count])
 
-    wide = WideBVH(scene=scene, width=width)
-    wide.nodes.append(WideNode(index=0, bounds=nodes[0].bounds, depth=0))
+    wide = RefWide(scene=scene, width=width)
+    wide.nodes.append(RefWideNode(index=0, bounds=nodes[0].bounds, depth=0))
     # Work stack of (wide node index, binary node index backing it).
     work: List[Tuple[int, int]] = []
     if nodes[0].is_leaf:
@@ -123,7 +160,7 @@ def reference_wide(
         parent = wide.nodes[wide_index]
         for child_binary in _gather_wide_children(nodes, binary_index, width):
             child_node = nodes[child_binary]
-            child = WideNode(
+            child = RefWideNode(
                 index=len(wide.nodes), bounds=child_node.bounds, depth=parent.depth + 1
             )
             wide.nodes.append(child)
@@ -144,3 +181,45 @@ def reference_wide(
                 np.stack([wide.nodes[c].bounds.hi for c in node.children])
             )
     return wide
+
+
+def reference_layout(wide: RefWide, base_address: int = BVH_BASE_ADDRESS) -> None:
+    """Assign addresses node by node in depth-first order."""
+    cursor = base_address
+    stack = [wide.root]
+    while stack:
+        index = stack.pop()
+        node = wide.nodes[index]
+        node.address = cursor
+        node.size_bytes = node_size_bytes(node.child_count, len(node.prim_ids))
+        wide.address_to_node[cursor] = index
+        cursor += node.size_bytes
+        # Reversed push so children come out in left-to-right order.
+        for child in reversed(node.children):
+            stack.append(child)
+    wide.total_bytes = cursor - base_address
+
+
+def reference_escape(wide: RefWide) -> Tuple[List[int], List[int]]:
+    """Skip pointers by a depth-first walk: ``(first_child, escape)``.
+
+    A node's own escape link is final before its children are visited,
+    so each last child inherits it.
+    """
+    count = len(wide.nodes)
+    first_child = [NO_NODE] * count
+    escape = [NO_NODE] * count
+    stack = [wide.root]
+    while stack:
+        index = stack.pop()
+        children = wide.nodes[index].children
+        if not children:
+            continue
+        first_child[index] = children[0]
+        for pos, child in enumerate(children):
+            escape[child] = (
+                children[pos + 1] if pos + 1 < len(children) else escape[index]
+            )
+        for child in reversed(children):
+            stack.append(child)
+    return first_child, escape

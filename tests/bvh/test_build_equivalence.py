@@ -3,8 +3,8 @@
 Every golden bakes in the tree, so :func:`repro.bvh.api.build_bvh` must
 match ``tests/bvh/reference_build.py`` bit for bit: the binary node
 arrays, the primitive order, the bytes of every bound, the wide nodes with
-their child-bound arrays and addresses, and the SoA mirror the tracer
-reads.
+their child bounds and addresses, the working copies the tracer reads,
+and the escape links the stackless tracer follows.
 
 The paper-scale CRNVL case runs only when ``REPRO_BENCH_SCALE`` selects
 paper-true geometry::
@@ -19,12 +19,17 @@ from hypothesis import strategies as st
 
 from repro.bvh.api import build_bvh
 from repro.bvh.builder import build_binary_bvh
-from repro.bvh.layout import assign_addresses
-from repro.bvh.soa import BVHSoA
 from repro.scene.generators import grid_mesh, scatter_mesh
 from repro.scene.scene import Scene
+from repro.trace.tracer import TraversalTables
+from repro.traversal.stackless import EscapeTracer
 from repro.workloads.lumibench import SCENE_NAMES, bench_scale, load_scene
-from tests.bvh.reference_build import reference_binary, reference_wide
+from tests.bvh.reference_build import (
+    reference_binary,
+    reference_escape,
+    reference_layout,
+    reference_wide,
+)
 
 
 def assert_same_bits(got, want, what):
@@ -47,31 +52,46 @@ def assert_same_build(scene, width=6, max_leaf_size=4):
 
     wide = build_bvh(scene, width=width, max_leaf_size=max_leaf_size)
     ref = reference_wide(scene, ref_nodes, ref_order, width=width)
-    assign_addresses(ref)
+    reference_layout(ref)
+    tables = TraversalTables(wide)
 
-    def node_fields(bvh):
-        return [
-            (n.index, n.children, n.depth, n.prim_ids, n.address, n.size_bytes)
-            for n in bvh.nodes
-        ]
+    def children(i):
+        first = tables.first_child[i]
+        return list(range(first, first + tables.child_count[i]))
 
-    assert node_fields(wide) == node_fields(ref)
-    assert all(type(prim) is int for node in wide.nodes for prim in node.prim_ids)
+    got_fields = [
+        (i, children(i), depth, wide.leaf_prims(i), address, size)
+        for i, (depth, address, size) in enumerate(
+            zip(wide.depth.tolist(), tables.address, tables.size_bytes)
+        )
+    ]
+    want_fields = [
+        (n.index, n.children, n.depth, n.prim_ids, n.address, n.size_bytes)
+        for n in ref.nodes
+    ]
+    assert got_fields == want_fields
+    assert all(type(prim) is int for row in got_fields for prim in row[3])
+    assert_same_bits(wide.prim_order, ref_order, "wide prim_order")
     for side in ("lo", "hi"):
         assert_same_bits(
-            np.stack([getattr(n.bounds, side) for n in wide.nodes]),
+            getattr(wide, side),
             np.stack([getattr(n.bounds, side) for n in ref.nodes]),
             f"wide bounds {side}",
         )
-    for name in ("child_los", "child_his"):
-        got, want = getattr(wide, name), getattr(ref, name)
+    for side, name in (("lo", "child_los"), ("hi", "child_his")):
+        rows = getattr(wide, side)
+        got = [
+            rows[first : first + count]
+            for first, count in zip(tables.first_child, tables.child_count)
+        ]
+        want = getattr(ref, name)
         assert [a.shape for a in got] == [a.shape for a in want], name
         assert_same_bits(np.concatenate(got), np.concatenate(want), name)
     assert wide.total_bytes == ref.total_bytes
-    assert wide.address_to_node == ref.address_to_node
-    got_soa, want_soa = wide.soa(), ref.soa()
-    for slot in BVHSoA.__slots__:
-        assert_same_bits(getattr(got_soa, slot), getattr(want_soa, slot), slot)
+    assert dict(zip(tables.address, range(wide.node_count))) == ref.address_to_node
+    first_child, escape = reference_escape(ref)
+    assert tables.first_child == first_child
+    assert EscapeTracer(wide).escape == escape
 
 
 @pytest.mark.parametrize("name", SCENE_NAMES)

@@ -9,7 +9,6 @@ from repro.bvh.layout import (
     assign_addresses,
     node_size_bytes,
 )
-from repro.errors import BVHError
 from repro.scene.generators import scatter_mesh
 from repro.scene.scene import Scene
 
@@ -32,37 +31,39 @@ def test_node_size_monotone_in_children():
 
 
 def test_all_nodes_addressed(bvh):
-    assert len(bvh.address_to_node) == bvh.node_count
+    assert bvh.address.shape == (bvh.node_count,)
+    assert (bvh.address >= BVH_BASE_ADDRESS).all()
+    assert (bvh.size_bytes > 0).all()
 
 
 def test_addresses_unique(bvh):
-    addresses = [n.address for n in bvh.nodes]
+    addresses = bvh.address.tolist()
     assert len(set(addresses)) == len(addresses)
 
 
 def test_addresses_non_overlapping(bvh):
-    spans = sorted((n.address, n.address + n.size_bytes) for n in bvh.nodes)
+    spans = sorted(
+        (address, address + size)
+        for address, size in zip(bvh.address.tolist(), bvh.size_bytes.tolist())
+    )
     for (start_a, end_a), (start_b, _) in zip(spans, spans[1:]):
         assert end_a <= start_b
 
 
 def test_root_at_base(bvh):
-    assert bvh.nodes[bvh.root].address == BVH_BASE_ADDRESS
+    assert bvh.address[bvh.root] == BVH_BASE_ADDRESS
 
 
 def test_total_bytes_equals_span(bvh):
-    end = max(n.address + n.size_bytes for n in bvh.nodes)
+    end = int((bvh.address + bvh.size_bytes).max())
     assert bvh.total_bytes == end - BVH_BASE_ADDRESS
 
 
-def test_lookup_roundtrip(bvh):
-    for node in bvh.nodes:
-        assert bvh.node_at_address(node.address) is node
-
-
-def test_lookup_unknown_raises(bvh):
-    with pytest.raises(BVHError):
-        bvh.node_at_address(BVH_BASE_ADDRESS - 64)
+def test_sizes_follow_node_contents(bvh):
+    assert bvh.size_bytes.tolist() == [
+        node_size_bytes(children, prims)
+        for children, prims in zip(bvh.child_count.tolist(), bvh.prim_count.tolist())
+    ]
 
 
 def test_layout_summary(bvh):
@@ -74,7 +75,7 @@ def test_layout_summary(bvh):
 
 def test_children_contiguous_after_parent(bvh):
     # Depth-first layout: the first child immediately follows its parent.
-    for node in bvh.nodes:
-        if node.children:
-            first_child = bvh.nodes[node.children[0]]
-            assert first_child.address == node.address + node.size_bytes
+    for node in range(bvh.node_count):
+        if bvh.child_count[node]:
+            first_child = bvh.first_child[node]
+            assert bvh.address[first_child] == bvh.address[node] + bvh.size_bytes[node]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bvh.api import build_bvh
-from repro.bvh.builder import build_binary_bvh
+from repro.bvh.builder import NO_NODE, build_binary_bvh
 from repro.bvh.validate import validate_wide
 from repro.bvh.wide import collapse_to_wide
 from repro.errors import BVHError
@@ -29,11 +29,15 @@ def test_invalid_width_raises(binary):
         collapse_to_wide(binary, width=1)
 
 
+def children(wide, node):
+    first = int(wide.first_child[node])
+    return range(first, first + int(wide.child_count[node]))
+
+
 @pytest.mark.parametrize("width", [2, 4, 6, 8])
 def test_width_respected(binary, width):
     wide = collapse_to_wide(binary, width=width)
-    for node in wide.nodes:
-        assert node.child_count <= width
+    assert wide.child_count.max() <= width
     validate_wide_no_addresses(wide)
 
 
@@ -42,11 +46,11 @@ def validate_wide_no_addresses(wide):
     seen = set()
     stack = [wide.root]
     while stack:
-        node = wide.nodes[stack.pop()]
-        for prim in node.prim_ids:
+        node = stack.pop()
+        for prim in wide.leaf_prims(node):
             assert prim not in seen
             seen.add(prim)
-        stack.extend(node.children)
+        stack.extend(children(wide, node))
     assert seen == set(range(wide.scene.triangle_count))
 
 
@@ -64,41 +68,52 @@ def test_wider_bvh_is_shallower(binary):
 
 def test_depth_annotations_consistent(binary):
     wide = collapse_to_wide(binary)
-    for node in wide.nodes:
-        for child in node.children:
-            assert wide.nodes[child].depth == node.depth + 1
+    for node in range(wide.node_count):
+        for child in children(wide, node):
+            assert wide.depth[child] == wide.depth[node] + 1
 
 
 def test_child_arrays_match_children(binary):
+    """A node's child bounds are the rows ``lo[f : f + c]``.
+
+    That needs siblings numbered consecutively after their parent, each
+    non-root node in exactly one parent's range.
+    """
     wide = collapse_to_wide(binary)
-    for node in wide.nodes:
-        assert wide.child_los[node.index].shape == (node.child_count, 3)
-        for slot, child in enumerate(node.children):
-            assert np.allclose(
-                wide.child_los[node.index][slot], wide.nodes[child].bounds.lo
-            )
+    internal = np.flatnonzero(wide.child_count > 0)
+    assert (wide.first_child[internal] > internal).all()
+    # Every non-root node is exactly one node's child.
+    owned = np.concatenate([np.asarray(children(wide, i)) for i in internal])
+    assert sorted(owned.tolist()) == list(range(1, wide.node_count))
+
+
+def test_leaves_have_no_first_child(binary):
+    wide = collapse_to_wide(binary)
+    leaves = wide.child_count == 0
+    assert (wide.first_child[leaves] == NO_NODE).all()
+    assert (wide.prim_count[leaves] > 0).all()
+    assert (wide.prim_count[~leaves] == 0).all()
 
 
 def test_single_triangle_collapse():
     scene = Scene("one", scatter_mesh(1, seed=1))
     wide = build_bvh(scene)
     assert wide.node_count == 1
-    assert wide.nodes[0].is_leaf
+    assert wide.child_count[0] == 0
+    assert wide.leaf_prims(0) == [0]
 
 
 def test_leaf_prims_preserved(binary, scene):
     wide = collapse_to_wide(binary)
-    total = sum(len(n.prim_ids) for n in wide.nodes)
+    total = sum(len(wide.leaf_prims(i)) for i in range(wide.node_count))
     assert total == scene.triangle_count
 
 
 def test_internal_nodes_have_multiple_children(binary):
     wide = collapse_to_wide(binary, width=6)
-    for node in wide.nodes:
-        if not node.is_leaf and node.index != wide.root:
-            assert node.child_count >= 1
-    root = wide.nodes[wide.root]
-    assert root.child_count >= 2
+    internal = wide.child_count[wide.child_count > 0]
+    assert len(internal) > 1
+    assert (internal >= 2).all()
 
 
 @settings(max_examples=20, deadline=None)

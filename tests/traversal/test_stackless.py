@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.bvh.escape import NO_NODE
-from repro.bvh.layout import assign_addresses
+from repro.bvh.builder import NO_NODE
+from repro.bvh.layout import BVH_BASE_ADDRESS, assign_addresses
 from repro.core.api import time_traces
 from repro.errors import StackError
 from repro.geometry.ray import Ray
@@ -17,8 +17,7 @@ from repro.traversal.stackless import EscapeTracer, StacklessState
 def _fuzz_rays(bvh, count, seed):
     """Rays from random origins through random points of the scene AABB."""
     rng = np.random.default_rng(seed)
-    root = bvh.nodes[bvh.root].bounds
-    lo, hi = np.asarray(root.lo), np.asarray(root.hi)
+    lo, hi = bvh.lo[bvh.root], bvh.hi[bvh.root]
     span = hi - lo
     rays = []
     for _ in range(count):
@@ -54,53 +53,72 @@ def test_any_hit_agrees_on_occlusion(deep_bvh):
         assert got.hit == want.hit
 
 
-# -- escape-index structure ----------------------------------------------
+# -- escape-link structure ------------------------------------------------
+
+
+def _dfs_order(bvh):
+    """Every node in the layout's depth-first (slot) order."""
+    order = []
+    stack = [bvh.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        first = int(bvh.first_child[node])
+        stack.extend(reversed(range(first, first + int(bvh.child_count[node]))))
+    return order
 
 
 def test_escape_index_covers_layout_dfs(small_bvh):
-    links = small_bvh.escape()
-    order = links.dfs_order(small_bvh.root)
-    assert sorted(order) == list(range(len(small_bvh.nodes)))
+    tracer = EscapeTracer(small_bvh)
+    order = _dfs_order(small_bvh)
+    assert sorted(order) == list(range(small_bvh.node_count))
+    # Addresses ascend in the layout's depth-first order.
+    assert small_bvh.address[order].tolist() == sorted(small_bvh.address.tolist())
     # The escape chain from the DFS-first node visits every node once:
     # exhaustive traversal (all boxes hit) is exactly the static order.
     visited = []
     current = small_bvh.root
     while current != NO_NODE:
         visited.append(current)
-        child = links.first_child[current]
-        current = child if child != NO_NODE else links.escape[current]
+        child = tracer.tables.first_child[current]
+        current = child if child != NO_NODE else tracer.escape[current]
     assert visited == order
 
 
 def test_root_escapes_to_termination(small_bvh):
-    links = small_bvh.escape()
-    assert links.escape[small_bvh.root] == NO_NODE
+    assert EscapeTracer(small_bvh).escape[small_bvh.root] == NO_NODE
 
 
 def test_leaves_have_no_first_child(small_bvh):
-    links = small_bvh.escape()
-    for index, node in enumerate(small_bvh.nodes):
-        if node.is_leaf:
-            assert links.first_child[index] == NO_NODE
+    first_child = EscapeTracer(small_bvh).tables.first_child
+    for index, count in enumerate(small_bvh.child_count.tolist()):
+        if count:
+            assert first_child[index] != NO_NODE
         else:
-            assert links.first_child[index] != NO_NODE
+            assert first_child[index] == NO_NODE
 
 
-# -- derived-structure invalidation (shared with the SoA mirror) ----------
+# -- tracers read the layout they are built on ---------------------------
 
 
-def test_assign_addresses_invalidates_escape_and_soa(small_scene):
+def test_tracers_read_the_current_layout(small_scene):
     from repro.bvh.api import build_bvh
 
     bvh = build_bvh(small_scene)
-    soa_before, escape_before = bvh.soa(), bvh.escape()
-    # Cached until the layout changes ...
-    assert bvh.soa() is soa_before
-    assert bvh.escape() is escape_before
-    assign_addresses(bvh)
-    # ... then both derived structures rebuild together.
-    assert bvh.soa() is not soa_before
-    assert bvh.escape() is not escape_before
+    ray = _fuzz_rays(bvh, 1, seed=17)[0]
+    before = [
+        [step.address for step in tracer.trace(ray).trace.steps]
+        for tracer in (Tracer(bvh), EscapeTracer(bvh))
+    ]
+    # Nothing derived is cached on the BVH: moving the layout moves the
+    # addresses every tracer built afterwards emits.
+    assign_addresses(bvh, base_address=2 * BVH_BASE_ADDRESS)
+    after = [
+        [step.address for step in tracer.trace(ray).trace.steps]
+        for tracer in (Tracer(bvh), EscapeTracer(bvh))
+    ]
+    for old, new in zip(before, after):
+        assert new == [address + BVH_BASE_ADDRESS for address in old]
 
 
 # -- the no-stack lane state ---------------------------------------------
