@@ -36,7 +36,9 @@ Installed as ``python -m repro``.  Commands:
     ``docs/architecture.md`` §12).
 ``lint``
     Run the simlint determinism/invariant static analysis over source
-    trees; exit 0 clean, 1 on findings, 2 on unusable input.
+    trees, one cold pass with this repository's settings; every finding
+    is an error unless an inline ``# simlint: disable=`` comment
+    suppresses it.  Exit 0 clean, 1 on findings, 2 on unusable input.
 """
 
 from __future__ import annotations
@@ -192,30 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("paths", nargs="*", default=None,
                       help="files or directories to lint (default: src)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
+    lint.add_argument("--format", choices=("text", "json"),
                       default="text", help="report format (default text)")
     lint.add_argument("--out", default=None,
                       help="also write the report to this file")
-    lint.add_argument("--config", default=None,
-                      help="pyproject.toml to read [tool.simlint] from "
-                      "(default: ./pyproject.toml)")
-    lint.add_argument("--changed", action="store_true",
-                      help="lint only files changed in the git working "
-                      "tree (falls back to a full scan outside git)")
-    lint.add_argument("--cache", default=None,
-                      help="incremental analysis cache file (default: the "
-                      "configured [tool.simlint] cache, if any)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="ignore any configured analysis cache")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file (default: the configured one)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline; report every finding")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="grandfather all current findings into the "
-                      "baseline file and exit 0")
-    lint.add_argument("--show-baselined", action="store_true",
-                      help="include baselined findings in text output")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
     return parser
@@ -560,58 +542,15 @@ def _cmd_serve(args) -> int:
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.simlint import (
-        AnalysisCache,
-        all_rules,
-        changed_python_files,
-        lint_paths,
-        load_baseline,
-        load_config,
-        render_json,
-        render_sarif,
-        render_text,
-        write_baseline,
-    )
+    from repro.simlint import all_rules, lint_paths, render_json, render_text
 
     if args.list_rules:
         for rule in all_rules():
-            print(f"{rule.id}  [{rule.category}/{rule.severity}] {rule.title}")
+            print(f"{rule.id}  [{rule.category}] {rule.title}")
             print(f"       {rule.rationale}")
         return 0
-    config = load_config(args.config)
-    paths = args.paths or ["src"]
-    baseline_path = args.baseline or config.baseline_path
-    baseline = None
-    if baseline_path and not args.no_baseline and not args.write_baseline:
-        baseline = load_baseline(baseline_path)
-    files = None
-    if args.changed:
-        files = changed_python_files(paths, config)
-        if files is None:
-            print("lint --changed: not a git checkout, linting everything",
-                  file=sys.stderr)
-    cache = None
-    if not args.no_cache:
-        cache_path = Path(args.cache) if args.cache else config.cache_path
-        if cache_path is not None:
-            cache = AnalysisCache.load(cache_path, config)
-    report = lint_paths(paths, config=config, baseline=baseline,
-                        cache=cache, files=files)
-    if args.write_baseline:
-        if baseline_path is None:
-            print("error: no baseline path configured or given",
-                  file=sys.stderr)
-            return 2
-        write_baseline(baseline_path, report.findings)
-        print(f"baselined {len(report.findings)} finding(s) into "
-              f"{baseline_path}")
-        return 0
-    if args.format == "json":
-        text = render_json(report)
-    elif args.format == "sarif":
-        text = render_sarif(report)
-    else:
-        text = render_text(report, show_baselined=args.show_baselined)
+    report = lint_paths(args.paths or ["src"])
+    text = render_json(report) if args.format == "json" else render_text(report)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")

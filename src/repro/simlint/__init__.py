@@ -32,58 +32,37 @@ Rule families (see :mod:`repro.simlint.rules`):
     scheduler ordering decisions.
 
 The whole-program layer (:mod:`repro.simlint.project`) summarizes every
-file into a JSON-serializable form, assembles a symbol table + call
-graph with re-export resolution, and persists the summaries in an
-incremental cache (:mod:`repro.simlint.cache`) keyed on content hashes,
-so a warm ``repro lint`` re-parses nothing and re-analyzes only files
-whose content or import closure changed.
+file, then assembles a symbol table + call graph with re-export
+resolution.  Each ``repro lint`` run is one cold pass over the tree with
+this repository's settings (:class:`~repro.simlint.config.LintConfig`'s
+defaults).
 
-Findings can be silenced per line (``# simlint: disable=SL101``), per
-file (``# simlint: disable-file=SL103``), or grandfathered through the
-committed baseline file (schema 2: line-drift-stable context hashes).
-Exit codes are stable: 0 clean, 1 findings, 2 usage/internal error.
-Run it as ``repro lint [paths ...]`` (``--changed`` lints only the
-files touched in the working tree).
+Every finding is an error.  Findings are silenced per line
+(``# simlint: disable=SL101``) or per file
+(``# simlint: disable-file=SL103``), and nowhere else.  Exit codes are
+stable: 0 clean, 1 findings, 2 usage/internal error.  Run it as
+``repro lint [paths ...]``.
 """
 
-from repro.simlint.baseline import (
-    Baseline,
-    context_hash_for,
-    load_baseline,
-    write_baseline,
-)
-from repro.simlint.cache import AnalysisCache
-from repro.simlint.changed import changed_python_files
-from repro.simlint.config import LintConfig, load_config
+from repro.simlint.config import LintConfig
 from repro.simlint.engine import LintReport, lint_paths, lint_source
-from repro.simlint.model import Finding, Severity
-from repro.simlint.project import FileSummary, ProjectGraph, content_hash
-from repro.simlint.registry import RULES, all_rules, get_rule, register
+from repro.simlint.model import Finding
+from repro.simlint.project import FileSummary, ProjectGraph
+from repro.simlint.registry import RULES, all_rules, register
 from repro.simlint import rules as _rules  # noqa: F401  (populates RULES)
-from repro.simlint.reporters import render_json, render_sarif, render_text
+from repro.simlint.reporters import render_json, render_text
 
 __all__ = [
-    "AnalysisCache",
-    "Baseline",
     "FileSummary",
     "Finding",
     "LintConfig",
     "LintReport",
     "ProjectGraph",
     "RULES",
-    "Severity",
     "all_rules",
-    "changed_python_files",
-    "content_hash",
-    "context_hash_for",
-    "get_rule",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "load_config",
     "register",
     "render_json",
-    "render_sarif",
     "render_text",
-    "write_baseline",
 ]

@@ -5,6 +5,10 @@ tree, a parent map (rules reason about how an expression is *consumed*),
 an import-alias map (so ``np.random.default_rng`` resolves through
 ``import numpy as np``), and the inline-suppression table.  Rules see
 only the context; everything path- and config-shaped is resolved here.
+
+:func:`lint_paths` is one cold pass: it parses every file, builds one
+:class:`~repro.simlint.project.ProjectGraph` from their summaries, and
+runs every registered rule on every file.
 """
 
 from __future__ import annotations
@@ -17,10 +21,9 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.errors import ReproError
-from repro.simlint.baseline import Baseline, context_hash_for
 from repro.simlint.config import LintConfig
 from repro.simlint.model import Finding
-from repro.simlint.project import ProjectGraph, content_hash, summarize_file
+from repro.simlint.project import ProjectGraph, summarize_file
 
 #: ``# simlint: disable=SL101,SL204`` (line) / ``disable-file=`` (file).
 _SUPPRESS_RE = re.compile(
@@ -40,7 +43,6 @@ class FileContext:
         module: Optional[str] = None,
     ) -> None:
         self.path = path
-        self.source = source
         self.config = config or LintConfig()
         self.module = module if module is not None else module_name(path)
         parts = Path(path).parts
@@ -122,20 +124,17 @@ class FileContext:
         return ".".join(reversed(parts))
 
     def finding(self, rule, node: ast.AST, message: str) -> Finding:
-        """A finding anchored at ``node``, with config-resolved severity."""
+        """A finding of ``rule`` anchored at ``node``."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         in_range = 0 < line <= len(self.lines)
-        text = self.lines[line - 1].strip() if in_range else ""
         return Finding(
             rule=rule.id,
-            severity=self.config.severity_for(rule),
             path=self.path,
             line=line,
             col=col + 1,
             message=message,
-            text=text,
-            context_hash=context_hash_for(self.lines, line) if in_range else "",
+            text=self.lines[line - 1].strip() if in_range else "",
         )
 
 
@@ -183,47 +182,23 @@ class LintReport:
     suppressed: int = 0
     #: Files that failed to parse, as (path, message) pairs.
     broken: List[tuple] = field(default_factory=list)
-    #: Incremental-cache accounting: files whose source was fed to
-    #: ``ast.parse`` this run, files that had at least one rule phase
-    #: actually executed, and cache-served rule phases.
-    reparsed: int = 0
-    analyzed: int = 0
-    cache_hits: int = 0
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [
-            f for f in self.findings
-            if f.severity == "error" and not f.baselined
-        ]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [
-            f for f in self.findings
-            if f.severity == "warning" and not f.baselined
-        ]
-
-    @property
-    def baselined(self) -> List[Finding]:
-        return [f for f in self.findings if f.baselined]
 
     @property
     def exit_code(self) -> int:
-        """Stable exit code: 0 clean, 1 error findings, 2 broken input."""
+        """Stable exit code: 0 clean, 1 findings, 2 broken input."""
         if self.broken:
             return 2
-        return 1 if self.errors else 0
+        return 1 if self.findings else 0
 
 
-def _collect(ctx: FileContext, rules: Optional[Sequence] = None):
-    """All raw findings for one context: (kept, suppressed_count)."""
+def _collect(ctx: FileContext):
+    """All findings of every rule for one context: (kept, suppressed)."""
     from repro.simlint.registry import all_rules
 
     kept: List[Finding] = []
     suppressed = 0
-    for rule in (rules if rules is not None else all_rules()):
-        if rule.id in ctx.config.disabled or not rule.applies_to(ctx):
+    for rule in all_rules():
+        if not rule.applies_to(ctx):
             continue
         for finding in rule.check(ctx):
             if ctx.suppressed(finding.rule, finding.line):
@@ -239,12 +214,11 @@ def lint_source(
     path: str = "<string>",
     config: Optional[LintConfig] = None,
     module: Optional[str] = None,
-    rules: Optional[Sequence] = None,
 ) -> List[Finding]:
     """Lint one source string; the workhorse behind tests and fixtures."""
     ctx = FileContext(path, source, config=config or LintConfig(),
                       module=module)
-    findings, _ = _collect(ctx, rules)
+    findings, _ = _collect(ctx)
     return findings
 
 
@@ -275,142 +249,31 @@ def _excluded(path: Path, config: LintConfig) -> bool:
     return False
 
 
-class _FileState:
-    """Per-file bookkeeping for one :func:`lint_paths` run."""
-
-    __slots__ = ("path", "source", "sha", "ctx", "summary", "broken")
-
-    def __init__(self, path: str, source: str) -> None:
-        self.path = path
-        self.source = source
-        self.sha = content_hash(source)
-        self.ctx: Optional[FileContext] = None
-        self.summary = None
-        self.broken: Optional[str] = None
-
-
-def _ensure_context(
-    state: _FileState, config: LintConfig, report: LintReport
-):
-    """The parsed context for ``state``, parsing (once) on demand."""
-    if state.ctx is None:
-        state.ctx = FileContext(state.path, state.source, config=config)
-        report.reparsed += 1
-    return state.ctx
-
-
 def lint_paths(
-    paths: Sequence[str],
-    config: Optional[LintConfig] = None,
-    baseline: Optional[Baseline] = None,
-    cache=None,
-    files: Optional[Sequence[str]] = None,
+    paths: Sequence[str], config: Optional[LintConfig] = None
 ) -> LintReport:
-    """Lint files/trees; applies suppressions, then the baseline.
-
-    ``cache`` is an :class:`~repro.simlint.cache.AnalysisCache`; with a
-    warm one, unchanged files contribute their cached summaries to the
-    project graph and their cached findings to the report without ever
-    being parsed.  ``files`` overrides discovery with an explicit file
-    list (``repro lint --changed``); the caller is responsible for
-    having applied the config excludes.
-
-    The run is two-phase per file: file-local rules (cache key: content
-    hash) and cross-file rules (cache key: content hash + import-
-    closure fingerprint), both against the :class:`ProjectGraph`
-    assembled from every file's summary.
-    """
-    from repro.simlint.registry import all_rules
-
+    """Lint files/trees: parse all, build the project graph, run rules."""
     config = config or LintConfig()
     report = LintReport()
-    rules = [r for r in all_rules() if r.id not in config.disabled]
-    local_rules = [r for r in rules if not r.cross_file]
-    cross_rules = [r for r in rules if r.cross_file]
-
-    # Phase 0: discover, hash, and summarize (from cache where warm).
-    states: List[_FileState] = []
-    if files is not None:
-        targets = [Path(entry) for entry in files]
-    else:
-        targets = list(iter_python_files(paths, config))
-    for path in targets:
-        state = _FileState(path.as_posix(), path.read_text())
-        states.append(state)
-        if cache is not None:
-            state.broken = cache.broken_for(state.path, state.sha)
-            if state.broken is not None:
-                continue
-            state.summary = cache.summary_for(state.path, state.sha)
-        if state.summary is None:
-            try:
-                ctx = _ensure_context(state, config, report)
-            except SyntaxError as error:
-                state.broken = f"line {error.lineno}: {error.msg}"
-                continue
-            state.summary = summarize_file(
-                ctx.tree, state.path, ctx.module, ctx.imports, state.source
+    contexts: List[FileContext] = []
+    for path in iter_python_files(paths, config):
+        try:
+            contexts.append(
+                FileContext(path.as_posix(), path.read_text(), config=config)
             )
-            if cache is not None:
-                cache.store_summary(state.path, state.sha, state.summary)
-
+        except SyntaxError as error:
+            report.broken.append(
+                (path.as_posix(), f"line {error.lineno}: {error.msg}")
+            )
     graph = ProjectGraph(
-        state.summary for state in states if state.summary is not None
+        summarize_file(ctx.tree, ctx.module, ctx.imports)
+        for ctx in contexts
     )
-
-    # Phases 1 + 2: run (or replay) both rule families per file.
-    for state in states:
-        if state.broken is not None:
-            report.broken.append((state.path, state.broken))
-            if cache is not None:
-                cache.store_broken(state.path, state.sha, state.broken)
-            continue
-        report.files += 1
-        ran_live = False
-        cached = (
-            cache.local_findings(state.path, state.sha)
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            findings, suppressed = cached
-            report.cache_hits += 1
-        else:
-            ctx = _ensure_context(state, config, report)
-            ctx.project = graph
-            findings, suppressed = _collect(ctx, local_rules)
-            ran_live = True
-            if cache is not None:
-                cache.store_local(state.path, state.sha, findings, suppressed)
+    for ctx in contexts:
+        ctx.project = graph
+        findings, suppressed = _collect(ctx)
         report.findings.extend(findings)
         report.suppressed += suppressed
-
-        deps_fp = graph.closure_fingerprint(state.path)
-        cached = (
-            cache.global_findings(state.path, state.sha, deps_fp)
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            findings, suppressed = cached
-            report.cache_hits += 1
-        else:
-            ctx = _ensure_context(state, config, report)
-            ctx.project = graph
-            findings, suppressed = _collect(ctx, cross_rules)
-            ran_live = True
-            if cache is not None:
-                cache.store_global(
-                    state.path, state.sha, deps_fp, findings, suppressed
-                )
-        report.findings.extend(findings)
-        report.suppressed += suppressed
-        if ran_live:
-            report.analyzed += 1
-
-    if cache is not None:
-        cache.save()
-    if baseline is not None:
-        baseline.apply(report.findings)
+    report.files = len(contexts)
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report

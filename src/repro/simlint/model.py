@@ -1,58 +1,25 @@
-"""Finding and severity model shared by the engine, reporters and rules."""
+"""The finding model shared by the engine, reporters and rules."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
-
-
-class Severity:
-    """Finding severities; ``ERROR`` findings drive the exit code."""
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    #: Valid values, for config validation.
-    ALL = (ERROR, WARNING)
+from dataclasses import dataclass
 
 
 @dataclass
 class Finding:
     """One rule violation at one source location.
 
-    ``text`` is the stripped source line the finding points at.
-    ``context_hash`` is a short digest of the stripped previous/current/
-    next source lines, filled in by the engine: schema-2 baselines key
-    on ``(path, rule, context_hash)``, so neither line-number drift nor
-    a duplicate offending line elsewhere in the file can mis-match a
-    grandfathered finding.  Findings constructed without source context
-    (hand-built in tests, legacy baselines) leave it empty and fall back
-    to ``(path, rule, text)`` matching.
+    Every finding is an error: it fails the lint unless an inline
+    ``# simlint: disable=`` comment suppresses it.  ``text`` is the
+    stripped source line the finding points at.
     """
 
     rule: str
-    severity: str
     path: str
     line: int
     col: int
     message: str
     text: str = ""
-    context_hash: str = field(default="", compare=False)
-    baselined: bool = field(default=False, compare=False)
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-reporter payload for this finding."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "text": self.text,
-            "context_hash": self.context_hash,
-            "baselined": self.baselined,
-        }

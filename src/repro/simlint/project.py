@@ -2,19 +2,14 @@
 
 File-local AST rules cannot see a nondeterministic value returned from
 a helper one module away or a counter fold delegated to an imported
-helper.  This module gives
-simlint a project view without giving up the incremental property:
+helper.  This module gives simlint a project view:
 
-* :func:`summarize_file` distills one parsed file into a small,
-  JSON-serializable :class:`FileSummary` — imports, function table
-  (resolved call targets, normalized write keys and a structural taint
-  summary).  Summaries are pure functions of the file
-  content, so the analysis cache can persist them keyed on the content
-  hash and a warm run never re-parses an unchanged file.
+* :func:`summarize_file` distills one parsed file into a small
+  :class:`FileSummary` — imports and a function table (resolved call
+  targets, normalized write keys and a structural taint summary).
 * :class:`ProjectGraph` assembles the summaries of one lint run into a
   symbol table with re-export (alias) resolution, a cross-module call
-  graph, per-module import closures (the invalidation unit for
-  cross-file rules), and transitive write surfaces.
+  graph and transitive write surfaces.
 * :class:`WriteSurfaceGraph` collects the writes reachable from one
   class's ``run`` for SL204's counter-parity oracle, crediting writes
   made by *imported* helpers through the project graph.
@@ -28,7 +23,6 @@ evidence", never as a finding.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -41,13 +35,6 @@ MUTATING_METHODS = {
     "clear", "pop", "popleft", "popitem", "remove", "discard", "insert",
     "setdefault", "sort", "reverse",
 }
-
-#: Bump when the FileSummary shape changes: cached summaries with a
-#: different version are discarded, not misread.
-#: 3: function summaries dropped the ``is_async`` flag.
-#: 4: a method call's result carries its receiver's taint, which
-#:    changes the taint summaries.
-SUMMARY_SCHEMA_VERSION = 4
 
 #: Only names under this root participate in cross-module resolution.
 PROJECT_ROOT_PACKAGE = "repro"
@@ -71,91 +58,23 @@ class FunctionSummary:
     #: param indices passed into that call (for param-flow closure).
     taint_return_calls: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "calls": list(self.calls),
-            "writes": list(self.writes),
-            "taint_sources": list(self.taint_sources),
-            "taint_return_params": list(self.taint_return_params),
-            "taint_return_calls": [
-                [callee, list(params)]
-                for callee, params in self.taint_return_calls
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "FunctionSummary":
-        return cls(
-            name=str(payload["name"]),
-            lineno=int(payload["lineno"]),
-            calls=tuple(payload["calls"]),
-            writes=tuple(payload["writes"]),
-            taint_sources=tuple(payload["taint_sources"]),
-            taint_return_params=tuple(payload["taint_return_params"]),
-            taint_return_calls=tuple(
-                (str(callee), tuple(int(p) for p in params))
-                for callee, params in payload["taint_return_calls"]
-            ),
-        )
-
 
 @dataclass
 class FileSummary:
     """Everything the project graph needs to know about one file."""
 
-    path: str
     module: Optional[str]
-    sha: str
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict:
-        return {
-            "schema": SUMMARY_SCHEMA_VERSION,
-            "path": self.path,
-            "module": self.module,
-            "sha": self.sha,
-            "imports": dict(self.imports),
-            "functions": {
-                qual: fn.to_dict() for qual, fn in self.functions.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> Optional["FileSummary"]:
-        if payload.get("schema") != SUMMARY_SCHEMA_VERSION:
-            return None
-        return cls(
-            path=str(payload["path"]),
-            module=payload["module"],
-            sha=str(payload["sha"]),
-            imports=dict(payload["imports"]),
-            functions={
-                qual: FunctionSummary.from_dict(fn)
-                for qual, fn in payload["functions"].items()
-            },
-        )
-
-
-def content_hash(source: str) -> str:
-    """The per-file cache key: sha256 of the exact source text."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def summarize_file(
     tree: ast.Module,
-    path: str,
     module: Optional[str],
     imports: Dict[str, str],
-    source: str,
 ) -> FileSummary:
     """Distill one parsed file into its :class:`FileSummary`."""
-    summary = FileSummary(
-        path=path, module=module, sha=content_hash(source),
-        imports=dict(imports),
-    )
+    summary = FileSummary(module=module, imports=dict(imports))
     local_defs = {
         stmt.name
         for stmt in tree.body
@@ -332,7 +251,6 @@ class ProjectGraph:
     """Symbol table + call graph over the summaries of one lint run."""
 
     def __init__(self, summaries: Iterable[FileSummary]) -> None:
-        self.files: Dict[str, FileSummary] = {}
         self.modules: Dict[str, FileSummary] = {}
         #: Fully-qualified function name → summary.
         self._functions: Dict[str, FunctionSummary] = {}
@@ -341,7 +259,6 @@ class ProjectGraph:
         #: lint_source``); this is what makes re-exports resolvable.
         self._aliases: Dict[str, str] = {}
         for summary in summaries:
-            self.files[summary.path] = summary
             if summary.module:
                 self.modules[summary.module] = summary
         for summary in self.modules.values():
@@ -351,8 +268,6 @@ class ProjectGraph:
             for alias, origin in summary.imports.items():
                 if origin.startswith(PROJECT_ROOT_PACKAGE):
                     self._aliases[f"{module}.{alias}"] = origin
-        self._deps: Dict[str, Tuple[str, ...]] = {}
-        self._closure_fp: Dict[str, str] = {}
         self._taint: Optional[Dict] = None
 
     # -- symbols --------------------------------------------------------
@@ -379,71 +294,6 @@ class ProjectGraph:
 
     def functions(self) -> Dict[str, FunctionSummary]:
         return dict(self._functions)
-
-    # -- dependencies ---------------------------------------------------
-
-    def module_deps(self, module: str) -> Tuple[str, ...]:
-        """Project modules ``module`` imports (direct edges only)."""
-        cached = self._deps.get(module)
-        if cached is not None:
-            return cached
-        summary = self.modules.get(module)
-        deps: Set[str] = set()
-        if summary is not None:
-            for origin in summary.imports.values():
-                dep = self._owning_module(origin)
-                if dep is not None and dep != module:
-                    deps.add(dep)
-        out = tuple(sorted(deps))
-        self._deps[module] = out
-        return out
-
-    def _owning_module(self, dotted: str) -> Optional[str]:
-        """Longest known-module prefix of a dotted import origin."""
-        if not dotted.startswith(PROJECT_ROOT_PACKAGE):
-            return None
-        parts = dotted.split(".")
-        for end in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:end])
-            if candidate in self.modules:
-                return candidate
-        return None
-
-    def import_closure(self, module: str) -> Tuple[str, ...]:
-        """``module`` plus every project module reachable via imports."""
-        closure: Set[str] = set()
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            if current in closure or current not in self.modules:
-                continue
-            closure.add(current)
-            frontier.extend(self.module_deps(current))
-        return tuple(sorted(closure))
-
-    def closure_fingerprint(self, path: str) -> str:
-        """Invalidation key for cross-file findings of one file.
-
-        The sha256 of the (module, content-sha) pairs of the file's
-        import closure: editing any module a file can see — directly or
-        transitively — invalidates its cached cross-file findings, while
-        edits elsewhere in the tree leave them warm.
-        """
-        summary = self.files.get(path)
-        if summary is None:
-            return ""
-        if summary.module is None:
-            return summary.sha
-        cached = self._closure_fp.get(path)
-        if cached is not None:
-            return cached
-        digest = hashlib.sha256()
-        for module in self.import_closure(summary.module):
-            entry = self.modules[module]
-            digest.update(f"{module}={entry.sha}\n".encode("utf-8"))
-        fp = digest.hexdigest()
-        self._closure_fp[path] = fp
-        return fp
 
     # -- call graph -----------------------------------------------------
 

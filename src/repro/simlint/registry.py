@@ -1,19 +1,19 @@
 """Pluggable rule registry.
 
-A rule is a class with an ``id`` (``SLxxx``), a default severity, a
-scope, a one-line ``title`` and a ``rationale`` paragraph (both feed the
-rule catalog in ``docs/architecture.md`` and ``repro lint --list-rules``),
-and a ``check(ctx)`` generator yielding findings.  Decorating the class
-with :func:`register` makes it part of every lint run; tests can
-instantiate rules directly against a context instead.
+A rule is a class with an ``id`` (``SLxxx``), a scope, a one-line
+``title`` and a ``rationale`` paragraph (both feed the rule catalog in
+``docs/architecture.md`` and ``repro lint --list-rules``), and a
+``check(ctx)`` generator yielding findings.  Decorating the class with
+:func:`register` makes it part of every lint run; tests can instantiate
+rules directly against a context instead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Type
+from typing import TYPE_CHECKING, Dict, Iterator, List, Type
 
 from repro.errors import ReproError
-from repro.simlint.model import Finding, Severity
+from repro.simlint.model import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simlint.engine import FileContext
@@ -31,18 +31,12 @@ class Rule:
     category: str = ""
     #: Why this rule exists, in terms of the simulator's contracts.
     rationale: str = ""
-    #: Default severity; pyproject ``[tool.simlint.severity]`` overrides.
-    severity: str = Severity.ERROR
     #: Where the rule applies: ``"timing"`` (the timing-critical
     #: packages), ``"vector"`` (the numpy timing backend), ``"repro"``
     #: (anywhere under the ``repro`` package — plus ``tools/``, and
     #: ``tests/`` for the configured test families), or ``"all"`` (every
     #: linted file).
     scope: str = "repro"
-    #: Cross-file rules consume ``ctx.project`` (the project graph);
-    #: their cached findings are additionally keyed on the file's
-    #: import-closure fingerprint.
-    cross_file: bool = False
 
     def check(self, ctx: "FileContext") -> Iterator[Finding]:
         raise NotImplementedError
@@ -99,19 +93,3 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> List[Rule]:
     """Every registered rule, in id order."""
     return [RULES[rule_id] for rule_id in sorted(RULES)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    """The registered rule with ``rule_id``; raises on unknown ids."""
-    try:
-        return RULES[rule_id]
-    except KeyError:
-        raise ReproError(f"unknown simlint rule {rule_id!r}") from None
-
-
-def known_ids(ids: Iterable[str]) -> List[str]:
-    """Validate a collection of rule ids, returning them sorted."""
-    unknown = sorted(set(ids) - set(RULES))
-    if unknown:
-        raise ReproError(f"unknown simlint rule id(s): {', '.join(unknown)}")
-    return sorted(set(ids))

@@ -1,59 +1,44 @@
-"""Text, JSON and SARIF renderers for lint reports.
+"""Text and JSON renderers for lint reports.
 
-The JSON shape is a stable contract (CI parses it and the report is
-uploaded as a build artifact):
+The JSON shape is a stable contract (CI uploads the report as a build
+artifact):
 
 .. code-block:: json
 
     {
-      "schema": 2,
+      "schema": 3,
       "tool": "repro.simlint",
       "exit_code": 1,
-      "summary": {"files": 210, "errors": 1, "warnings": 0,
-                  "baselined": 0, "suppressed": 4, "broken": 0,
-                  "analyzed": 3, "reparsed": 3, "cache_hits": 414},
-      "findings": [{"rule": "SL101", "severity": "error",
-                    "path": "src/repro/gpu/rt_unit.py", "line": 12,
-                    "col": 9, "message": "...", "text": "...",
-                    "context_hash": "...", "baselined": false}],
+      "summary": {"files": 210, "findings": 1, "suppressed": 4,
+                  "broken": 0},
+      "findings": [{"rule": "SL101", "path": "src/repro/gpu/rt_unit.py",
+                    "line": 12, "col": 9, "message": "...",
+                    "text": "..."}],
       "broken": []
     }
-
-The SARIF rendering targets the GitHub code-scanning subset of SARIF
-2.1.0: one run, one driver, a rule catalog with the registered rules'
-titles and rationales, and one result per non-baselined finding, with
-the baseline context hash as a partial fingerprint so annotations track
-findings across line drift the same way the baseline does.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from dataclasses import asdict
+from typing import List
 
 from repro.simlint.engine import LintReport
 
-REPORT_SCHEMA_VERSION = 2
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+#: 3: findings carry no severity, and the summary counts only files,
+#: findings, suppressions and unparseable files.
+REPORT_SCHEMA_VERSION = 3
 
 
-def render_text(report: LintReport, show_baselined: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     """Human-oriented rendering: one line per finding plus a summary."""
     lines: List[str] = []
     for path, message in report.broken:
         lines.append(f"{path}: cannot parse ({message})")
     for finding in report.findings:
-        if finding.baselined and not show_baselined:
-            continue
-        tag = " [baselined]" if finding.baselined else ""
         lines.append(
-            f"{finding.location()}: {finding.rule} "
-            f"{finding.severity}: {finding.message}{tag}"
+            f"{finding.location()}: {finding.rule} {finding.message}"
         )
     lines.append(summary_line(report))
     return "\n".join(lines)
@@ -61,17 +46,11 @@ def render_text(report: LintReport, show_baselined: bool = False) -> str:
 
 def summary_line(report: LintReport) -> str:
     counts = (
-        f"{report.files} file(s): {len(report.errors)} error(s), "
-        f"{len(report.warnings)} warning(s), "
-        f"{len(report.baselined)} baselined, {report.suppressed} suppressed"
+        f"{report.files} file(s): {len(report.findings)} finding(s), "
+        f"{report.suppressed} suppressed"
     )
     if report.broken:
         counts += f", {len(report.broken)} unparseable"
-    if report.cache_hits:
-        counts += (
-            f" [incremental: {report.analyzed} analyzed, "
-            f"{report.reparsed} parsed, {report.cache_hits} cache hits]"
-        )
     return counts
 
 
@@ -83,97 +62,14 @@ def render_json(report: LintReport) -> str:
         "exit_code": report.exit_code,
         "summary": {
             "files": report.files,
-            "errors": len(report.errors),
-            "warnings": len(report.warnings),
-            "baselined": len(report.baselined),
+            "findings": len(report.findings),
             "suppressed": report.suppressed,
             "broken": len(report.broken),
-            "analyzed": report.analyzed,
-            "reparsed": report.reparsed,
-            "cache_hits": report.cache_hits,
         },
-        "findings": [finding.to_dict() for finding in report.findings],
+        "findings": [asdict(finding) for finding in report.findings],
         "broken": [
             {"path": path, "message": message}
             for path, message in report.broken
         ],
     }
     return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def render_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 rendering for GitHub code-scanning upload.
-
-    Baselined findings are omitted — the committed baseline already is
-    the suppression mechanism, and re-announcing grandfathered findings
-    in the PR view would drown the new ones the upload exists to show.
-    """
-    from repro.simlint.registry import all_rules
-
-    fired = {finding.rule for finding in report.findings}
-    rules = [
-        {
-            "id": rule.id,
-            "name": rule.__class__.__name__,
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.rationale},
-            "defaultConfiguration": {
-                "level": _sarif_level(rule.severity),
-            },
-        }
-        for rule in all_rules()
-        if rule.id in fired
-    ]
-    rule_index = {entry["id"]: i for i, entry in enumerate(rules)}
-    results = []
-    for finding in report.findings:
-        if finding.baselined:
-            continue
-        result: Dict = {
-            "ruleId": finding.rule,
-            "ruleIndex": rule_index[finding.rule],
-            "level": _sarif_level(finding.severity),
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path,
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-        }
-        if finding.context_hash:
-            result["partialFingerprints"] = {
-                "contextHash/v1": finding.context_hash,
-            }
-        results.append(result)
-    payload = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.simlint",
-                        "informationUri": (
-                            "https://github.com/example/repro"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def _sarif_level(severity: str) -> str:
-    return "error" if severity == "error" else "warning"

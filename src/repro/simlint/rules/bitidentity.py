@@ -32,7 +32,6 @@ def _root_name(node: ast.AST) -> Optional[str]:
 class SingletonMutationRule(Rule):
     id = "SL201"
     title = "mutation of a module-level singleton"
-    severity = "error"
     scope = "repro"
     category = "bit-identity"
     rationale = (
@@ -83,7 +82,6 @@ class SingletonMutationRule(Rule):
 class SlotsPickleRule(Rule):
     id = "SL202"
     title = "__slots__ that breaks the pickle round-trip contract"
-    severity = "error"
     scope = "repro"
     category = "bit-identity"
     rationale = (
@@ -145,7 +143,6 @@ class SlotsPickleRule(Rule):
 class CounterOwnershipRule(Rule):
     id = "SL203"
     title = "counter write outside the owning component"
-    severity = "error"
     scope = "repro"
     category = "bit-identity"
     rationale = (

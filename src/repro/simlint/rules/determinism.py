@@ -64,7 +64,6 @@ _DICT_VIEWS = {"values", "keys", "items"}
 class WallClockRule(Rule):
     id = "SL101"
     title = "wall-clock read in simulator code"
-    severity = "error"
     scope = "repro"
     category = "determinism"
     rationale = (
@@ -103,7 +102,6 @@ class WallClockRule(Rule):
 class UnseededRngRule(Rule):
     id = "SL102"
     title = "unseeded or process-global RNG"
-    severity = "error"
     scope = "repro"
     category = "determinism"
     rationale = (
@@ -156,7 +154,6 @@ class UnseededRngRule(Rule):
 class UnorderedIterationRule(Rule):
     id = "SL103"
     title = "iteration over a set or dict view in timing-critical code"
-    severity = "error"
     scope = "timing"
     category = "determinism"
     rationale = (
@@ -230,7 +227,6 @@ class UnorderedIterationRule(Rule):
 class IdentityOrderingRule(Rule):
     id = "SL104"
     title = "id()-based comparison, hashing or ordering of model objects"
-    severity = "error"
     scope = "timing"
     category = "determinism"
     rationale = (

@@ -39,7 +39,6 @@ BROAD_HANDLERS = {"Exception", "BaseException"}
 class RawExceptionRule(Rule):
     id = "SL301"
     title = "raw builtin exception raised in timing-critical code"
-    severity = "error"
     scope = "timing"
     category = "diagnostics"
     rationale = (
@@ -75,7 +74,6 @@ class RawExceptionRule(Rule):
 class SwallowedExceptionRule(Rule):
     id = "SL302"
     title = "broad except handler that swallows without recording"
-    severity = "error"
     scope = "repro"
     category = "diagnostics"
     rationale = (

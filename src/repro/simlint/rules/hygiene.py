@@ -25,7 +25,6 @@ _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict",
 class MutableDefaultRule(Rule):
     id = "SL401"
     title = "mutable default argument"
-    severity = "error"
     scope = "all"
     category = "hygiene"
     rationale = (
@@ -65,14 +64,13 @@ class MutableDefaultRule(Rule):
 class StrayPrintRule(Rule):
     id = "SL402"
     title = "print() in library code"
-    severity = "error"
     scope = "repro"
     category = "hygiene"
     rationale = (
         "Library modules run under worker pools, the JSON reporters and "
         "piped CLI commands; a stray print() interleaves with — and "
         "corrupts — machine-read stdout.  Presentation belongs to the "
-        "CLI layer (config key print-allowed); diagnostics belong in "
+        "CLI layer (LintConfig.print_allowed); diagnostics belong in "
         "logging or structured failure records."
     )
 

@@ -34,13 +34,8 @@ from repro.simlint.registry import Rule, register
 class CounterParityRule(Rule):
     id = "SL204"
     title = "timing backend leaves an oracle counter unwritten"
-    severity = "error"
     scope = "timing"
     category = "bit-identity"
-    # Coverage credits writes of *imported* project helpers through
-    # ctx.project, so cached findings must invalidate when anything in
-    # the import closure changes.
-    cross_file = True
     rationale = (
         "A timing backend that reimplements the stepped RT unit must "
         "produce every counter the stepped oracle does.  Such a backend "

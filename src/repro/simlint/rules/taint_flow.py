@@ -6,9 +6,9 @@ wall-clock read, process-global RNG draw, ``id()``/``hash()`` value or
 hash-ordered materialization that happens *anywhere* — including
 through helper returns in other modules — must not reach the state the
 reproduction contract declares pure: ``Counters`` fields,
-``SimulationJob`` content keys / cache salts (the configured
-``taint-sinks`` function names), or scheduler ordering decisions in the
-timing-critical packages.
+``SimulationJob`` content keys / cache salts (the
+``LintConfig.taint_sinks`` function names), or scheduler ordering
+decisions in the timing-critical packages.
 """
 
 from __future__ import annotations
@@ -46,10 +46,8 @@ def _labels(taint) -> str:
 class TaintFlowRule(Rule):
     id = "SL110"
     title = "nondeterministic value flows into reproducibility-bearing state"
-    severity = "error"
     scope = "repro"
     category = "determinism"
-    cross_file = True
     rationale = (
         "Counters, job content keys and scheduler ordering must be pure "
         "functions of (scene, config, seed) — that is the whole "
@@ -70,9 +68,7 @@ class TaintFlowRule(Rule):
             # lint_source / single-file runs: a mini-graph of this file
             # alone still resolves same-file helper flows.
             project = ProjectGraph([
-                summarize_file(
-                    ctx.tree, ctx.path, ctx.module, ctx.imports, ctx.source
-                )
+                summarize_file(ctx.tree, ctx.module, ctx.imports)
             ])
         summaries = project.taint()
 

@@ -54,7 +54,6 @@ def _counter_chain(target: ast.AST) -> Optional[str]:
 class FloatPromotedCounterRule(Rule):
     id = "SL601"
     title = "float-promoting arithmetic written into an int counter"
-    severity = "error"
     scope = "vector"
     category = "vector"
     rationale = (
@@ -119,7 +118,6 @@ class FloatPromotedCounterRule(Rule):
 class SoACacheMutationRule(Rule):
     id = "SL602"
     title = "SoA mirror cache mutated outside its sanctioned writers"
-    severity = "error"
     scope = "vector"
     category = "vector"
     rationale = (
@@ -129,7 +127,7 @@ class SoACacheMutationRule(Rule):
         "from anywhere else (a 'fast path' tweaking a cached column, a "
         "test poking state in) silently serves stale or divergent "
         "timing to every subsequent run over that trace.  Mutation is "
-        "restricted to the configured soa-cache-writers "
+        "restricted to LintConfig.soa_cache_writers "
         "(trace_cache/pack_trace/warp_plan, which populate fresh "
         "entries); everything else must repack."
     )
@@ -230,7 +228,6 @@ class SoACacheMutationRule(Rule):
 class UnstableReductionRule(Rule):
     id = "SL603"
     title = "nondeterministic-order numpy sort or reduction"
-    severity = "error"
     scope = "vector"
     category = "vector"
     rationale = (
@@ -297,7 +294,6 @@ class UnstableReductionRule(Rule):
 class UncheckedCsrBoundsRule(Rule):
     id = "SL604"
     title = "CSR offset slice without shape validation"
-    severity = "error"
     scope = "vector"
     category = "vector"
     rationale = (

@@ -1,101 +1,30 @@
-"""Config tests: pyproject loading and the tomllib-free subset parser."""
+"""Config tests: the default ``LintConfig`` is this repository's config.
 
-from pathlib import Path
-
-import pytest
-
-from repro.errors import ReproError
-from repro.simlint import load_config
-from repro.simlint.config import LintConfig, _parse_toml_subset
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-SAMPLE = """
-[project]
-name = "other"
-
-[tool.simlint]
-baseline = "lint-base.json"
-exclude = ["fixtures", "build"]
-timing-critical = [
-    "repro.gpu",
-    "repro.stack",
-]
-disable = ["SL104"]
-
-[tool.simlint.severity]
-SL402 = "warning"
-
-[tool.other]
-noise = "ignored"
+``repro lint`` and the library API (``lint_source``/``lint_paths``
+without a config) run with the same settings, so a hazard one of them
+rejects the other rejects too.
 """
 
+from repro.simlint import LintConfig, lint_paths, lint_source
 
-def test_missing_pyproject_yields_defaults(tmp_path):
-    config = load_config(tmp_path / "pyproject.toml")
-    assert config == LintConfig()
-    assert "repro.gpu" in config.timing_critical
+PERF_COUNTER = "import time\nt0 = time.perf_counter()\n"
 
 
-def test_load_config_from_sample(tmp_path):
-    path = tmp_path / "pyproject.toml"
-    path.write_text(SAMPLE)
-    config = load_config(path)
-    assert config.baseline_path == tmp_path / "lint-base.json"
-    assert config.exclude == ("fixtures", "build")
-    assert config.timing_critical == ("repro.gpu", "repro.stack")
-    assert config.disabled == ("SL104",)
-    assert config.severity == {"SL402": "warning"}
+def test_default_timing_scope_covers_ablation():
+    findings = lint_source(PERF_COUNTER, module="repro.ablation.engine",
+                           config=LintConfig())
+    assert [f.rule for f in findings] == ["SL101"]
 
 
-def test_repo_pyproject_parses():
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    assert config.baseline_path == REPO_ROOT / "simlint-baseline.json"
-    assert any("fixtures" in pattern for pattern in config.exclude)
-    assert "repro.trace" in config.timing_critical
-    assert "repro.cli" in config.print_allowed
+def test_default_timing_scope_covers_service():
+    findings = lint_source(PERF_COUNTER, module="repro.service.server",
+                           config=LintConfig())
+    assert [f.rule for f in findings] == ["SL101"]
 
 
-def test_invalid_severity_value_rejected(tmp_path):
-    path = tmp_path / "pyproject.toml"
-    path.write_text('[tool.simlint.severity]\nSL101 = "fatal"\n')
-    with pytest.raises(ReproError, match="severity"):
-        load_config(path)
-
-
-def test_non_string_list_rejected(tmp_path):
-    path = tmp_path / "pyproject.toml"
-    path.write_text("[tool.simlint]\nexclude = 3\n")
-    with pytest.raises(ReproError, match="exclude"):
-        load_config(path)
-
-
-# -- the < 3.11 fallback parser, exercised directly on every version ------
-
-def test_subset_parser_matches_expected_shape():
-    table = _parse_toml_subset(SAMPLE, "tool.simlint")
-    assert table["baseline"] == "lint-base.json"
-    assert table["exclude"] == ["fixtures", "build"]
-    assert table["timing-critical"] == ["repro.gpu", "repro.stack"]
-    assert table["disable"] == ["SL104"]
-    assert table["severity"] == {"SL402": "warning"}
-    assert "noise" not in table
-
-
-def test_subset_parser_ignores_other_sections():
-    assert _parse_toml_subset("[tool.black]\nline = \"88\"\n", "tool.simlint") == {}
-
-
-def test_subset_parser_multiline_list():
-    text = '[tool.simlint]\nsingletons = [\n  "A",\n  "B",\n]\n'
-    assert _parse_toml_subset(text, "tool.simlint")["singletons"] == ["A", "B"]
-
-
-def test_severity_for_prefers_override():
-    class FakeRule:
-        id = "SL402"
-        severity = "error"
-
-    config = LintConfig(severity={"SL402": "warning"})
-    assert config.severity_for(FakeRule) == "warning"
-    assert LintConfig().severity_for(FakeRule) == "error"
+def test_default_config_skips_rule_fixtures(tmp_path):
+    fixtures = tmp_path / "tests" / "simlint" / "fixtures"
+    fixtures.mkdir(parents=True)
+    (fixtures / "sl402_bad.py").write_text('print("x")\n')
+    report = lint_paths([str(tmp_path)], config=LintConfig())
+    assert report.files == 0 and report.findings == []

@@ -74,22 +74,6 @@ def test_multiple_ids_in_one_directive():
 
 # -- config knobs ---------------------------------------------------------
 
-def test_disabled_rule_never_fires():
-    config = LintConfig(disabled=("SL402",))
-    assert lint_source(PRINT, module="repro.gpu.x", config=config) == []
-
-
-def test_severity_override_downgrades_to_warning(tmp_path):
-    tree = tmp_path / "repro" / "gpu"
-    tree.mkdir(parents=True)
-    (tree / "mod.py").write_text(PRINT)
-    config = LintConfig(severity={"SL402": "warning"})
-    report = lint_paths([str(tmp_path)], config=config)
-    assert [f.severity for f in report.findings] == ["warning"]
-    assert report.errors == [] and len(report.warnings) == 1
-    assert report.exit_code == 0  # warnings never gate
-
-
 def test_print_allowed_modules_skip_sl402():
     config = LintConfig(print_allowed=("repro.cli",))
     assert lint_source(PRINT, module="repro.cli", config=config) == []

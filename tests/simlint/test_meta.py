@@ -11,32 +11,28 @@ import shutil
 from pathlib import Path
 
 from repro.cli import main
-from repro.simlint import lint_paths, load_baseline, load_config
+from repro.simlint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def repo_report(*trees):
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    baseline = load_baseline(config.baseline_path)
-    report = lint_paths([str(REPO_ROOT / t) for t in trees], config=config,
-                        baseline=baseline)
-    return report
+    return lint_paths([str(REPO_ROOT / t) for t in trees])
 
 
 def test_repro_lint_src_is_clean():
     report = repo_report("src")
     assert report.files > 50
-    assert report.errors == [], [
-        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in report.errors
+    assert report.findings == [], [
+        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in report.findings
     ]
     assert report.exit_code == 0
 
 
 def test_repro_lint_tests_is_clean():
     report = repo_report("tests")
-    assert report.errors == [], [
-        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in report.errors
+    assert report.findings == [], [
+        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in report.findings
     ]
     assert report.exit_code == 0
 
@@ -44,8 +40,8 @@ def test_repro_lint_tests_is_clean():
 def test_repro_lint_tools_is_clean():
     report = repo_report("tools")
     assert report.files == len(list((REPO_ROOT / "tools").rglob("*.py")))
-    assert report.errors == [], [
-        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in report.errors
+    assert report.findings == [], [
+        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in report.findings
     ]
     assert report.exit_code == 0
 
@@ -66,13 +62,6 @@ def test_store_holds_the_only_wallclock_suppressions_in_src():
         "src/repro/runtime/store.py",
         "src/repro/runtime/store.py",
     ], sanctioned
-
-
-def test_committed_baseline_is_empty():
-    """New code never rides in on the baseline — it exists for future
-    grandfathering only, and today holds nothing."""
-    payload = json.loads((REPO_ROOT / "simlint-baseline.json").read_text())
-    assert payload == {"entries": [], "schema": 2}
 
 
 def test_tool_suppressions_are_pinned():
@@ -96,7 +85,7 @@ def test_tool_suppressions_are_pinned():
 
 def test_seeded_violation_turns_the_gate_red(tmp_path, capsys):
     """Copy a timing-critical module, seed a wall-clock read, lint it
-    through the real CLI with the real config: exit code must be 1."""
+    through the real CLI: exit code must be 1."""
     tree = tmp_path / "src" / "repro" / "gpu"
     tree.mkdir(parents=True)
     target = tree / "rt_unit.py"
@@ -108,11 +97,7 @@ def test_seeded_violation_turns_the_gate_red(tmp_path, capsys):
     target.write_text(source.replace(
         needle, "import time; _t0 = time.time()\n            " + needle, 1
     ))
-    code = main([
-        "lint", str(tmp_path / "src"),
-        "--config", str(REPO_ROOT / "pyproject.toml"),
-        "--no-baseline", "--format", "json",
-    ])
+    code = main(["lint", str(tmp_path / "src"), "--format", "json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["exit_code"] == 1

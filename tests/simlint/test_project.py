@@ -1,25 +1,20 @@
 """The whole-program substrate: summaries, symbol table, call graph.
 
 Covers the resolution machinery the cross-file rules stand on: alias
-chains (re-exports), import cycles, decorated definitions, closure
-fingerprints as cache-invalidation keys, and transitive write surfaces.
+chains (re-exports), import cycles, decorated definitions, and
+transitive write surfaces.
 """
 
 import textwrap
 
 from repro.simlint.engine import FileContext
-from repro.simlint.project import (
-    FileSummary,
-    ProjectGraph,
-    content_hash,
-    summarize_file,
-)
+from repro.simlint.project import ProjectGraph, summarize_file
 
 
 def summarize(source, path, module):
     source = textwrap.dedent(source)
     ctx = FileContext(path, source, module=module)
-    return summarize_file(ctx.tree, path, module, ctx.imports, source)
+    return summarize_file(ctx.tree, module, ctx.imports)
 
 
 def graph_of(**modules):
@@ -110,27 +105,6 @@ def test_write_keys_are_normalized():
     )
 
 
-def test_summary_round_trip_and_schema_gate():
-    summary = summarize(
-        """
-        import time
-
-        def stamp():
-            return time.time()
-        """,
-        "src/repro/m.py", "repro.m",
-    )
-    assert FileSummary.from_dict(summary.to_dict()) == summary
-    stale = summary.to_dict()
-    stale["schema"] = 1
-    assert FileSummary.from_dict(stale) is None
-
-
-def test_content_hash_is_exact_text():
-    assert content_hash("a = 1\n") != content_hash("a = 1")
-    assert content_hash("a = 1\n") == content_hash("a = 1\n")
-
-
 # ---------------------------------------------------------------------------
 # symbol resolution
 
@@ -153,51 +127,6 @@ def test_resolve_terminates_on_alias_cycles():
     })
     assert graph.resolve("repro.x.f") is None
     assert graph.resolve("repro.unknown.g") is None
-
-
-# ---------------------------------------------------------------------------
-# dependencies and fingerprints
-
-
-def test_import_closure_handles_cycles():
-    graph = graph_of(**{
-        "repro.a": "from repro.b import g\n\ndef f():\n    return g()\n",
-        "repro.b": "from repro.a import f\n\ndef g():\n    return 1\n",
-        "repro.c": "def lonely():\n    return 0\n",
-    })
-    assert graph.import_closure("repro.a") == ("repro.a", "repro.b")
-    assert graph.import_closure("repro.c") == ("repro.c",)
-
-
-def test_closure_fingerprint_tracks_transitive_dependencies():
-    sources = {
-        "repro.a": "from repro.b import g\n",
-        "repro.b": "from repro.c import h\n",
-        "repro.c": "def h():\n    return 1\n",
-        "repro.d": "def unrelated():\n    return 2\n",
-    }
-    before = graph_of(**sources)
-    edited = dict(sources, **{"repro.c": "def h():\n    return 99\n"})
-    after = graph_of(**edited)
-    # Editing c invalidates a (a -> b -> c) but not d.
-    assert (before.closure_fingerprint("src/repro/a.py")
-            != after.closure_fingerprint("src/repro/a.py"))
-    assert (before.closure_fingerprint("src/repro/d.py")
-            == after.closure_fingerprint("src/repro/d.py"))
-
-
-def test_closure_fingerprint_unchanged_by_unrelated_edits():
-    sources = {
-        "repro.a": "from repro.b import g\n",
-        "repro.b": "def g():\n    return 1\n",
-        "repro.d": "def unrelated():\n    return 2\n",
-    }
-    before = graph_of(**sources)
-    after = graph_of(**dict(sources, **{
-        "repro.d": "def unrelated():\n    return 3\n",
-    }))
-    assert (before.closure_fingerprint("src/repro/a.py")
-            == after.closure_fingerprint("src/repro/a.py"))
 
 
 # ---------------------------------------------------------------------------

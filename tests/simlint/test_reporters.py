@@ -1,17 +1,16 @@
-"""Reporter tests: the JSON/SARIF contracts CI parses, and the text form."""
+"""Reporter tests: the JSON contract CI uploads, and the text form."""
 
 import json
 
-from repro.simlint import lint_paths, render_json, render_sarif, render_text
-from repro.simlint.baseline import Baseline
+from repro.simlint import lint_paths, render_json, render_text
 from repro.simlint.reporters import REPORT_SCHEMA_VERSION, summary_line
 
 
-def report_with_violation(tmp_path, baseline=None):
+def report_with_violation(tmp_path):
     tree = tmp_path / "repro"
     tree.mkdir(exist_ok=True)
     (tree / "mod.py").write_text('print("x")\n')
-    return lint_paths([str(tmp_path)], baseline=baseline)
+    return lint_paths([str(tmp_path)])
 
 
 def test_json_schema_contract(tmp_path):
@@ -20,18 +19,11 @@ def test_json_schema_contract(tmp_path):
     assert payload["tool"] == "repro.simlint"
     assert payload["exit_code"] == 1
     summary = payload["summary"]
-    assert set(summary) == {
-        "files", "errors", "warnings", "baselined", "suppressed", "broken",
-        "analyzed", "reparsed", "cache_hits",
-    }
-    assert summary["files"] == 1 and summary["errors"] == 1
+    assert set(summary) == {"files", "findings", "suppressed", "broken"}
+    assert summary["files"] == 1 and summary["findings"] == 1
     (finding,) = payload["findings"]
-    assert set(finding) == {
-        "rule", "severity", "path", "line", "col", "message", "text",
-        "context_hash", "baselined",
-    }
-    assert finding["rule"] == "SL402" and finding["baselined"] is False
-    assert len(finding["context_hash"]) == 16
+    assert set(finding) == {"rule", "path", "line", "col", "message", "text"}
+    assert finding["rule"] == "SL402"
     assert payload["broken"] == []
 
 
@@ -48,57 +40,7 @@ def test_json_reports_broken_files(tmp_path):
 def test_text_rendering(tmp_path):
     report = report_with_violation(tmp_path)
     text = render_text(report)
-    assert "SL402 error:" in text
+    assert ": SL402 " in text
     assert "mod.py:1:1" in text
     assert summary_line(report) in text
-    assert "1 error(s)" in summary_line(report)
-
-
-def test_sarif_contract(tmp_path):
-    """The code-scanning subset: driver, rule catalog, fingerprints."""
-    payload = json.loads(render_sarif(report_with_violation(tmp_path)))
-    assert payload["version"] == "2.1.0"
-    (run,) = payload["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro.simlint"
-    # Only fired rules appear in the catalog, and results index into it.
-    (rule,) = driver["rules"]
-    assert rule["id"] == "SL402"
-    assert rule["shortDescription"]["text"]
-    assert rule["fullDescription"]["text"]
-    (result,) = run["results"]
-    assert result["ruleId"] == "SL402"
-    assert result["ruleIndex"] == 0
-    assert result["level"] == "error"
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith("mod.py")
-    assert location["region"]["startLine"] == 1
-    fingerprint = result["partialFingerprints"]["contextHash/v1"]
-    assert len(fingerprint) == 16
-
-
-def test_sarif_omits_baselined_findings(tmp_path):
-    baseline = Baseline([{
-        "path": (tmp_path / "repro" / "mod.py").as_posix(),
-        "rule": "SL402",
-        "text": 'print("x")',
-    }])
-    payload = json.loads(render_sarif(
-        report_with_violation(tmp_path, baseline=baseline)
-    ))
-    assert payload["runs"][0]["results"] == []
-
-
-def test_baselined_findings_hidden_unless_asked(tmp_path):
-    baseline = Baseline([{
-        "path": (tmp_path / "repro" / "mod.py").as_posix(),
-        "rule": "SL402",
-        "text": 'print("x")',
-    }])
-    report = report_with_violation(tmp_path, baseline=baseline)
-    assert report.exit_code == 0
-    assert "SL402" not in render_text(report)
-    assert "[baselined]" in render_text(report, show_baselined=True)
-    payload = json.loads(render_json(report))
-    assert payload["summary"]["baselined"] == 1
-    assert payload["findings"][0]["baselined"] is True
+    assert "1 finding(s)" in summary_line(report)

@@ -47,8 +47,7 @@ def graph_of(**modules):
         source = textwrap.dedent(source)
         path = "src/" + module.replace(".", "/") + ".py"
         ctx = FileContext(path, source, module=module)
-        summaries.append(summarize_file(ctx.tree, path, module, ctx.imports,
-                                        source))
+        summaries.append(summarize_file(ctx.tree, module, ctx.imports))
     return ProjectGraph(summaries)
 
 

@@ -10,7 +10,7 @@ clean is the control.
 import shutil
 from pathlib import Path
 
-from repro.simlint import lint_paths, load_config
+from repro.simlint import LintConfig, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -24,17 +24,16 @@ def seeded_report(tmp_path, mutate):
     mutated = mutate(source)
     assert mutated != source, "seed did not apply"
     target.write_text(mutated)
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    return lint_paths([str(tmp_path / "src")], config=config)
+    return lint_paths([str(tmp_path / "src")], config=LintConfig())
 
 
 def rules_of(report):
-    return sorted({f.rule for f in report.errors})
+    return sorted({f.rule for f in report.findings})
 
 
 def test_unmodified_job_module_is_clean(tmp_path):
     report = seeded_report(tmp_path, lambda s: s + "\n# control copy\n")
-    assert report.errors == [], rules_of(report)
+    assert report.findings == [], rules_of(report)
     assert report.exit_code == 0
 
 
@@ -60,5 +59,5 @@ def test_seeded_wall_clock_phase_key_fires_sl110(tmp_path):
 
     report = seeded_report(tmp_path, seed)
     assert report.exit_code == 1
-    flows = [f for f in report.errors if f.rule == "SL110"]
+    flows = [f for f in report.findings if f.rule == "SL110"]
     assert any("phase_key" in f.message for f in flows), rules_of(report)

@@ -9,7 +9,7 @@ scratch tree, seeds one violation, and lints with the real config.
 import shutil
 from pathlib import Path
 
-from repro.simlint import lint_paths, load_config
+from repro.simlint import LintConfig, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -30,19 +30,18 @@ def seeded_report(tmp_path, filename, mutate):
     mutated = mutate(source)
     assert mutated != source, "seed did not apply"
     target.write_text(mutated)
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    return lint_paths([str(tmp_path / "src")], config=config)
+    return lint_paths([str(tmp_path / "src")], config=LintConfig())
 
 
 def rules_of(report):
-    return sorted({f.rule for f in report.errors})
+    return sorted({f.rule for f in report.findings})
 
 
 def test_unmodified_vector_backend_is_clean(tmp_path):
     report = seeded_report(
         tmp_path, "unit.py", lambda s: s + "\n# control copy\n"
     )
-    assert report.errors == [], rules_of(report)
+    assert report.findings == [], rules_of(report)
     assert report.exit_code == 0
 
 
