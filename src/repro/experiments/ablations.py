@@ -163,7 +163,7 @@ def stackless_comparison(
         rays = len(sampled)
         tracer = Tracer(bvh)
         for ray in sampled:
-            dfs_visits += tracer.trace(ray).trace.step_count
+            dfs_visits += tracer.trace(ray).step_count
             result = restart_trail_trace(bvh, ray)
             restart_visits += result.node_visits
             restart_count += result.restarts
@@ -212,7 +212,7 @@ def short_stack_study(
         sampled = all_rays[::stride][:rays_per_scene]
         total_rays += len(sampled)
         for ray in sampled:
-            dfs_visits += tracer.trace(ray).trace.step_count
+            dfs_visits += tracer.trace(ray).step_count
             for capacity in capacities:
                 result = short_stack_restart_trace(
                     bvh, ray, stack_entries=capacity
@@ -458,10 +458,7 @@ def packet_study(
     """
     from repro.bvh.api import build_bvh
     from repro.geometry.ray import Ray
-    from repro.geometry.vec import normalize
-    from repro.scene.camera import PinholeCamera
     from repro.trace.packet import packet_trace
-    from repro.trace.path import _default_camera, generate_workload
     from repro.trace.rng import DeterministicRng
     from repro.trace.tracer import Tracer
     from repro.workloads.lumibench import load_scene
@@ -500,7 +497,7 @@ def packet_study(
             packet_pushes += packet.stack_pushes
             packet_visits += packet.node_visits
             for ray in group:
-                trace = tracer.trace(ray).trace
+                trace = tracer.trace(ray)
                 solo_pushes += sum(len(s.pushes) for s in trace.steps)
                 solo_visits += trace.step_count
         push_ratio[label] = packet_pushes / solo_pushes if solo_pushes else 0.0

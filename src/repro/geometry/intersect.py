@@ -48,16 +48,10 @@ def slab_test(
     los: np.ndarray,
     his: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Shared slab kernel: one or many rays against ``k`` boxes.
+    """Shared slab kernel: one ray against ``k`` boxes.
 
-    Shapes broadcast over a leading ray axis: pass ``(3,)`` vectors with
-    scalar ``t_min`` / ``t_max`` and ``(k, 3)`` boxes for the per-ray
-    form, or ``(m, 1, 3)`` vectors with ``(m, 1)`` intervals for a
-    wavefront of ``m`` rays against the same node's children.  Both forms
-    compute bitwise-identical entry/exit parameters per ray (the
-    broadcast evaluates the same scalar expressions elementwise), which
-    is what lets the batched tracer reproduce the scalar tracer's event
-    stream byte for byte.
+    ``origin`` and ``inv_direction`` are ``(3,)`` vectors, ``t_min`` and
+    ``t_max`` scalars, and ``los`` / ``his`` the ``(k, 3)`` box corners.
 
     Callers are expected to hoist ``np.errstate(invalid="ignore")``
     around traversal loops; NaNs from ``0 * inf`` slab degeneracies are

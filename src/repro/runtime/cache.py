@@ -44,16 +44,14 @@ class CachedWorkloadCache:
     """A scene suite plus the runtime that resolves its jobs.
 
     ``scene_names=None`` means the full Table II suite.  ``params``
-    controls resolution; experiments pass a scaled-down copy for quick
-    smoke runs, and ``max_bounces`` (when given) overrides its bounce
-    budget.  The defaults, serial with no store, recompute every cell
-    in-process; :func:`runtime_cache` builds the pooled, persistent
-    variant the CLI uses.
+    controls resolution and bounce budget; experiments pass a
+    scaled-down copy for quick smoke runs.  The defaults, serial with no
+    store, recompute every cell in-process; :func:`runtime_cache` builds
+    the pooled, persistent variant the CLI uses.
     """
 
     params: WorkloadParams = field(default_factory=lambda: DEFAULT_PARAMS)
     scene_names: Optional[Sequence[str]] = None
-    max_bounces: Optional[int] = None
     #: Timing backend every job requests (``"stepped"`` or
     #: ``"vector"``); backends are bit-identical by contract, so this
     #: only changes wall-clock, never results.
@@ -81,7 +79,6 @@ class CachedWorkloadCache:
             name,
             config,
             params=self.params,
-            max_bounces=self.max_bounces,
             verify_pops=verify_pops,
             strategy=strategy,
             backend=self.backend,

@@ -110,15 +110,13 @@ class SimulationJob:
         scene: str,
         config: GPUConfig,
         params: WorkloadParams = DEFAULT_PARAMS,
-        max_bounces: Optional[int] = None,
         verify_pops: bool = False,
         strategy: str = "sms",
         backend: str = "stepped",
     ) -> "SimulationJob":
         """Build a job resolving the two-tier resolution scheme.
 
-        Complex scenes get the reduced tier of ``params``, and
-        ``max_bounces`` (when given) overrides the params' bounce budget.
+        Complex scenes get the reduced tier of ``params``.
         """
         width, height, spp = params.for_scene(scene)
         return cls(
@@ -127,9 +125,7 @@ class SimulationJob:
             width=width,
             height=height,
             spp=spp,
-            max_bounces=(
-                max_bounces if max_bounces is not None else params.max_bounces
-            ),
+            max_bounces=params.max_bounces,
             seed=params.seed,
             verify_pops=verify_pops,
             strategy=strategy,

@@ -1,7 +1,6 @@
 """repro.simlint — determinism & invariant static analysis for the simulator.
 
-The reproduction's contracts — bit-identical event streams between the
-scalar and wave tracers, stepped ≡ vector timing, the SMS
+The reproduction's contracts — stepped ≡ vector timing, the SMS
 conservation laws, picklable ``__slots__`` hot-path records — are all
 *runtime*-checkable, which means a violation is only caught when a test
 happens to exercise it.  ``simlint`` rejects whole classes of hazard at

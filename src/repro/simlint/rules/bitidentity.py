@@ -1,10 +1,10 @@
 """SL2xx — bit-identity rules.
 
-The bit-identity contracts (wave ≡ scalar tracing, stepped ≡ vector
-timing) and the runtime's content-addressed cache both assume that
-shared objects are immutable and that every counter is written by
-exactly one component.  These rules make those assumptions checkable at
-review time.  The backend counter-parity oracle (SL204) lives in
+The bit-identity contract (stepped ≡ vector timing) and the runtime's
+content-addressed cache both assume that shared objects are immutable
+and that every counter is written by exactly one component.  These rules
+make those assumptions checkable at review time.  The backend
+counter-parity oracle (SL204) lives in
 :mod:`repro.simlint.rules.mutation_surface`.
 """
 

@@ -11,7 +11,7 @@ memory traffic that causes.
 
 from repro.trace.events import RayKind, Step, RayTrace
 from repro.trace.rng import DeterministicRng
-from repro.trace.tracer import Tracer, TraceResult
+from repro.trace.tracer import Tracer
 from repro.trace.path import PathTracerWorkload, generate_workload
 from repro.trace.depth import DepthStats, depth_statistics, depth_histogram
 
@@ -21,7 +21,6 @@ __all__ = [
     "RayTrace",
     "DeterministicRng",
     "Tracer",
-    "TraceResult",
     "PathTracerWorkload",
     "generate_workload",
     "DepthStats",

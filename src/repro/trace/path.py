@@ -5,7 +5,8 @@ rays, then per-bounce waves of shadow and bounce rays from the previous
 wave's hit points.  Waves are kept separate because they are what a GPU
 schedules: primary-ray warps are coherent, deeper waves increasingly
 divergent — which is precisely the incoherence the paper's stack traffic
-analysis depends on.
+analysis depends on.  Generation runs wave by wave, but each ray is
+traced on its own, when it is spawned.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ def generate_workload(
     spp: int = 1,
     max_bounces: int = 2,
     seed: int = 0,
-    camera: PinholeCamera = None,
     tracer_factory=None,
 ) -> PathTracerWorkload:
     """Path-trace a frame and return every ray's traversal trace.
@@ -88,7 +88,6 @@ def generate_workload(
         spp: samples per pixel.
         max_bounces: path depth; each bounce wave adds shadow+bounce rays.
         seed: workload RNG seed.
-        camera: optional camera override.
         tracer_factory: ``bvh -> tracer`` constructor; defaults to the
             reference :class:`~repro.trace.tracer.Tracer`.  Traversal
             strategies substitute their own tracer here (e.g. the
@@ -102,21 +101,19 @@ def generate_workload(
     tracer = (tracer_factory or Tracer)(bvh)
     rng = DeterministicRng(seed)
     scene = bvh.scene
-    if camera is None:
-        camera = _default_camera(bvh, width, height)
+    camera = _default_camera(bvh, width, height)
     workload = PathTracerWorkload(
         scene_name=scene.name, width=width, height=height,
         spp=spp, max_bounces=max_bounces,
     )
 
+    # Each ray is traced as it is spawned, and ray ids run in spawn order:
+    # every primary sample first, then per bounce and per frontier entry
+    # its shadow ray (unless the hit point is on the light) and its bounce
+    # ray.
     next_ray_id = 0
-    # Wave 0: primary rays for every sample of every pixel, traced as one
-    # wavefront.  Ray ids run in generation order, exactly as the scalar
-    # loop assigned them.
-    primary_rays: List[Ray] = []
-    primary_ids: List[int] = []
-    primary_pixels: List[int] = []
-    primary_samples: List[int] = []
+    primary_wave: List[RayTrace] = []
+    frontier = []  # (pixel, sample, ray, trace) closest hits to extend
     for sample in range(spp):
         for pixel in range(camera.pixel_count):
             px, py = pixel % camera.width, pixel // camera.width
@@ -124,77 +121,57 @@ def generate_workload(
                 rng.uniform(pixel, sample, 1),
                 rng.uniform(pixel, sample, 2),
             ) if spp > 1 else (0.5, 0.5)
-            primary_rays.append(camera.ray_for_pixel(px, py, jitter=jitter))
-            primary_ids.append(next_ray_id)
-            primary_pixels.append(pixel)
-            primary_samples.append(sample)
+            ray = camera.ray_for_pixel(px, py, jitter=jitter)
+            trace = tracer.trace(
+                ray, ray_id=next_ray_id, pixel=pixel, kind=RayKind.PRIMARY
+            )
             next_ray_id += 1
-    primary_results = tracer.trace_wave(
-        primary_rays, primary_ids, primary_pixels, kind=RayKind.PRIMARY
-    )
-    workload.waves.append([result.trace for result in primary_results])
-    frontier = [  # (pixel, sample, ray, trace_result) hits to extend
-        (primary_pixels[i], primary_samples[i], primary_rays[i], result)
-        for i, result in enumerate(primary_results)
-        if result.hit
-    ]
+            primary_wave.append(trace)
+            if trace.hit:
+                frontier.append((pixel, sample, ray, trace))
+    workload.waves.append(primary_wave)
 
     for bounce in range(max_bounces):
         if not frontier:
             break
-        # Spawn this wave's shadow and bounce rays first (ray ids
-        # interleave per frontier entry: shadow — when the hit point is
-        # not on the light — then bounce), then trace each wave batched.
-        shadow_rays: List[Ray] = []
-        shadow_ids: List[int] = []
-        shadow_pixels: List[int] = []
-        bounce_rays: List[Ray] = []
-        bounce_ids: List[int] = []
-        bounce_pixels: List[int] = []
-        bounce_samples: List[int] = []
-        for pixel, sample, ray, result in frontier:
-            hit_point = ray.at(result.hit_t)
-            tri = scene.triangle(result.hit_prim)
-            normal = tri.normal()
+        shadow_wave: List[RayTrace] = []
+        bounce_wave: List[RayTrace] = []
+        next_frontier = []
+        for pixel, sample, ray, hit in frontier:
+            hit_point = ray.at(hit.hit_t)
+            normal = scene.triangle(hit.hit_prim).normal()
             # Face the normal toward the incoming ray.
             if float(np.dot(normal, ray.direction)) > 0.0:
                 normal = -normal
+            origin = hit_point + normal * 1e-4
             # Shadow ray toward the light (any-hit).
             to_light = scene.light_position - hit_point
             distance = float(np.linalg.norm(to_light))
             if distance > 1e-6:
-                shadow_rays.append(Ray(
-                    origin=hit_point + normal * 1e-4,
-                    direction=normalize(to_light),
+                shadow_ray = Ray(
+                    origin=origin, direction=normalize(to_light),
                     t_max=distance,
+                )
+                shadow_wave.append(tracer.trace(
+                    shadow_ray, ray_id=next_ray_id, pixel=pixel,
+                    kind=RayKind.SHADOW, any_hit=True,
                 ))
-                shadow_ids.append(next_ray_id)
-                shadow_pixels.append(pixel)
                 next_ray_id += 1
             # Bounce ray in a cosine-weighted random direction.
             direction = rng.cosine_hemisphere(normal, pixel, sample, bounce)
-            bounce_rays.append(
-                Ray(origin=hit_point + normal * 1e-4, direction=direction)
+            bounce_ray = Ray(origin=origin, direction=direction)
+            trace = tracer.trace(
+                bounce_ray, ray_id=next_ray_id, pixel=pixel,
+                kind=RayKind.BOUNCE,
             )
-            bounce_ids.append(next_ray_id)
-            bounce_pixels.append(pixel)
-            bounce_samples.append(sample)
             next_ray_id += 1
-        shadow_results = tracer.trace_wave(
-            shadow_rays, shadow_ids, shadow_pixels,
-            kind=RayKind.SHADOW, any_hit=True,
-        )
-        bounce_results = tracer.trace_wave(
-            bounce_rays, bounce_ids, bounce_pixels, kind=RayKind.BOUNCE
-        )
-        if shadow_results:
-            workload.waves.append([result.trace for result in shadow_results])
-        if bounce_results:
-            workload.waves.append([result.trace for result in bounce_results])
-        frontier = [
-            (bounce_pixels[i], bounce_samples[i], bounce_rays[i], result)
-            for i, result in enumerate(bounce_results)
-            if result.hit
-        ]
+            bounce_wave.append(trace)
+            if trace.hit:
+                next_frontier.append((pixel, sample, bounce_ray, trace))
+        if shadow_wave:
+            workload.waves.append(shadow_wave)
+        if bounce_wave:
+            workload.waves.append(bounce_wave)
+        frontier = next_frontier
 
     return workload

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, List
 if TYPE_CHECKING:
     from repro.bvh.wide import WideBVH
     from repro.gpu.config import GPUConfig
-    from repro.scene.camera import PinholeCamera
     from repro.stack.base import StackModel
     from repro.trace.path import PathTracerWorkload
 
@@ -76,7 +75,6 @@ class TraversalStrategy(ABC):
         spp: int = 1,
         max_bounces: int = 2,
         seed: int = 0,
-        camera: "PinholeCamera" = None,
     ) -> "PathTracerWorkload":
         """Phase one: path-trace the frame this strategy will time.
 
@@ -86,7 +84,7 @@ class TraversalStrategy(ABC):
 
         return generate_workload(
             bvh, width=width, height=height, spp=spp,
-            max_bounces=max_bounces, seed=seed, camera=camera,
+            max_bounces=max_bounces, seed=seed,
         )
 
     @abstractmethod

@@ -26,7 +26,7 @@ tracer attributes child-box tests to the parent visit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.geometry.intersect import moeller_trumbore, slab_test
 from repro.stack.base import StackModel
 from repro.stack.ops import StackActivity
 from repro.trace.events import NodeKind, RayKind, RayTrace, Step
-from repro.trace.tracer import TraceResult, TraversalTables
+from repro.trace.tracer import TraversalTables
 from repro.traversal.base import TraversalStrategy
 
 if TYPE_CHECKING:
@@ -122,7 +122,7 @@ class EscapeTracer:
         pixel: int = 0,
         kind: RayKind = RayKind.PRIMARY,
         any_hit: bool = False,
-    ) -> TraceResult:
+    ) -> RayTrace:
         """Trace one ray to its closest hit (or first hit when ``any_hit``)."""
         tables = self.tables
         node_address = tables.address
@@ -195,21 +195,7 @@ class EscapeTracer:
 
         trace.hit_prim = best_prim
         trace.hit_t = best_t if best_prim >= 0 else float("inf")
-        return TraceResult(trace=trace, hit_prim=best_prim, hit_t=trace.hit_t)
-
-    def trace_wave(
-        self,
-        rays: Sequence["Ray"],
-        ray_ids: Sequence[int],
-        pixels: Sequence[int],
-        kind: RayKind = RayKind.PRIMARY,
-        any_hit: bool = False,
-    ) -> List[TraceResult]:
-        """Trace a wavefront; link-following has no cross-ray batching."""
-        return [
-            self.trace(ray, ray_ids[i], pixels[i], kind=kind, any_hit=any_hit)
-            for i, ray in enumerate(rays)
-        ]
+        return trace
 
 
 class StacklessStrategy(TraversalStrategy):

@@ -60,7 +60,7 @@ def test_shared_stack_amortizes_on_coherent_rays(bvh):
     packet = packet_trace(bvh, rays)
     tracer = Tracer(bvh)
     solo_pushes = sum(
-        sum(len(step.pushes) for step in tracer.trace(ray).trace.steps)
+        sum(len(step.pushes) for step in tracer.trace(ray).steps)
         for ray in rays
     )
     assert packet.stack_pushes < solo_pushes
@@ -72,7 +72,7 @@ def test_group_visits_union_of_paths(bvh):
     rays = incoherent_rays(6)
     packet = packet_trace(bvh, rays)
     tracer = Tracer(bvh)
-    solo_visits = [tracer.trace(ray).trace.step_count for ray in rays]
+    solo_visits = [tracer.trace(ray).step_count for ray in rays]
     assert packet.node_visits <= sum(solo_visits)
     assert packet.node_visits >= max(solo_visits)
 

@@ -53,7 +53,7 @@ def test_visits_exceed_stack_based(bvh):
     dfs = 0
     stackless = 0
     for ray in random_rays(40, seed=73):
-        dfs += tracer.trace(ray).trace.step_count
+        dfs += tracer.trace(ray).step_count
         stackless += restart_trail_trace(bvh, ray).node_visits
     assert stackless > dfs
 

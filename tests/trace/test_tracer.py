@@ -57,19 +57,19 @@ def test_miss_reports_no_hit(tracer):
     result = tracer.trace(ray)
     assert not result.hit
     assert result.hit_prim == -1
-    assert result.trace.hit_t == float("inf")
+    assert result.hit_t == float("inf")
 
 
 def test_trace_events_balanced(scene, tracer):
     for ray in random_rays(20, seed=63):
         result = tracer.trace(ray)
-        result.trace.validate()
+        result.validate()
 
 
 def test_first_step_is_root(tracer):
     ray = Ray(origin=vec3(0, 0, 20), direction=vec3(0, 0, -1))
     result = tracer.trace(ray)
-    assert result.trace.steps[0].address == tracer.bvh.address[tracer.bvh.root]
+    assert result.steps[0].address == tracer.bvh.address[tracer.bvh.root]
 
 
 def node_at_address(bvh):
@@ -80,7 +80,7 @@ def node_at_address(bvh):
 def test_pushes_reference_real_nodes(tracer):
     nodes = node_at_address(tracer.bvh)
     for ray in random_rays(10, seed=64):
-        trace = tracer.trace(ray).trace
+        trace = tracer.trace(ray)
         for step in trace.steps:
             for address in step.pushes:
                 assert address in nodes
@@ -89,7 +89,7 @@ def test_pushes_reference_real_nodes(tracer):
 def test_popped_address_is_next_visit(tracer):
     """The value popped must be the next node visited (LIFO contract)."""
     for ray in random_rays(15, seed=65):
-        trace = tracer.trace(ray).trace
+        trace = tracer.trace(ray)
         stack = []
         for i, step in enumerate(trace.steps):
             for address in step.pushes:
@@ -106,7 +106,7 @@ def test_any_hit_stops_early(scene, tracer):
         if closest.hit:
             any_hit = tracer.trace(ray, any_hit=True)
             assert any_hit.hit
-            assert any_hit.trace.step_count <= closest.trace.step_count
+            assert any_hit.step_count <= closest.step_count
             break
     else:
         pytest.fail("no hitting ray found")
@@ -114,7 +114,7 @@ def test_any_hit_stops_early(scene, tracer):
 
 def test_leaf_steps_count_triangle_tests(tracer):
     ray = Ray(origin=vec3(0, 0, 20), direction=vec3(0, 0, -1))
-    trace = tracer.trace(ray).trace
+    trace = tracer.trace(ray)
     nodes = node_at_address(tracer.bvh)
     for step in trace.steps:
         node = nodes[step.address]
@@ -127,9 +127,9 @@ def test_leaf_steps_count_triangle_tests(tracer):
 def test_ray_metadata_propagates(tracer):
     ray = Ray(origin=vec3(0, 0, 20), direction=vec3(0, 0, -1))
     result = tracer.trace(ray, ray_id=42, pixel=7, kind=RayKind.SHADOW)
-    assert result.trace.ray_id == 42
-    assert result.trace.pixel == 7
-    assert result.trace.kind is RayKind.SHADOW
+    assert result.ray_id == 42
+    assert result.pixel == 7
+    assert result.kind is RayKind.SHADOW
 
 
 def test_closest_hit_shrinks_t_max(scene, tracer):
@@ -138,4 +138,4 @@ def test_closest_hit_shrinks_t_max(scene, tracer):
         result = tracer.trace(ray)
         # Every visited internal node must plausibly intersect the ray
         # interval; weaker but fast sanity: step count bounded by node count.
-        assert result.trace.step_count <= tracer.bvh.node_count
+        assert result.step_count <= tracer.bvh.node_count

@@ -11,7 +11,7 @@ TINY = WorkloadParams(width=6, height=6, spp=1, max_bounces=2,
 
 def _job(strategy):
     return SimulationJob.from_params(
-        "WKND", sms_config(), params=TINY, max_bounces=2, strategy=strategy
+        "WKND", sms_config(), params=TINY, strategy=strategy
     )
 
 
@@ -29,7 +29,7 @@ def test_strategies_get_distinct_keys():
 
 def test_default_strategy_key_is_sms():
     assert _job("sms").key() == SimulationJob.from_params(
-        "WKND", sms_config(), params=TINY, max_bounces=2
+        "WKND", sms_config(), params=TINY
     ).key()
 
 

@@ -107,14 +107,14 @@ def test_tracers_read_the_current_layout(small_scene):
     bvh = build_bvh(small_scene)
     ray = _fuzz_rays(bvh, 1, seed=17)[0]
     before = [
-        [step.address for step in tracer.trace(ray).trace.steps]
+        [step.address for step in tracer.trace(ray).steps]
         for tracer in (Tracer(bvh), EscapeTracer(bvh))
     ]
     # Nothing derived is cached on the BVH: moving the layout moves the
     # addresses every tracer built afterwards emits.
     assign_addresses(bvh, base_address=2 * BVH_BASE_ADDRESS)
     after = [
-        [step.address for step in tracer.trace(ray).trace.steps]
+        [step.address for step in tracer.trace(ray).steps]
         for tracer in (Tracer(bvh), EscapeTracer(bvh))
     ]
     for old, new in zip(before, after):
