@@ -1,4 +1,4 @@
-"""Run a cached, multi-process measurement campaign twice.
+"""Run a cached, multi-process measurement sweep twice.
 
 Demonstrates the runtime subsystem end to end: the first run fans the
 (scene x config) sweep out over worker processes and persists every
@@ -16,36 +16,46 @@ Run:  python examples/parallel_campaign.py [JOBS] [CACHE_DIR]
 
 import sys
 
-from repro.analysis import Campaign
+from repro.analysis import results_markdown
+from repro.core.presets import named_config
+from repro.runtime import runtime_cache
 from repro.workloads import WorkloadParams
+
+CONFIGS = ("RB_8", "RB_8+SH_8+SK+RA", "RB_FULL")
+
+
+def run(jobs, cache_dir):
+    """One sweep on a fresh workload cache: its results and metrics."""
+    cache = runtime_cache(
+        params=WorkloadParams().scaled(0.5),
+        scene_names=("SHIP", "CRNVL", "SPNZA"),
+        jobs=jobs,
+        cache_dir=cache_dir,
+        progress=True,
+    )
+    sweep = cache.sweep([named_config(label) for label in CONFIGS])
+    results = [result for per_scene in sweep.values()
+               for result in per_scene.values()]
+    return results, cache.metrics
 
 
 def main() -> int:
     jobs = int(sys.argv[1]) if len(sys.argv) > 1 else None
     cache_dir = sys.argv[2] if len(sys.argv) > 2 else None
 
-    campaign = Campaign(
-        configs=("RB_8", "RB_8+SH_8+SK+RA", "RB_FULL"),
-        scenes=("SHIP", "CRNVL", "SPNZA"),
-        params=WorkloadParams().scaled(0.5),
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=True,
-    )
-
     print("first run (simulates, fills the store) ...")
-    first = campaign.run()
-    print(first.to_markdown())
-    print(f"metrics: {first.metrics.summary()}")
+    first, metrics = run(jobs, cache_dir)
+    print(results_markdown(first))
+    print(f"metrics: {metrics.summary()}")
 
     print("\nsecond run (served from the store) ...")
-    second = campaign.run()
-    print(f"metrics: {second.metrics.summary()}")
-    hits = second.metrics.cache_hits
-    total = second.metrics.jobs_total
+    second, metrics = run(jobs, cache_dir)
+    print(f"metrics: {metrics.summary()}")
+    hits = metrics.cache_hits
+    total = metrics.jobs_total
     print(f"cache served {hits}/{total} jobs "
-          f"({second.metrics.cache_hit_rate:.0%}); results identical: "
-          f"{[r.counters for r in first.results] == [r.counters for r in second.results]}")
+          f"({metrics.cache_hit_rate:.0%}); results identical: "
+          f"{[r.counters for r in first] == [r.counters for r in second]}")
     return 0
 
 

@@ -22,7 +22,6 @@ from repro.ablation.engine import (
     REPORT_FILENAME,
     REPORT_SCHEMA,
     AblationReport,
-    execute_matrix,
     load_report,
     matrix_jobs,
     run_space,
@@ -71,7 +70,6 @@ __all__ = [
     "available_knobs",
     "available_spaces",
     "corner_assignment",
-    "execute_matrix",
     "generate_matrix",
     "knob_registry",
     "load_report",

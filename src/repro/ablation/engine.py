@@ -1,14 +1,14 @@
-"""Execute a run matrix and assemble the ablation report.
+"""Run a knob space and assemble the ablation report.
 
-One (run, scene) cell is one content-addressed
-:class:`~repro.runtime.job.SimulationJob` — the same job model every
-other campaign path uses — so matrices fan out through
-:func:`~repro.runtime.executor.run_jobs` (process pool + persistent
+:func:`run_space` is the one way to run a knob space.  One (run, scene)
+cell is one content-addressed :class:`~repro.runtime.job.SimulationJob`
+— the same job model every other sweep uses — so a space fans out
+through a workload cache's ``run_jobs`` (process pool + persistent
 store; repeated design points across spaces are store hits) or through
-a running ``repro serve`` instance via
-:class:`~repro.service.client.ServiceClient`.  The simulation is
-deterministic, so all three paths (serial, pool, service) produce
-bit-identical reports.
+any other object with ``run_jobs(jobs)``, such as a
+:class:`~repro.service.client.ServiceClient` for a running ``repro
+serve``.  The simulation is deterministic, so all three paths (serial,
+pool, service) produce bit-identical reports.
 
 The report itself is pure content: knob space, matrix, per-run metrics,
 importance ranking and Pareto frontier — no timestamps, no host state —
@@ -205,33 +205,6 @@ def _scene_cell(result: SimulationResult) -> Dict:
     }
 
 
-def execute_matrix(
-    matrix: RunMatrix,
-    params: WorkloadParams = DEFAULT_PARAMS,
-    *,
-    guard: bool = False,
-    cache=None,
-    service=None,
-    backend: str = "stepped",
-) -> AblationReport:
-    """Run every cell and derive importance + Pareto.
-
-    ``cache`` is a :class:`~repro.runtime.cache.CachedWorkloadCache`:
-    its policy sizes the worker pool and its store absorbs repeats.
-    ``service`` routes the matrix to a running ``repro serve`` instance
-    instead — pass a :class:`~repro.service.client.ServiceClient` or an
-    ``http://host:port`` URL.  With neither, cells run serially
-    in-process.
-    """
-    jobs = matrix_jobs(matrix, params=params, guard=guard, backend=backend)
-    if isinstance(service, str):
-        from repro.service.client import ServiceClient
-
-        service = ServiceClient.from_url(service)
-    results = (service or cache or CachedWorkloadCache()).run_jobs(jobs)
-    return _assemble(matrix, params, guard, results, backend=backend)
-
-
 def run_space(
     space: KnobSpace,
     params: WorkloadParams = DEFAULT_PARAMS,
@@ -241,11 +214,19 @@ def run_space(
     service=None,
     backend: str = "stepped",
 ) -> AblationReport:
-    """Expand ``space`` and execute it (the one-call entry point)."""
-    return execute_matrix(
-        generate_matrix(space), params=params, guard=guard,
-        cache=cache, service=service, backend=backend,
-    )
+    """Expand ``space``, run every cell and derive importance + Pareto.
+
+    ``cache`` is a :class:`~repro.runtime.cache.CachedWorkloadCache`:
+    its policy sizes the worker pool and its store absorbs repeats.
+    ``service`` is any object with ``run_jobs(jobs)`` that takes the
+    cells instead — a :class:`~repro.service.client.ServiceClient`
+    sends them to a running ``repro serve``.  With neither, cells run
+    serially in-process.
+    """
+    matrix = generate_matrix(space)
+    jobs = matrix_jobs(matrix, params=params, guard=guard, backend=backend)
+    results = (service or cache or CachedWorkloadCache()).run_jobs(jobs)
+    return _assemble(matrix, params, guard, results, backend=backend)
 
 
 def _assemble(

@@ -1,9 +1,9 @@
-"""Result analysis and export.
+"""Result export.
 
-Turns :class:`~repro.core.results.SimulationResult` collections into
+Turns any list of :class:`~repro.core.results.SimulationResult` into
 portable artifacts: CSV/JSON files for downstream plotting and a
-markdown summary for reports.  The campaign runner wraps a full
-scene-by-configuration sweep with export in one call.
+markdown summary for reports.  Run the sweep itself on a workload cache
+(:func:`repro.runtime.runtime_cache`) and export its results here.
 """
 
 from repro.analysis.export import (
@@ -12,13 +12,10 @@ from repro.analysis.export import (
     write_json,
     results_markdown,
 )
-from repro.analysis.campaign import Campaign, CampaignResult
 
 __all__ = [
     "results_to_rows",
     "write_csv",
     "write_json",
     "results_markdown",
-    "Campaign",
-    "CampaignResult",
 ]

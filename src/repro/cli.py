@@ -433,14 +433,15 @@ def _cmd_ablate_run(args) -> int:
     from dataclasses import replace
 
     from repro.ablation import (
-        execute_matrix,
-        generate_matrix,
         render_json,
         render_text,
         resolve_space,
+        run_space,
         space_catalog,
         write_report,
     )
+    from repro.runtime.cache import runtime_cache
+    from repro.service.client import ServiceClient
     from repro.workloads.params import DEFAULT_PARAMS
 
     if args.list_spaces:
@@ -455,28 +456,17 @@ def _cmd_ablate_run(args) -> int:
     params = (
         DEFAULT_PARAMS if args.scale == 1.0 else DEFAULT_PARAMS.scaled(args.scale)
     )
-    matrix = generate_matrix(space)
-    cache = None
-    if args.service:
-        report = execute_matrix(
-            matrix, params=params, guard=args.guard, service=args.service,
-            backend=args.backend,
-        )
-    else:
-        from repro.runtime.cache import runtime_cache
-
-        cache = runtime_cache(
-            params=params,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            progress=args.progress,
-            backend=args.backend,
-        )
-        report = execute_matrix(
-            matrix, params=params, guard=args.guard, cache=cache,
-            backend=args.backend,
-        )
+    service = ServiceClient.from_url(args.service) if args.service else None
+    cache = None if service else runtime_cache(
+        params=params,
+        jobs=args.jobs,
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        progress=args.progress,
+        backend=args.backend,
+    )
+    report = run_space(space, params=params, guard=args.guard, cache=cache,
+                       service=service, backend=args.backend)
     print(render_json(report) if args.format == "json" else render_text(report))
     if args.out:
         path = write_report(report, args.out)

@@ -25,15 +25,12 @@ from repro.runtime.cache import CachedWorkloadCache
 
 def run(cache: Optional[CachedWorkloadCache] = None):
     """Execute the ``mechanisms`` space over the cache's scene suite."""
-    from repro.ablation.engine import execute_matrix
-    from repro.ablation.matrix import generate_matrix
+    from repro.ablation.engine import run_space
     from repro.ablation.spaces import named_space
 
     cache = cache or CachedWorkloadCache()
     space = replace(named_space("mechanisms"), scenes=tuple(cache.names))
-    return execute_matrix(
-        generate_matrix(space), params=cache.params, cache=cache
-    )
+    return run_space(space, params=cache.params, cache=cache)
 
 
 def render(result) -> str:

@@ -4,11 +4,11 @@
 the whole evaluation section on one workload cache, so its store and
 metrics span every driver.
 
-Both default to a :class:`~repro.runtime.cache.CachedWorkloadCache`, so
-every driver's sweep runs on the runtime's process pool and is served
-from the persistent result store on repeat runs; pass ``jobs=1`` or
-``use_cache=False`` (or a bare ``CachedWorkloadCache()``, serial with
-no store) to opt out.
+Without a cache both fall back to ``runtime_cache()``: every driver's
+sweep runs on the runtime's process pool and is served from the
+persistent result store on repeat runs.  To run serially or without the
+store, pass ``runtime_cache(jobs=1, use_cache=False)`` (or a bare
+``CachedWorkloadCache()``, serial with no store).
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ EXTRA_EXPERIMENTS = {
 _CACHELESS = ("table1",)
 
 
-def _default_cache() -> CachedWorkloadCache:
-    """The runtime-backed cache experiments get when none is supplied."""
-    return runtime_cache()
-
-
 def run_experiment(
     name: str, cache: Optional[CachedWorkloadCache] = None
 ) -> str:
@@ -69,7 +64,7 @@ def run_experiment(
     key = name.lower()
     if key in EXTRA_EXPERIMENTS:
         driver = EXTRA_EXPERIMENTS[key]
-        return driver.render(driver.run(cache or _default_cache()))
+        return driver.render(driver.run(cache or runtime_cache()))
     if key not in EXPERIMENTS:
         available = ", ".join(list(EXPERIMENTS) + list(EXTRA_EXPERIMENTS))
         raise ExperimentError(
@@ -78,27 +73,16 @@ def run_experiment(
     driver = EXPERIMENTS[key]
     if key in _CACHELESS:
         return driver.render(driver.run())
-    return driver.render(driver.run(cache or _default_cache()))
+    return driver.render(driver.run(cache or runtime_cache()))
 
 
-def run_all(
-    cache: Optional[CachedWorkloadCache] = None,
-    jobs: Optional[int] = None,
-    use_cache: bool = True,
-    cache_dir=None,
-    progress: bool = False,
-) -> Dict[str, str]:
+def run_all(cache: Optional[CachedWorkloadCache] = None) -> Dict[str, str]:
     """Regenerate every table and figure; returns id -> rendered report.
 
-    ``jobs``/``use_cache``/``cache_dir``/``progress`` configure the
-    runtime cache built when no ``cache`` is supplied (worker count,
-    persistent store, store location, live progress line).
+    Every driver runs on ``cache`` (default ``runtime_cache()``), so one
+    store and one set of metrics span the whole evaluation.
     """
-    if cache is None:
-        cache = runtime_cache(
-            jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-            progress=progress,
-        )
+    cache = cache or runtime_cache()
     reports: Dict[str, str] = {}
     for name in EXPERIMENTS:
         reports[name] = run_experiment(name, cache)

@@ -1,4 +1,4 @@
-"""Parallel campaign execution engine with a persistent result store.
+"""Parallel sweep execution engine with a persistent result store.
 
 Every figure and table in the reproduction is a (scene x configuration)
 sweep, and each cell of that sweep is a *pure* computation: trace the
@@ -10,14 +10,15 @@ This package turns that purity into throughput:
 - :mod:`repro.runtime.store` — a JSON-per-key on-disk result store so
   repeated sweeps load instead of re-simulating, which also keeps each
   scene's phase one (its traces) so it is traced once per store;
-- :mod:`repro.runtime.executor` — a process-pool executor with per-job
-  timeouts, bounded retry with backoff, and graceful degradation to
-  serial in-process execution when workers fail;
+- :mod:`repro.runtime.executor` — a process-pool executor with bounded
+  retry with backoff, and graceful degradation to serial in-process
+  execution when the pool breaks;
 - :mod:`repro.runtime.metrics` — queued/running/done/failed/cache-hit
   counters, per-job latency and throughput, plus a live progress line;
-- :mod:`repro.runtime.cache` — the workload cache every experiment
-  driver runs on: one ``run_jobs(jobs)`` call resolves a sweep through
-  the store and the executor.
+- :mod:`repro.runtime.cache` — the workload cache every sweep runs on:
+  one ``run_jobs(jobs)`` call resolves a sweep through the store and the
+  executor, and :func:`~repro.runtime.cache.runtime_cache` is the one
+  place a sweep's runtime (workers, store, progress) is set.
 
 Because the simulation is deterministic, a parallel cached sweep is
 bit-identical to a serial one.

@@ -11,7 +11,7 @@ call, :meth:`~CachedWorkloadCache.run_jobs`, which hands them to
 - misses run in-process or on a process pool per the
   :class:`ExecutionPolicy`;
 - ``metrics`` accumulates cache-hit/latency/throughput counters across
-  every call, for reporting at the end of a campaign.
+  every call, for reporting at the end of a sweep.
 
 ``simulate`` and ``sweep`` are thin loops over ``run_jobs``.  Phase one
 (scene, BVH, trace) is configuration-independent and has one path in
@@ -129,25 +129,25 @@ def runtime_cache(
     jobs: Optional[int] = None,
     use_cache: bool = True,
     cache_dir=None,
-    timeout: Optional[float] = None,
     progress: bool = False,
     backend: str = "stepped",
 ) -> CachedWorkloadCache:
     """Build a :class:`CachedWorkloadCache` from user-facing knobs.
 
-    The translation used by ``run_all`` and the CLI: ``jobs`` is the
-    worker count (``None`` auto-sizes, ``1`` forces serial),
-    ``use_cache=False`` drops the persistent store entirely,
-    ``cache_dir`` overrides the store location (default
-    ``~/.cache/repro-sms`` or ``$REPRO_CACHE_DIR``), and ``backend``
-    selects the timing backend every job requests (``"stepped"`` or
-    ``"vector"`` — bit-identical results, different wall-clock).
+    The one place a sweep's runtime is set; the CLI, ``run_all`` and
+    ``run_experiment`` all go through it.  ``jobs`` is the worker count
+    (``None`` auto-sizes, ``1`` forces serial), ``use_cache=False``
+    drops the persistent store entirely, ``cache_dir`` overrides the
+    store location (default ``~/.cache/repro-sms`` or
+    ``$REPRO_CACHE_DIR``), ``progress`` draws a live stderr progress
+    line, and ``backend`` selects the timing backend every job requests
+    (``"stepped"`` or ``"vector"`` — bit-identical results, different
+    wall-clock).
     """
     return CachedWorkloadCache(
         params=params or DEFAULT_PARAMS,
         scene_names=scene_names,
         backend=backend,
         store=ResultStore(cache_dir) if use_cache else None,
-        policy=ExecutionPolicy(workers=jobs, timeout=timeout,
-                               progress=progress),
+        policy=ExecutionPolicy(workers=jobs, progress=progress),
     )

@@ -1,4 +1,4 @@
-"""Process-pool job executor with retry, timeout and serial fallback.
+"""Process-pool job executor with retry and serial fallback.
 
 :func:`run_jobs` resolves a list of jobs against the result store and a
 ``concurrent.futures.ProcessPoolExecutor``:
@@ -8,18 +8,19 @@
 2. identical jobs within one call are deduplicated and computed once;
 3. misses run on a bounded pool of worker processes — each failure is
    retried on a deterministic seeded exponential-backoff-with-jitter
-   schedule (:func:`repro.runtime.backoff.backoff_delay`) up to the
-   policy's retry budget, each job has an optional wall-clock timeout,
-   and a broken pool (a worker killed by the OS, say) degrades the
-   remaining jobs to serial in-process execution rather than failing
-   the sweep;
+   schedule (:func:`repro.runtime.backoff.backoff_delay`) up to
+   :data:`RETRIES` times, and a broken pool (a worker killed by the OS,
+   say) degrades the remaining jobs to serial in-process execution
+   rather than failing the sweep;
 4. completed results are written back to the store.
 
 Results come back in job order; jobs that can never succeed raise
 :class:`~repro.errors.JobExecutionError` after exhausting retries.
-This is the one scheduler for content-addressed jobs: local sweeps,
-campaigns and ``repro serve`` (:mod:`repro.service`) all resolve their
-jobs here.
+There is no wall-clock timeout: a job is deterministic, and the guard
+watchdog's ``max_cycles`` is what bounds a runaway simulation.  This is
+the one scheduler for content-addressed jobs: every sweep (through
+:class:`~repro.runtime.cache.CachedWorkloadCache`) and ``repro serve``
+(:mod:`repro.service`) resolve their jobs here.
 
 A job is any picklable object with ``key() -> str`` and
 ``run(store)``; every run (pool worker, serial, fallback) receives the
@@ -53,8 +54,13 @@ from repro.runtime.backoff import backoff_delay
 from repro.runtime.metrics import ProgressReporter, RuntimeMetrics
 from repro.runtime.store import ResultStore
 
-#: Seconds between timeout checks while futures are in flight.
-_TIMEOUT_TICK = 0.05
+#: Additional attempts after a job's first failure, each preceded by a
+#: deterministic seeded backoff sleep (:func:`backoff_delay`).
+RETRIES = 2
+
+#: Seconds between store polls while a held-back job waits beside a
+#: free worker slot for another job's phase one.
+_HOLD_POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -63,27 +69,17 @@ class ExecutionPolicy:
 
     ``workers=None`` auto-sizes to the machine (``os.cpu_count()``,
     capped by the number of distinct pending jobs); ``workers<=1`` runs
-    serially in-process with no pool at all.  ``timeout`` bounds each
-    job's wall-clock seconds in a worker — an expired job is cancelled
-    and re-run serially in-process (where it cannot be preempted but
-    also cannot be lost).  ``retries`` is the number of *additional*
-    attempts after a failure, each preceded by a deterministic seeded
-    exponential-backoff sleep (:func:`repro.runtime.backoff.backoff_delay`).
+    serially in-process with no pool at all.  ``progress`` draws a live
+    stderr progress line.
     """
 
     workers: Optional[int] = None
-    timeout: Optional[float] = None
-    retries: int = 2
     progress: bool = False
 
     def effective_workers(self, pending: int) -> int:
         """Pool size for ``pending`` distinct jobs under this policy."""
         workers = self.workers if self.workers is not None else os.cpu_count() or 1
         return max(1, min(workers, pending))
-
-    def retry_delay(self, attempt: int, key: str = "") -> float:
-        """The deterministic backoff before retry number ``attempt``."""
-        return backoff_delay(attempt, key=key)
 
 
 @dataclass
@@ -157,11 +153,10 @@ def run_jobs(
         if states:
             workers = policy.effective_workers(len(states))
             if workers <= 1:
-                _run_serial(states, results, store, policy, metrics,
-                            progress)
+                _run_serial(states, results, store, metrics, progress)
             else:
-                _run_parallel(states, results, store, policy, metrics,
-                              progress, workers)
+                _run_parallel(states, results, store, metrics, progress,
+                              workers)
     finally:
         metrics.running = 0
         metrics.elapsed_seconds = time.monotonic() - started
@@ -199,7 +194,7 @@ def _format_traceback(exc) -> str:
     )
 
 
-def _give_up(state, exc, store, metrics, traceback_text=None):
+def _give_up(state, exc, store, metrics):
     """Raise the terminal failure for a job, recording guard violations.
 
     A :class:`GuardViolationError` is a deterministic integrity failure:
@@ -211,8 +206,7 @@ def _give_up(state, exc, store, metrics, traceback_text=None):
     non-guard failures too.
     """
     metrics.failed += 1
-    if traceback_text is None:
-        traceback_text = _format_traceback(exc)
+    traceback_text = _format_traceback(exc)
     if isinstance(exc, GuardViolationError):
         if store is not None:
             spec = state.job.spec() if hasattr(state.job, "spec") else None
@@ -233,54 +227,58 @@ def _give_up(state, exc, store, metrics, traceback_text=None):
     raise error from exc
 
 
-def _run_one_serial(state, policy, metrics, store=None):
+def _retry_or_give_up(state, exc, store, metrics) -> None:
+    """Sleep the backoff before a failed job's next attempt, or raise.
+
+    Guard violations and a job that has used its :data:`RETRIES` go to
+    :func:`_give_up`.
+    """
+    if isinstance(exc, GuardViolationError) or state.attempts >= RETRIES:
+        _give_up(state, exc, store, metrics)
+    state.attempts += 1
+    metrics.retries += 1
+    delay = backoff_delay(state.attempts, key=state.key)
+    metrics.backoff_total_s += delay
+    time.sleep(delay)
+
+
+def _run_one_serial(state, metrics, store=None):
     """One job in-process, honoring the retry budget."""
     while True:
         try:
             return state.job.run(store)
         except Exception as exc:
-            if (isinstance(exc, GuardViolationError)
-                    or state.attempts >= policy.retries):
-                _give_up(state, exc, store, metrics,
-                         traceback_text=_format_traceback(exc))
-            state.attempts += 1
-            metrics.retries += 1
-            delay = policy.retry_delay(state.attempts, key=state.key)
-            metrics.backoff_total_s += delay
-            time.sleep(delay)
+            _retry_or_give_up(state, exc, store, metrics)
 
 
-def _run_serial(states, results, store, policy, metrics, progress) -> None:
+def _run_serial(states, results, store, metrics, progress) -> None:
     """Serial in-process execution (workers<=1, or fallback)."""
     for state in states:
         metrics.running = 1
         progress.update(metrics)
         begun = time.monotonic()
-        value = _run_one_serial(state, policy, metrics, store=store)
+        value = _run_one_serial(state, metrics, store=store)
         metrics.job_seconds.append(time.monotonic() - begun)
         metrics.running = 0
         _record(state, value, results, store, metrics)
         progress.update(metrics)
 
 
-def _run_parallel(states, results, store, policy, metrics, progress,
-                  workers) -> None:
-    """Pool execution with retry, per-job timeout, and degradation.
+def _run_parallel(states, results, store, metrics, progress, workers) -> None:
+    """Pool execution with retry and degradation.
 
-    Jobs are dispatched one per free worker slot (so a job's timeout
-    clock starts when it can actually start running, not when it is
-    queued).  A job whose phase one an in-flight job is still building
-    waits (see :func:`_next_ready`); while one waits beside a free
-    slot, the loop polls the store every tick.  Timeouts and a broken
-    pool both divert jobs to ``fallback``, which re-runs them serially
-    in this process.
+    Jobs are dispatched one per free worker slot.  A job whose phase
+    one an in-flight job is still building waits (see
+    :func:`_next_ready`); while one waits beside a free slot, the loop
+    polls the store every :data:`_HOLD_POLL_S`.  A broken pool diverts
+    every unfinished job to ``fallback``, which re-runs them serially in
+    this process.
     """
     queue = deque(states)
     in_flight = {}  # future -> (state, start time)
     building = set()  # phase keys an in-flight job is building
     fallback: List[_JobState] = []
     broken = False
-    abandoned = False  # a timed-out task is still occupying a worker
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while queue or in_flight:
@@ -309,10 +307,9 @@ def _run_parallel(states, results, store, policy, metrics, progress,
                     break
                 continue
             held = bool(queue) and len(in_flight) < workers
-            tick = (_TIMEOUT_TICK
-                    if policy.timeout is not None or held else None)
             done, _ = wait(
-                list(in_flight), timeout=tick, return_when=FIRST_COMPLETED
+                list(in_flight), timeout=_HOLD_POLL_S if held else None,
+                return_when=FIRST_COMPLETED,
             )
             for future in done:
                 state, begun = in_flight.pop(future)
@@ -323,15 +320,7 @@ def _run_parallel(states, results, store, policy, metrics, progress,
                     broken = True
                     fallback.append(state)
                 except Exception as exc:
-                    if (isinstance(exc, GuardViolationError)
-                            or state.attempts >= policy.retries):
-                        _give_up(state, exc, store, metrics,
-                                 traceback_text=_format_traceback(exc))
-                    state.attempts += 1
-                    metrics.retries += 1
-                    delay = policy.retry_delay(state.attempts, key=state.key)
-                    metrics.backoff_total_s += delay
-                    time.sleep(delay)
+                    _retry_or_give_up(state, exc, store, metrics)
                     queue.append(state)
                 else:
                     metrics.job_seconds.append(time.monotonic() - begun)
@@ -343,28 +332,11 @@ def _run_parallel(states, results, store, policy, metrics, progress,
                 fallback.extend(queue)
                 queue.clear()
                 break
-            if policy.timeout is not None:
-                now = time.monotonic()
-                for future, (state, begun) in list(in_flight.items()):
-                    if now - begun > policy.timeout:
-                        if not future.cancel():
-                            abandoned = True
-                        del in_flight[future]
-                        building.discard(state.phase)
-                        metrics.timeouts += 1
-                        fallback.append(state)
     finally:
-        processes = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
-        if abandoned:
-            # Every live result is already collected, so any worker still
-            # busy is running a task nobody wants; don't let it keep the
-            # interpreter (or the next sweep's CPUs) hostage.
-            for process in processes:
-                process.terminate()
     if fallback:
         metrics.serial_fallbacks += len(fallback)
-        _run_serial(fallback, results, store, policy, metrics, progress)
+        _run_serial(fallback, results, store, metrics, progress)
 
 
 def _next_ready(queue, building) -> Optional[_JobState]:

@@ -30,9 +30,7 @@ class RuntimeMetrics:
     #: Total seconds slept in retry backoff (deterministic schedule; see
     #: :func:`repro.runtime.backoff.backoff_delay`).
     backoff_total_s: float = 0.0
-    #: Jobs whose worker execution exceeded the per-job timeout.
-    timeouts: int = 0
-    #: Jobs degraded to serial in-process execution (timeout/broken pool).
+    #: Jobs degraded to serial in-process execution (broken pool).
     serial_fallbacks: int = 0
     #: Jobs that exhausted their retry budget.
     failed: int = 0
@@ -82,7 +80,6 @@ class RuntimeMetrics:
         self.deduplicated += other.deduplicated
         self.retries += other.retries
         self.backoff_total_s += other.backoff_total_s
-        self.timeouts += other.timeouts
         self.serial_fallbacks += other.serial_fallbacks
         self.failed += other.failed
         self.job_seconds.extend(other.job_seconds)
@@ -111,8 +108,6 @@ class RuntimeMetrics:
                 f"{self.retries} retries "
                 f"({self.backoff_total_s:.2f}s backoff)"
             )
-        if self.timeouts:
-            parts.append(f"{self.timeouts} timeouts")
         if self.serial_fallbacks:
             parts.append(f"{self.serial_fallbacks} serial fallbacks")
         if self.failed:
@@ -147,8 +142,8 @@ class ProgressReporter:
             f"[repro] {metrics.done}/{metrics.jobs_total} done "
             f"({metrics.cache_hits} cached, {metrics.running} running"
         )
-        if metrics.failed or metrics.timeouts:
-            line += f", {metrics.failed} failed, {metrics.timeouts} timed out"
+        if metrics.failed:
+            line += f", {metrics.failed} failed"
         line += ")"
         self.stream.write("\r" + line.ljust(79))
         self.stream.flush()

@@ -2,8 +2,12 @@
 
 :meth:`ServiceClient.run_jobs` posts a whole batch to ``/run`` and
 rehydrates the results into the same :class:`SimulationResult` objects
-a local run produces — so ``Campaign.run(service=...)`` is a drop-in
-for the in-process executor path and aggregates bit-identically.
+a local run produces.  It has the same signature as
+:meth:`~repro.runtime.cache.CachedWorkloadCache.run_jobs`, so a client
+is a drop-in for the in-process path — ``run_space(...,
+service=client)`` or ``client.run_jobs(jobs)`` — and aggregates
+bit-identically.  ``repro ablate run --service URL`` builds one with
+:meth:`ServiceClient.from_url`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,11 @@ from repro.service.wire import job_to_wire, result_from_wire
 
 
 class ServiceClient:
-    """Talk to a ``repro serve`` instance at ``host:port``."""
+    """Talk to a ``repro serve`` instance at ``host:port``.
+
+    Pass one as ``run_space(..., service=client)``, or call
+    :meth:`run_jobs` with any batch of jobs.
+    """
 
     def __init__(
         self,

@@ -10,8 +10,8 @@ traceback.
 
 The server handles one batch at a time: a concurrent client waits in
 the listen backlog, and repeats across batches are answered from the
-store.  Scheduling (pool, retries, timeouts, serial fallback) is the
-executor's alone.
+store.  Scheduling (pool, retries, serial fallback) is the executor's
+alone.
 """
 
 from __future__ import annotations

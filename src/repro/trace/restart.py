@@ -121,8 +121,11 @@ def short_stack_restart_trace(
     pending sibling), and an empty-stack backtrack falls back to a
     trail-guided restart, which rediscovers any dropped siblings.  With a
     large enough stack no restart ever happens and visit counts equal the
-    fixed-order DFS; with ``stack_entries = 0`` the scheme degenerates to
-    :func:`restart_trail_trace`.
+    fixed-order DFS.  With ``stack_entries = 0`` it finds the same closest
+    hit as :func:`restart_trail_trace`, but not always with the same node
+    visits or restarts: a ray that never pushes ends here without a
+    restart, while the trail scheme still restarts it, and some rays take
+    more visits here than there.
 
     This is the approach the paper's section VIII-A positions SMS against:
     it removes stack *memory traffic* at the cost of replayed node visits.

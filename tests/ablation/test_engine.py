@@ -8,7 +8,6 @@ from repro.ablation import (
     AblationReport,
     KnobSpace,
     REPORT_FILENAME,
-    execute_matrix,
     generate_matrix,
     load_report,
     matrix_jobs,

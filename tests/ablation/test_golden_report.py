@@ -22,8 +22,6 @@ import pytest
 from repro.ablation import (
     AblationReport,
     KnobSpace,
-    execute_matrix,
-    generate_matrix,
     render_json,
     run_space,
 )
@@ -103,8 +101,8 @@ def test_service_path_is_bit_identical_to_golden(server):
     from repro.service import ServiceClient
 
     client = ServiceClient(port=server["port"], timeout=120.0)
-    report = execute_matrix(
-        generate_matrix(golden_space()),
+    report = run_space(
+        golden_space(),
         params=golden_params(),
         service=client,
     )

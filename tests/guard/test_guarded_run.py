@@ -9,6 +9,7 @@ from repro.core.presets import named_config
 from repro.errors import ConfigError, GuardViolationError, JobExecutionError
 from repro.gpu.simulator import GPUSimulator
 from repro.guard import FaultSpec, GuardConfig
+from repro.runtime import executor
 from repro.runtime.executor import ExecutionPolicy, run_jobs
 from repro.runtime.job import SimulationJob
 from repro.runtime.store import ResultStore
@@ -106,14 +107,16 @@ class _ViolatingJob:
         )
 
 
-def test_executor_records_guard_violation_without_retry(tmp_path):
+def test_executor_records_guard_violation_without_retry(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(executor, "RETRIES", 3)
     store = ResultStore(tmp_path / "store")
     _ViolatingJob.runs = 0
     with pytest.raises(JobExecutionError, match="integrity guard") as excinfo:
         run_jobs(
             [_ViolatingJob()],
             store=store,
-            policy=ExecutionPolicy(workers=1, retries=3),
+            policy=ExecutionPolicy(workers=1),
         )
     assert _ViolatingJob.runs == 1  # deterministic failure: no retries
     assert isinstance(excinfo.value.__cause__, GuardViolationError)
@@ -126,15 +129,17 @@ def test_executor_records_guard_violation_without_retry(tmp_path):
     assert store.get(key) is None and list(store.keys()) == []
 
 
-def test_executor_records_guard_violation_from_workers(tmp_path):
+def test_executor_records_guard_violation_from_workers(tmp_path,
+                                                       monkeypatch):
     """Same contract through the process pool: the violation pickles back
     from the worker, skips the retry budget, and is recorded."""
+    monkeypatch.setattr(executor, "RETRIES", 3)
     store = ResultStore(tmp_path / "store")
     with pytest.raises(JobExecutionError, match="integrity guard"):
         run_jobs(
             [_ViolatingJob("c"), _ViolatingJob("d")],
             store=store,
-            policy=ExecutionPolicy(workers=2, retries=3),
+            policy=ExecutionPolicy(workers=2),
         )
     recorded = list(store.failures())
     assert recorded, "no structured failure persisted from the pool path"

@@ -50,14 +50,6 @@ def test_attempt_floor():
     assert backoff_delay(0) == backoff_delay(1)
 
 
-def test_policy_retry_delay_matches_helper(monkeypatch):
-    default = ExecutionPolicy().retry_delay(3, key="job")
-    schedule(monkeypatch, base=0.2, cap=1.5, seed=7)
-    patched = ExecutionPolicy().retry_delay(3, key="job")
-    assert patched == backoff_delay(3, key="job")
-    assert patched != default
-
-
 @dataclass(frozen=True)
 class FlakyJob:
     """Fails its first attempt (marker file), then succeeds."""
@@ -82,7 +74,7 @@ class FlakyJob:
 def test_executor_records_backoff_metrics(tmp_path, monkeypatch):
     schedule(monkeypatch, base=0.01, cap=0.05)
     job = FlakyJob(name="a", marker_dir=str(tmp_path))
-    report = run_jobs([job], policy=ExecutionPolicy(workers=1, retries=2))
+    report = run_jobs([job], policy=ExecutionPolicy(workers=1))
     assert report.results == [{"name": "a"}]
     assert report.metrics.retries == 1
     # The recorded total is exactly the deterministic schedule's sum.

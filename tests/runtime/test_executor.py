@@ -1,22 +1,20 @@
-"""Executor tests: ordering, dedup, retry, timeout and pool-failure paths.
+"""Executor tests: ordering, dedup, retry and pool-failure paths.
 
 Fault injection uses :class:`StubJob`, a picklable job whose behavior is
 steered by flags and cross-process counter files — so a job can fail its
-first N attempts (retry path), sleep only when run inside a pool worker
-(timeout-then-serial-fallback path), or kill the worker process outright
+first N attempts (retry path) or kill the worker process outright
 (broken-pool degradation path) while still succeeding in-process.
 """
 
 import hashlib
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 
 import pytest
 
 from repro.errors import JobExecutionError
-from repro.runtime import backoff
+from repro.runtime import backoff, executor
 from repro.runtime.executor import ExecutionPolicy, run_jobs
 
 
@@ -32,7 +30,6 @@ class StubJob:
     token: str
     counter_dir: str = ""
     fail_first: int = 0
-    sleep_in_worker: float = 0.0
     kill_worker: bool = False
 
     def key(self) -> str:
@@ -60,8 +57,6 @@ class StubJob:
         return count
 
     def run(self, store=None) -> str:
-        if self.sleep_in_worker and _in_worker():
-            time.sleep(self.sleep_in_worker)
         if self.kill_worker and _in_worker():
             os._exit(13)
         if self.counter_dir:
@@ -108,36 +103,21 @@ def test_duplicate_jobs_computed_once(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_retry_then_succeed(tmp_path, workers):
+def test_retry_then_succeed(tmp_path, workers, monkeypatch):
+    monkeypatch.setattr(executor, "RETRIES", 3)
     jobs = [stub("flaky", tmp_path, fail_first=2)]
-    report = run_jobs(
-        jobs, policy=ExecutionPolicy(workers=workers, retries=3)
-    )
+    report = run_jobs(jobs, policy=ExecutionPolicy(workers=workers))
     assert report.results == ["ok:flaky"]
     assert report.metrics.retries == 2
     assert report.metrics.failed == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_retry_budget_exhausted_raises(tmp_path, workers):
+def test_retry_budget_exhausted_raises(tmp_path, workers, monkeypatch):
+    monkeypatch.setattr(executor, "RETRIES", 1)
     jobs = [stub("doomed", tmp_path, fail_first=10)]
     with pytest.raises(JobExecutionError, match="stub:doomed"):
-        run_jobs(jobs, policy=ExecutionPolicy(workers=workers, retries=1))
-
-
-def test_timeout_then_serial_fallback(tmp_path):
-    # Sleeps 60s inside a worker, returns instantly in-process: the
-    # pool attempt times out and the serial fallback must succeed.
-    jobs = [stub("slow", tmp_path, sleep_in_worker=60.0),
-            stub("quick", tmp_path)]
-    started = time.monotonic()
-    report = run_jobs(
-        jobs, policy=ExecutionPolicy(workers=2, timeout=0.3)
-    )
-    assert time.monotonic() - started < 30
-    assert report.results == ["ok:slow", "ok:quick"]
-    assert report.metrics.timeouts >= 1
-    assert report.metrics.serial_fallbacks >= 1
+        run_jobs(jobs, policy=ExecutionPolicy(workers=workers))
 
 
 def test_broken_pool_degrades_to_serial(tmp_path):
@@ -168,12 +148,13 @@ def test_auto_worker_sizing_caps_to_pending():
 # -- traceback capture on terminal failures -------------------------------
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_exhausted_retries_attach_traceback(tmp_path, workers):
+def test_exhausted_retries_attach_traceback(tmp_path, workers, monkeypatch):
     """The JobExecutionError surfaces the raise site — including the
     remote traceback when the final attempt died inside a pool worker."""
+    monkeypatch.setattr(executor, "RETRIES", 1)
     jobs = [stub("tbdoomed", tmp_path, fail_first=10)]
     with pytest.raises(JobExecutionError) as excinfo:
-        run_jobs(jobs, policy=ExecutionPolicy(workers=workers, retries=1))
+        run_jobs(jobs, policy=ExecutionPolicy(workers=workers))
     rendered = excinfo.value.traceback_text
     assert "RuntimeError" in rendered
     assert "injected failure" in rendered

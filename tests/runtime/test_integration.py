@@ -2,14 +2,14 @@
 
 Covers the acceptance criteria: a parallel first run produces
 ``SimulationResult`` values identical to the serial path, and a repeated
-campaign over 2 scenes x 3 configs is served entirely from the result
+sweep over 2 scenes x 3 configs is served entirely from the result
 store (zero simulations on the second run).
 """
 
 import pytest
 
-from repro.analysis import Campaign
 from repro.core.presets import named_config
+from repro.experiments.common import mean_row, normalized_ipc
 from repro.runtime import (
     CachedWorkloadCache,
     ExecutionPolicy,
@@ -23,75 +23,75 @@ SCENES = ("SHIP", "CRNVL")
 CONFIGS = ("RB_8", "RB_8+SH_8+SK+RA", "RB_FULL")
 
 
-def make_campaign(tmp_path, **overrides):
+def run_sweep(tmp_path, configs=CONFIGS, **overrides):
+    """Sweep ``configs`` on a fresh ``runtime_cache``: (sweep, metrics)."""
     options = dict(
-        configs=CONFIGS,
-        scenes=SCENES,
         params=PARAMS,
+        scene_names=SCENES,
         cache_dir=tmp_path / "store",
     )
     options.update(overrides)
-    return Campaign(**options)
+    cache = runtime_cache(**options)
+    sweep = cache.sweep([named_config(name) for name in configs])
+    return sweep, cache.metrics
+
+
+def flat(sweep):
+    """A sweep's results, scene-major."""
+    return [result for per_scene in sweep.values()
+            for result in per_scene.values()]
 
 
 def test_parallel_run_identical_to_serial(tmp_path):
-    serial = make_campaign(tmp_path, jobs=1, use_cache=False).run()
-    parallel = make_campaign(tmp_path, jobs=4, use_cache=False).run()
-    assert len(serial.results) == len(SCENES) * len(CONFIGS)
-    for left, right in zip(serial.results, parallel.results):
+    serial, _ = run_sweep(tmp_path, jobs=1, use_cache=False)
+    parallel, _ = run_sweep(tmp_path, jobs=4, use_cache=False)
+    assert len(flat(serial)) == len(SCENES) * len(CONFIGS)
+    for left, right in zip(flat(serial), flat(parallel)):
         assert left == right  # full dataclass equality, bit-identical
         assert left.counters == right.counters
         assert left.depth_stats == right.depth_stats
-    assert serial.normalized_means() == parallel.normalized_means()
+    assert mean_row(normalized_ipc(serial, "RB_8")) == mean_row(
+        normalized_ipc(parallel, "RB_8")
+    )
 
 
 def test_second_campaign_run_is_fully_cached(tmp_path):
-    first = make_campaign(tmp_path, jobs=2).run()
-    assert first.metrics.simulated == len(SCENES) * len(CONFIGS)
-    second = make_campaign(tmp_path, jobs=2).run()
+    first, first_metrics = run_sweep(tmp_path, jobs=2)
+    assert first_metrics.simulated == len(SCENES) * len(CONFIGS)
+    second, metrics = run_sweep(tmp_path, jobs=2)
     # >= 90% served from the store — in fact all of it, zero simulations.
-    assert second.metrics.simulated == 0
-    assert second.metrics.cache_hits == len(SCENES) * len(CONFIGS)
-    assert second.metrics.cache_hit_rate == 1.0
-    assert [r.counters for r in second.results] == [
-        r.counters for r in first.results
+    assert metrics.simulated == 0
+    assert metrics.cache_hits == len(SCENES) * len(CONFIGS)
+    assert metrics.cache_hit_rate == 1.0
+    assert [r.counters for r in flat(second)] == [
+        r.counters for r in flat(first)
     ]
 
 
 def test_config_change_invalidates(tmp_path):
-    make_campaign(tmp_path, jobs=1).run()
-    changed = make_campaign(
+    run_sweep(tmp_path, jobs=1)
+    _, metrics = run_sweep(
         tmp_path, jobs=1, configs=("RB_8", "RB_4", "RB_FULL")
-    ).run()
+    )
     # RB_8 and RB_FULL hit, the new RB_4 column simulates.
-    assert changed.metrics.cache_hits == 2 * len(SCENES)
-    assert changed.metrics.simulated == len(SCENES)
+    assert metrics.cache_hits == 2 * len(SCENES)
+    assert metrics.simulated == len(SCENES)
 
 
 def test_params_change_invalidates(tmp_path):
-    make_campaign(tmp_path, jobs=1).run()
-    rerun = make_campaign(
+    run_sweep(tmp_path, jobs=1)
+    _, metrics = run_sweep(
         tmp_path, jobs=1, params=WorkloadParams().scaled(0.3)
-    ).run()
-    assert rerun.metrics.cache_hits == 0
+    )
+    assert metrics.cache_hits == 0
 
 
 def test_salt_change_invalidates(tmp_path, monkeypatch):
-    make_campaign(tmp_path, jobs=1).run()
+    run_sweep(tmp_path, jobs=1)
     monkeypatch.setenv("REPRO_CACHE_SALT", "new-code-version")
-    rerun = make_campaign(tmp_path, jobs=1).run()
-    assert rerun.metrics.cache_hits == 0
-    assert rerun.metrics.simulated == len(SCENES) * len(CONFIGS)
-
-
-def test_campaign_runs_on_a_given_cache(tmp_path):
-    cache = CachedWorkloadCache(params=PARAMS, scene_names=["SHIP"],
-                                store=ResultStore(tmp_path / "store"))
-    result = Campaign(configs=("RB_8",), scenes=("CRNVL",)).run(cache)
-    assert result.metrics is cache.metrics
-    assert result.metrics.simulated == 1
-    assert result.results[0].scene_name == "SHIP"  # the cache's scenes
-    assert len(cache.store) == 1
+    _, metrics = run_sweep(tmp_path, jobs=1)
+    assert metrics.cache_hits == 0
+    assert metrics.simulated == len(SCENES) * len(CONFIGS)
 
 
 def test_cached_sweep_matches_plain_sweep(tmp_path):
@@ -168,7 +168,7 @@ def test_cli_cache_command(tmp_path, capsys):
     from repro.cli import main
 
     store_dir = tmp_path / "store"
-    make_campaign(tmp_path, jobs=1, cache_dir=store_dir).run()
+    run_sweep(tmp_path, jobs=1, cache_dir=store_dir)
     assert main(["cache", "--cache-dir", str(store_dir)]) == 0
     out = capsys.readouterr().out
     assert "entries  : 6" in out
@@ -184,9 +184,8 @@ def test_cli_cache_command(tmp_path, capsys):
 
 
 def test_progress_line_renders(tmp_path, capsys):
-    campaign = make_campaign(tmp_path, jobs=1, progress=True,
-                             scenes=("SHIP",), configs=("RB_8",))
-    campaign.run()
+    run_sweep(tmp_path, jobs=1, progress=True, scene_names=("SHIP",),
+              configs=("RB_8",))
     err = capsys.readouterr().err
     assert "[repro]" in err
     assert "1/1" in err

@@ -1,5 +1,7 @@
 """Smoke tests for the runnable examples (the fast ones, end to end)."""
 
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -25,13 +27,17 @@ def example_env():
     return env
 
 
-def run_example(name, *args, timeout=240, cwd=REPO):
+def run_example(name, *args, timeout=240, cwd=REPO, cache_dir=None):
+    """Run one example; ``cache_dir`` becomes its ``REPRO_CACHE_DIR``."""
+    env = example_env()
+    if cache_dir is not None:
+        env["REPRO_CACHE_DIR"] = str(cache_dir)
     return subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=example_env(),
+        env=env,
         timeout=timeout,
     )
 
@@ -74,6 +80,34 @@ def test_warp_timeline(tmp_path):
     assert "warps in flight" in result.stdout
 
 
+def test_campaign_export(tmp_path):
+    result = run_example("campaign_export.py", str(tmp_path),
+                         cache_dir=tmp_path / "store")
+    assert result.returncode == 0, result.stderr
+    assert "running 5 configs x 3 scenes" in result.stdout
+    with (tmp_path / "campaign.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 15
+    assert {row["scene"] for row in rows} == {"SHIP", "CRNVL", "PARTY"}
+    assert len(json.loads((tmp_path / "campaign.json").read_text())) == 15
+    assert "| SHIP | 1.000 |" in result.stdout
+    assert "RB_8               geomean 1.000" in result.stdout
+
+
+def test_parallel_campaign(tmp_path):
+    from repro.runtime.store import ResultStore
+
+    store = tmp_path / "store"
+    result = run_example("parallel_campaign.py", "2", str(store),
+                         cache_dir=tmp_path / "default-store")
+    assert result.returncode == 0, result.stderr
+    assert "9/9 jobs, 0 cached, 9 simulated" in result.stdout
+    assert ("cache served 9/9 jobs (100%); results identical: True"
+            in result.stdout)
+    assert len(ResultStore(store)) == 9
+    assert not (tmp_path / "default-store").exists()
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -81,8 +115,6 @@ def test_warp_timeline(tmp_path):
         "stack_depth_study.py",
         "design_space_sweep.py",
         "energy_comparison.py",
-        "campaign_export.py",
-        "parallel_campaign.py",
     ],
 )
 def test_example_compiles(name):
