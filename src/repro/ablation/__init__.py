@@ -2,10 +2,10 @@
 
 Declare a :class:`KnobSpace` (pinned ``fixed`` knobs plus swept
 ``ranges``), expand it into a deterministic content-addressed run
-matrix, execute every (design point, scene) cell through the runtime or
-the simulation service, and derive per-mechanism importance (LOO + OAT
-attribution of the paper's +21.9% IPC claim) and the IPC-vs-SRAM Pareto
-frontier.  CLI: ``repro ablate run/report/pareto``.
+matrix, execute every (design point, scene) cell through the runtime,
+and derive per-mechanism importance (LOO + OAT attribution of the
+paper's +21.9% IPC claim) and the IPC-vs-SRAM Pareto frontier.  CLI:
+``repro ablate run/report/pareto``.
 """
 
 from repro.ablation.analysis import (

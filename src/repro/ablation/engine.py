@@ -5,10 +5,9 @@ cell is one content-addressed :class:`~repro.runtime.job.SimulationJob`
 — the same job model every other sweep uses — so a space fans out
 through a workload cache's ``run_jobs`` (process pool + persistent
 store; repeated design points across spaces are store hits) or through
-any other object with ``run_jobs(jobs)``, such as a
-:class:`~repro.service.client.ServiceClient` for a running ``repro
-serve``.  The simulation is deterministic, so all three paths (serial,
-pool, service) produce bit-identical reports.
+any other object with ``run_jobs(jobs)``.  The simulation is
+deterministic, so every path (serial, pool, another ``run_jobs``)
+produces bit-identical reports.
 
 The report itself is pure content: knob space, matrix, per-run metrics,
 importance ranking and Pareto frontier — no timestamps, no host state —
@@ -219,9 +218,8 @@ def run_space(
     ``cache`` is a :class:`~repro.runtime.cache.CachedWorkloadCache`:
     its policy sizes the worker pool and its store absorbs repeats.
     ``service`` is any object with ``run_jobs(jobs)`` that takes the
-    cells instead — a :class:`~repro.service.client.ServiceClient`
-    sends them to a running ``repro serve``.  With neither, cells run
-    serially in-process.
+    cells instead and returns one result per job, in order.  With
+    neither, cells run serially in-process.
     """
     matrix = generate_matrix(space)
     jobs = matrix_jobs(matrix, params=params, guard=guard, backend=backend)

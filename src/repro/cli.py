@@ -18,10 +18,9 @@ Installed as ``python -m repro``.  Commands:
     Design-space exploration over the SMS knobs.  ``ablate run``
     expands a declared knob space (named, or a JSON file of ``fixed``
     knobs plus ``ranges``) into a deterministic run matrix, executes it
-    (process pool, or ``--service`` against a running ``repro serve``),
-    and derives per-mechanism importance plus the IPC-vs-SRAM Pareto
-    frontier; ``ablate report`` / ``ablate pareto`` re-render a saved
-    run directory without re-simulating.
+    on the worker pool, and derives per-mechanism importance plus the
+    IPC-vs-SRAM Pareto frontier; ``ablate report`` / ``ablate pareto``
+    re-render a saved run directory without re-simulating.
 ``overhead``
     Print the SMS hardware-overhead analysis (paper VI-C).
 ``cache``
@@ -30,10 +29,6 @@ Installed as ``python -m repro``.  Commands:
 ``chaos``
     Run the guard layer's fault-injection campaign: every simulation
     fault class must be detected with a structured error.
-``serve``
-    Serve ``POST /run`` over HTTP: each request's job batch runs through
-    the same executor and result store as a local sweep (see
-    ``docs/architecture.md`` §12).
 ``lint``
     Run the simlint determinism/invariant static analysis over source
     trees, one cold pass with this repository's settings; every finding
@@ -50,7 +45,7 @@ from typing import List, Optional
 from repro.core.api import time_traces, trace_scene
 from repro.core.overhead import sms_hardware_overhead
 from repro.core.presets import named_config
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="workload resolution scale (default 1.0)")
     ablate_run.add_argument("--guard", action="store_true",
                             help="run every cell under the integrity guard")
-    ablate_run.add_argument("--service", default=None, metavar="URL",
-                            help="execute on a running 'repro serve' "
-                            "instance (http://host:port) instead of the "
-                            "local worker pool")
     ablate_run.add_argument("--format", choices=("text", "json"),
                             default="text",
                             help="report format on stdout (default text)")
@@ -180,15 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--rays", type=int, default=128,
                        help="synthetic workload size")
 
-    serve = sub.add_parser(
-        "serve", help="run job batches for other processes (POST /run)"
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8642,
-                       help="bind port (default 8642; 0 = ephemeral)")
-    _add_execution_args(serve)
-
     lint = sub.add_parser(
         "lint", help="run the simlint static analysis over source trees"
     )
@@ -211,8 +193,7 @@ def _add_guard_args(parser: argparse.ArgumentParser) -> None:
                         help="watchdog cycle budget (implies --guard)")
 
 
-def _add_execution_args(parser: argparse.ArgumentParser) -> None:
-    """``--jobs``, ``--no-cache`` and ``--cache-dir``: how jobs resolve."""
+def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for sweeps (default: one per "
                         "CPU; 1 = serial in-process)")
@@ -221,10 +202,6 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="result store directory (default "
                         "~/.cache/repro-sms or $REPRO_CACHE_DIR)")
-
-
-def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
-    _add_execution_args(parser)
     parser.add_argument("--progress", action="store_true",
                         help="draw a live progress line on stderr")
     _add_backend_arg(parser)
@@ -324,8 +301,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     if args.strategies.strip():
         return _cmd_compare_strategies(args)
-    scene, workload = _trace(args)
     labels = [label.strip() for label in args.configs.split(",") if label.strip()]
+    if not labels:
+        raise ConfigError(f"--configs {args.configs!r} names no configuration")
+    scene, workload = _trace(args)
     results = [
         time_traces(workload.all_traces, named_config(label),
                     scene_name=scene.name, backend=args.backend)
@@ -441,7 +420,6 @@ def _cmd_ablate_run(args) -> int:
         write_report,
     )
     from repro.runtime.cache import runtime_cache
-    from repro.service.client import ServiceClient
     from repro.workloads.params import DEFAULT_PARAMS
 
     if args.list_spaces:
@@ -456,8 +434,7 @@ def _cmd_ablate_run(args) -> int:
     params = (
         DEFAULT_PARAMS if args.scale == 1.0 else DEFAULT_PARAMS.scaled(args.scale)
     )
-    service = ServiceClient.from_url(args.service) if args.service else None
-    cache = None if service else runtime_cache(
+    cache = runtime_cache(
         params=params,
         jobs=args.jobs,
         use_cache=not args.no_cache,
@@ -466,12 +443,12 @@ def _cmd_ablate_run(args) -> int:
         backend=args.backend,
     )
     report = run_space(space, params=params, guard=args.guard, cache=cache,
-                       service=service, backend=args.backend)
+                       backend=args.backend)
     print(render_json(report) if args.format == "json" else render_text(report))
     if args.out:
         path = write_report(report, args.out)
         print(f"report written to {path}", file=sys.stderr)
-    if cache is not None and cache.metrics.jobs_total:
+    if cache.metrics.jobs_total:
         print(f"[repro] {cache.metrics.summary()}", file=sys.stderr)
     return 0
 
@@ -507,26 +484,6 @@ def _cmd_chaos(args) -> int:
     report = run_chaos_campaign(kinds=kinds, seed=args.seed, rays=args.rays)
     print(report.summary())
     return 0 if report.all_detected else 1
-
-
-def _cmd_serve(args) -> int:
-    from repro.runtime.store import ResultStore
-    from repro.service import ServiceHTTPServer
-
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    server = ServiceHTTPServer(args.host, args.port, store=store,
-                               workers=args.jobs)
-    print(f"repro serve: POST /run on http://{args.host}:{server.port}")
-    if store is not None:
-        print(f"result store: {store.root}")
-    sys.stdout.flush()  # the banner names the port; show it before blocking
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("repro serve: stopped")
-    finally:
-        server.server_close()
-    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -574,8 +531,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_cache(args)
         if args.command == "chaos":
             return _cmd_chaos(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
         if args.command == "lint":
             return _cmd_lint(args)
         parser.error(f"unknown command {args.command!r}")

@@ -111,9 +111,9 @@ class GuardViolationError(SimulationError):
     """A simulation integrity guard tripped.
 
     Deterministic by construction — the same job fails the same way every
-    time — so the runtime executor does not retry these and records them
-    as structured failures in the result store instead of caching a
-    partial result.
+    time — so the runtime executor does not retry these (nor any other
+    :class:`ReproError`) and records them as structured failures in the
+    result store instead of caching a partial result.
     """
 
 
@@ -169,14 +169,8 @@ class AblationError(ReproError):
 
 
 class JobExecutionError(ReproError):
-    """A runtime job kept failing after exhausting its retry budget."""
+    """A runtime job failed for good.
 
-
-class ServiceError(ReproError):
-    """``repro serve`` client failure (:mod:`repro.service`).
-
-    Raised when the server answers with something other than results, a
-    rejected batch (:class:`ConfigError`) or a failed job
-    (:class:`JobExecutionError`): an unknown endpoint, an unexpected
-    server error, or a reply that is not JSON.
+    A :class:`ReproError` fails its job on the first attempt; any other
+    exception does after the executor's one re-run.
     """

@@ -7,8 +7,8 @@ the sweep, the ranked importance attribution of the +21.9% IPC claim,
 and the IPC-vs-SRAM Pareto frontier.
 
 ``repro experiment ablate`` runs it alongside the paper figures; the
-full engine (arbitrary spaces, JSON reports, run directories, service
-execution) lives behind ``repro ablate``.
+full engine (arbitrary spaces, JSON reports, run directories) lives
+behind ``repro ablate``.
 """
 
 from __future__ import annotations

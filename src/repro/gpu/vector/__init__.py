@@ -2,7 +2,7 @@
 
 ``GPUSimulator(backend="vector")`` routes timing through this package;
 the stepped loop stays the default and the bit-identity oracle.  See
-``docs/architecture.md`` §14 for the design and the validity envelope.
+``docs/architecture.md`` §13 for the design and the validity envelope.
 """
 
 from repro.gpu.vector.lru import LazyL1

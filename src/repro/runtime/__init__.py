@@ -10,9 +10,10 @@ This package turns that purity into throughput:
 - :mod:`repro.runtime.store` — a JSON-per-key on-disk result store so
   repeated sweeps load instead of re-simulating, which also keeps each
   scene's phase one (its traces) so it is traced once per store;
-- :mod:`repro.runtime.executor` — a process-pool executor with bounded
-  retry with backoff, and graceful degradation to serial in-process
-  execution when the pool breaks;
+- :mod:`repro.runtime.executor` — a process-pool executor with one
+  immediate retry for a failure that is not a ``ReproError``, and
+  graceful degradation to serial in-process execution when the pool
+  breaks;
 - :mod:`repro.runtime.metrics` — queued/running/done/failed/cache-hit
   counters, per-job latency and throughput, plus a live progress line;
 - :mod:`repro.runtime.cache` — the workload cache every sweep runs on:

@@ -6,21 +6,20 @@
 1. every job's content key is checked against the store (cache hits are
    free and bit-identical, since the simulation is deterministic);
 2. identical jobs within one call are deduplicated and computed once;
-3. misses run on a bounded pool of worker processes — each failure is
-   retried on a deterministic seeded exponential-backoff-with-jitter
-   schedule (:func:`repro.runtime.backoff.backoff_delay`) up to
-   :data:`RETRIES` times, and a broken pool (a worker killed by the OS,
-   say) degrades the remaining jobs to serial in-process execution
-   rather than failing the sweep;
+3. misses run on a bounded pool of worker processes — a job that
+   raises a :class:`~repro.errors.ReproError` fails at once, any other
+   failure is re-run immediately up to :data:`RETRIES` times, and a
+   broken pool (a worker killed by the OS, say) degrades the remaining
+   jobs to serial in-process execution rather than failing the sweep;
 4. completed results are written back to the store.
 
-Results come back in job order; jobs that can never succeed raise
-:class:`~repro.errors.JobExecutionError` after exhausting retries.
-There is no wall-clock timeout: a job is deterministic, and the guard
-watchdog's ``max_cycles`` is what bounds a runaway simulation.  This is
-the one scheduler for content-addressed jobs: every sweep (through
-:class:`~repro.runtime.cache.CachedWorkloadCache`) and ``repro serve``
-(:mod:`repro.service`) resolve their jobs here.
+Results come back in job order; a job that fails for good raises
+:class:`~repro.errors.JobExecutionError` carrying the failure's
+traceback as ``traceback_text``.  There is no wall-clock timeout: a job
+is deterministic, and the guard watchdog's ``max_cycles`` is what bounds
+a runaway simulation.  This is the one scheduler for content-addressed
+jobs: every sweep resolves its jobs here, through
+:class:`~repro.runtime.cache.CachedWorkloadCache`.
 
 A job is any picklable object with ``key() -> str`` and
 ``run(store)``; every run (pool worker, serial, fallback) receives the
@@ -31,11 +30,13 @@ phase one (its artifact is not yet in the store), so a cold sweep
 builds each scene once and the other workers load it.  Without a
 store nothing is persisted and jobs dispatch in submission order.
 
-Guard violations (:class:`~repro.errors.GuardViolationError`) are
-*deterministic* — the same spec fails the same way every time — so they
-skip the retry budget entirely.  Instead the structured failure is
-recorded in the store's ``failures/`` sidecar (never the result cache)
-and the job raises immediately.
+A :class:`~repro.errors.ReproError` — an unknown scene, an invalid
+configuration, a guard violation — is *deterministic*: the same spec
+raises it again on every run, so it skips the retry budget.  Guard
+violations (:class:`~repro.errors.GuardViolationError`) are also
+recorded as structured failures in the store's ``failures/`` sidecar
+(never the result cache).  Only other exceptions (``MemoryError``,
+``OSError``, ...) can be environmental, and they get the re-run.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence
 
-from repro.errors import GuardViolationError, JobExecutionError
-from repro.runtime.backoff import backoff_delay
+from repro.errors import GuardViolationError, JobExecutionError, ReproError
 from repro.runtime.metrics import ProgressReporter, RuntimeMetrics
 from repro.runtime.store import ResultStore
 
-#: Additional attempts after a job's first failure, each preceded by a
-#: deterministic seeded backoff sleep (:func:`backoff_delay`).
-RETRIES = 2
+#: Immediate re-runs after a job's first failure that is not a
+#: :class:`~repro.errors.ReproError` (those are never re-run).
+RETRIES = 1
 
 #: Seconds between store polls while a held-back job waits beside a
 #: free worker slot for another job's phase one.
@@ -228,18 +228,15 @@ def _give_up(state, exc, store, metrics):
 
 
 def _retry_or_give_up(state, exc, store, metrics) -> None:
-    """Sleep the backoff before a failed job's next attempt, or raise.
+    """Count a failed job's immediate re-run, or raise its failure.
 
-    Guard violations and a job that has used its :data:`RETRIES` go to
-    :func:`_give_up`.
+    A :class:`ReproError` and a job that has used its :data:`RETRIES`
+    go to :func:`_give_up`.
     """
-    if isinstance(exc, GuardViolationError) or state.attempts >= RETRIES:
+    if isinstance(exc, ReproError) or state.attempts >= RETRIES:
         _give_up(state, exc, store, metrics)
     state.attempts += 1
     metrics.retries += 1
-    delay = backoff_delay(state.attempts, key=state.key)
-    metrics.backoff_total_s += delay
-    time.sleep(delay)
 
 
 def _run_one_serial(state, metrics, store=None):

@@ -25,14 +25,11 @@ class RuntimeMetrics:
     simulated: int = 0
     #: Jobs resolved by pointing at another identical job in the same run.
     deduplicated: int = 0
-    #: Attempts re-submitted after a failure.
+    #: Attempts re-run after a failure.
     retries: int = 0
-    #: Total seconds slept in retry backoff (deterministic schedule; see
-    #: :func:`repro.runtime.backoff.backoff_delay`).
-    backoff_total_s: float = 0.0
     #: Jobs degraded to serial in-process execution (broken pool).
     serial_fallbacks: int = 0
-    #: Jobs that exhausted their retry budget.
+    #: Jobs that failed for good.
     failed: int = 0
     #: Jobs currently executing (transient; only meaningful live).
     running: int = 0
@@ -79,7 +76,6 @@ class RuntimeMetrics:
         self.simulated += other.simulated
         self.deduplicated += other.deduplicated
         self.retries += other.retries
-        self.backoff_total_s += other.backoff_total_s
         self.serial_fallbacks += other.serial_fallbacks
         self.failed += other.failed
         self.job_seconds.extend(other.job_seconds)
@@ -104,10 +100,7 @@ class RuntimeMetrics:
             )
             parts.append(f"backends {breakdown}")
         if self.retries:
-            parts.append(
-                f"{self.retries} retries "
-                f"({self.backoff_total_s:.2f}s backoff)"
-            )
+            parts.append(f"{self.retries} retries")
         if self.serial_fallbacks:
             parts.append(f"{self.serial_fallbacks} serial fallbacks")
         if self.failed:

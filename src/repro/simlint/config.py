@@ -42,7 +42,7 @@ class LintConfig:
     exclude: Tuple[str, ...] = ("tests/simlint/fixtures",)
     timing_critical: Tuple[str, ...] = (
         "repro.gpu", "repro.stack", "repro.trace", "repro.traversal",
-        "repro.service", "repro.ablation",
+        "repro.ablation",
     )
     singletons: Tuple[str, ...] = (
         "EMPTY_ACTIVITY", "DEFAULT_PARAMS", "SCENE_NAMES", "FAULT_CLASSES",

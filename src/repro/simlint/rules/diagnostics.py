@@ -44,8 +44,8 @@ class RawExceptionRule(Rule):
     rationale = (
         "repro.errors defines a DiagnosticError hierarchy whose "
         "cycle/sm/warp/lane fields make a failure self-locating, and the "
-        "executor keys retry/no-retry policy on those types "
-        "(GuardViolationError is deterministic and never retried).  A "
+        "executor keys its retry policy on those types (a ReproError "
+        "is deterministic and never retried).  A "
         "bare ValueError from the timing model is invisible to that "
         "policy and unplaceable in a million-cycle campaign."
     )

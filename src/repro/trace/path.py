@@ -17,6 +17,7 @@ from typing import List
 import numpy as np
 
 from repro.bvh.wide import WideBVH
+from repro.errors import ConfigError
 from repro.geometry.ray import Ray
 from repro.geometry.vec import normalize
 from repro.scene.camera import PinholeCamera
@@ -85,7 +86,7 @@ def generate_workload(
         width, height: image resolution (the paper uses 128x128 or 32x32;
             defaults here are small so full sweeps stay fast — the paper
             itself notes trends are consistent across workload sizes).
-        spp: samples per pixel.
+        spp: samples per pixel, at least 1.
         max_bounces: path depth; each bounce wave adds shadow+bounce rays.
         seed: workload RNG seed.
         tracer_factory: ``bvh -> tracer`` constructor; defaults to the
@@ -97,7 +98,12 @@ def generate_workload(
 
     Returns:
         A :class:`PathTracerWorkload` with per-wave traces.
+
+    Raises:
+        ConfigError: ``spp`` is below 1.
     """
+    if spp < 1:
+        raise ConfigError(f"spp must be at least 1, got {spp}")
     tracer = (tracer_factory or Tracer)(bvh)
     rng = DeterministicRng(seed)
     scene = bvh.scene

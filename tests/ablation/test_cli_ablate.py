@@ -1,7 +1,6 @@
 """CLI happy paths for ``repro ablate``."""
 
 import json
-import threading
 
 from repro.cli import main
 
@@ -112,26 +111,3 @@ def test_experiment_ablate_driver(capsys):
     text = run_experiment("ablate", cache)
     assert "[sweep: space 'mechanisms'" in text
     assert "[mechanism importance" in text
-
-
-def test_service_flag_matches_local_run(capsys):
-    """``--service URL`` prints the same report as a local run."""
-    from repro.service import ServiceHTTPServer
-
-    server = ServiceHTTPServer("127.0.0.1", 0, workers=1)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    argv = ["ablate", "run", "--space", "mechanisms", "--scenes", "SHIP",
-            "--scale", "0.1", "--format", "json"]
-    try:
-        code, served, _ = run_cli(
-            argv + ["--service", f"http://127.0.0.1:{server.port}"], capsys
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert code == 0
-    code, local, _ = run_cli(argv + ["--jobs", "1", "--no-cache"], capsys)
-    assert code == 0
-    assert served == local

@@ -10,11 +10,11 @@ The whole pipeline is deterministic, so the regenerated report must
 match the committed payload *byte for byte* — any drift in tracing,
 timing, energy, importance math, Pareto selection or JSON
 canonicalization fails here.  The same equality must hold under the
-integrity guard and through the simulation service.
+integrity guard and on the worker pool behind ``run_space``'s
+``service`` hook.
 """
 
 import json
-import threading
 from pathlib import Path
 
 import pytest
@@ -25,6 +25,7 @@ from repro.ablation import (
     render_json,
     run_space,
 )
+from repro.runtime.executor import ExecutionPolicy, run_jobs
 from repro.workloads.params import WorkloadParams
 
 GOLDEN_PATH = Path(__file__).parent / "golden_report.json"
@@ -83,28 +84,18 @@ def test_guarded_run_matches_golden_metrics():
     assert guarded.speedups == pytest.approx(plain.speedups)
 
 
-@pytest.fixture(scope="module")
-def server():
-    from repro.service import ServiceHTTPServer
+class PoolService:
+    """The smallest ``service``: the cells run on a two-worker pool."""
 
-    http = ServiceHTTPServer("127.0.0.1", 0, workers=2)
-    thread = threading.Thread(target=http.serve_forever, daemon=True)
-    thread.start()
-    yield {"port": http.port}
-    http.shutdown()
-    http.server_close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    def run_jobs(self, jobs):
+        return run_jobs(jobs, policy=ExecutionPolicy(workers=2)).results
 
 
-def test_service_path_is_bit_identical_to_golden(server):
-    from repro.service import ServiceClient
-
-    client = ServiceClient(port=server["port"], timeout=120.0)
+def test_pool_through_the_service_hook_is_bit_identical_to_golden():
     report = run_space(
         golden_space(),
         params=golden_params(),
-        service=client,
+        service=PoolService(),
     )
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     assert payload + "\n" == GOLDEN_PATH.read_text()

@@ -71,6 +71,19 @@ def test_bad_config_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--spp", "0"],
+    ["simulate", "--spp", "-2"],
+    ["compare", "--configs", " , "],
+], ids=["spp-0", "spp-negative", "no-config-label"])
+def test_empty_workload_is_an_error(argv, capsys):
+    """A run with no samples or no configuration is a usage error, not an
+    empty result or a crash."""
+    code = main(argv + ["--scene", "FOX", "--width", "8", "--height", "8"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_overhead(capsys):
     assert main(["overhead"]) == 0
     assert "272" in capsys.readouterr().out

@@ -146,3 +146,18 @@ def test_executor_records_guard_violation_from_workers(tmp_path,
     record = store.failure_for(recorded[0])
     assert record["error"]["diagnostics"]["component"] == "stack[slot=0]"
     assert list(store.keys()) == []
+
+
+def test_cycle_budget_overrun_is_recorded(tmp_path):
+    """A real job past its ``max_cycles`` fails with its traceback and
+    leaves a failure record but no result."""
+    store = ResultStore(tmp_path / "store")
+    job = SimulationJob(scene="FOX", config=named_config("RB_8"), width=8,
+                        height=8, spp=1, max_bounces=2, guard=True,
+                        max_cycles=10)
+    with pytest.raises(JobExecutionError, match="integrity guard") as excinfo:
+        run_jobs([job], store=store, policy=ExecutionPolicy(workers=1))
+    assert "SimulationStallError" in excinfo.value.traceback_text
+    record = store.failure_for(job.key())
+    assert record["error"]["type"] == "SimulationStallError"
+    assert store.get(job.key()) is None

@@ -2,8 +2,13 @@
 
 Fault injection uses :class:`StubJob`, a picklable job whose behavior is
 steered by flags and cross-process counter files — so a job can fail its
-first N attempts (retry path) or kill the worker process outright
-(broken-pool degradation path) while still succeeding in-process.
+first N attempts (retry path), raise a ``ReproError`` (no-retry path) or
+kill the worker process outright (broken-pool degradation path) while
+still succeeding in-process.  Each job with a counter directory leaves
+``<token>.count``, the number of times it ran.
+
+With ``workers=2`` the retry tests pair the faulty job with a healthy
+one: a single distinct job would run serially whatever the policy.
 """
 
 import hashlib
@@ -13,9 +18,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import JobExecutionError
-from repro.runtime import backoff, executor
-from repro.runtime.executor import ExecutionPolicy, run_jobs
+from repro.errors import JobExecutionError, SimulationError
+from repro.runtime.executor import RETRIES, ExecutionPolicy, run_jobs
 
 
 def _in_worker() -> bool:
@@ -31,6 +35,7 @@ class StubJob:
     counter_dir: str = ""
     fail_first: int = 0
     kill_worker: bool = False
+    repro_error: bool = False
 
     def key(self) -> str:
         return hashlib.sha256(self.token.encode()).hexdigest()
@@ -61,6 +66,8 @@ class StubJob:
             os._exit(13)
         if self.counter_dir:
             attempt = self._attempt()
+            if self.repro_error:
+                raise SimulationError(f"injected simulation error #{attempt}")
             if attempt <= self.fail_first:
                 raise RuntimeError(f"injected failure #{attempt}")
         return f"ok:{self.token}"
@@ -70,9 +77,16 @@ def stub(token, tmp_path, **kwargs):
     return StubJob(token=token, counter_dir=str(tmp_path), **kwargs)
 
 
-@pytest.fixture(autouse=True)
-def fast_backoff(monkeypatch):
-    monkeypatch.setattr(backoff, "BACKOFF_BASE_S", 0.01)
+def with_company(job, tmp_path, workers):
+    """``job``, plus a healthy job when ``workers > 1`` so a pool runs."""
+    if workers == 1:
+        return [job]
+    return [job, stub("steady", tmp_path)]
+
+
+def runs(tmp_path, token) -> int:
+    """How many times the job ``token`` ran."""
+    return int((tmp_path / f"{token}.count").read_text())
 
 
 def test_serial_results_in_order(tmp_path):
@@ -103,21 +117,37 @@ def test_duplicate_jobs_computed_once(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_retry_then_succeed(tmp_path, workers, monkeypatch):
-    monkeypatch.setattr(executor, "RETRIES", 3)
-    jobs = [stub("flaky", tmp_path, fail_first=2)]
+def test_retry_then_succeed(tmp_path, workers):
+    jobs = with_company(stub("flaky", tmp_path, fail_first=1), tmp_path,
+                        workers)
     report = run_jobs(jobs, policy=ExecutionPolicy(workers=workers))
-    assert report.results == ["ok:flaky"]
-    assert report.metrics.retries == 2
+    assert report.results[0] == "ok:flaky"
+    assert report.metrics.retries == 1
     assert report.metrics.failed == 0
+    assert runs(tmp_path, "flaky") == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_retry_budget_exhausted_raises(tmp_path, workers, monkeypatch):
-    monkeypatch.setattr(executor, "RETRIES", 1)
-    jobs = [stub("doomed", tmp_path, fail_first=10)]
+def test_retry_budget_exhausted_raises(tmp_path, workers):
+    jobs = with_company(stub("doomed", tmp_path, fail_first=10), tmp_path,
+                        workers)
     with pytest.raises(JobExecutionError, match="stub:doomed"):
         run_jobs(jobs, policy=ExecutionPolicy(workers=workers))
+    assert runs(tmp_path, "doomed") == RETRIES + 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_repro_error_fails_on_first_attempt(tmp_path, workers):
+    """A ReproError is deterministic, so the job is never re-run."""
+    jobs = with_company(stub("invalid", tmp_path, repro_error=True),
+                        tmp_path, workers)
+    with pytest.raises(JobExecutionError, match="stub:invalid") as excinfo:
+        run_jobs(jobs, policy=ExecutionPolicy(workers=workers))
+    assert runs(tmp_path, "invalid") == 1
+    assert isinstance(excinfo.value.__cause__, SimulationError)
+    rendered = excinfo.value.traceback_text
+    assert "injected simulation error #1" in rendered
+    assert "in run" in rendered  # the raise site, not the wrapper
 
 
 def test_broken_pool_degrades_to_serial(tmp_path):
@@ -148,11 +178,11 @@ def test_auto_worker_sizing_caps_to_pending():
 # -- traceback capture on terminal failures -------------------------------
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_exhausted_retries_attach_traceback(tmp_path, workers, monkeypatch):
+def test_exhausted_retries_attach_traceback(tmp_path, workers):
     """The JobExecutionError surfaces the raise site — including the
     remote traceback when the final attempt died inside a pool worker."""
-    monkeypatch.setattr(executor, "RETRIES", 1)
-    jobs = [stub("tbdoomed", tmp_path, fail_first=10)]
+    jobs = with_company(stub("tbdoomed", tmp_path, fail_first=10), tmp_path,
+                        workers)
     with pytest.raises(JobExecutionError) as excinfo:
         run_jobs(jobs, policy=ExecutionPolicy(workers=workers))
     rendered = excinfo.value.traceback_text

@@ -16,12 +16,6 @@ def test_default_timing_scope_covers_ablation():
     assert [f.rule for f in findings] == ["SL101"]
 
 
-def test_default_timing_scope_covers_service():
-    findings = lint_source(PERF_COUNTER, module="repro.service.server",
-                           config=LintConfig())
-    assert [f.rule for f in findings] == ["SL101"]
-
-
 def test_default_config_skips_rule_fixtures(tmp_path):
     fixtures = tmp_path / "tests" / "simlint" / "fixtures"
     fixtures.mkdir(parents=True)
