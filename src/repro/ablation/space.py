@@ -153,7 +153,7 @@ def _knob_list() -> List[Knob]:
              examples=(0, 24, 48, 96)),
         # Traversal strategy (job-level, not a GPUConfig field).
         Knob("strategy", _CHOICE, None, choices=_strategy_choices(),
-             examples=("sms", "baseline", "stackless")),
+             examples=("sms", "stackless", "reorder")),
     ]
 
 

@@ -2,18 +2,15 @@
 
 Installed as ``python -m repro``.  Commands:
 
-``scenes``
-    List the benchmark workloads with their BVH statistics.
 ``simulate``
     Trace one scene and time it under one configuration.
 ``compare``
-    Trace one scene once and time it under several configurations; or,
-    with ``--strategies``, run the traversal-strategy head-to-head
-    engine across the whole workload suite.
+    Time one scene under several configurations; or, with
+    ``--strategies``, run the traversal-strategy head-to-head engine
+    across the whole workload suite.
 ``experiment``
-    Regenerate one paper table/figure (or ``all``).  Sweeps run on a
-    worker-process pool (``--jobs``) and are served from the persistent
-    result store (``--no-cache`` / ``--cache-dir`` to control it).
+    Regenerate one paper table/figure (or ``all``); ``table2`` lists the
+    benchmark workloads with their BVH statistics.
 ``ablate``
     Design-space exploration over the SMS knobs.  ``ablate run``
     expands a declared knob space (named, or a JSON file of ``fixed``
@@ -34,6 +31,13 @@ Installed as ``python -m repro``.  Commands:
     trees, one cold pass with this repository's settings; every finding
     is an error unless an inline ``# simlint: disable=`` comment
     suppresses it.  Exit 0 clean, 1 on findings, 2 on unusable input.
+
+Every cell a command simulates is a
+:class:`~repro.runtime.job.SimulationJob`.  ``simulate`` runs its one
+job in-process with no store; ``compare``, ``experiment`` and ``ablate
+run`` resolve theirs on a worker-process pool (``--jobs``) and serve
+repeats from the persistent result store (``--no-cache`` /
+``--cache-dir`` to control it).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.api import time_traces, trace_scene
 from repro.core.overhead import sms_hardware_overhead
 from repro.core.presets import named_config
 from repro.errors import ConfigError, ReproError
@@ -56,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("scenes", help="list benchmark workloads")
 
     sim = sub.add_parser("simulate", help="simulate one scene/config pair")
     _add_workload_args(sim)
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmp_cmd.add_argument("--scale", type=float, default=1.0,
                          help="workload resolution scale (strategy mode)")
-    cmp_cmd.add_argument("--suite-scenes", default="",
+    cmp_cmd.add_argument("--suite-scenes", default=None,
                          help="comma-separated scene subset for the "
                          "strategy engine (default: full suite)")
     _add_runtime_args(cmp_cmd)
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", help="experiment id (table1, fig13, ...) or 'all'")
     exp.add_argument("--scale", type=float, default=1.0,
                      help="workload resolution scale (default 1.0)")
-    exp.add_argument("--scenes", default="",
+    exp.add_argument("--scenes", default=None,
                      help="comma-separated scene subset (default: full suite)")
     _add_runtime_args(exp)
 
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="list the declared spaces and exit")
     ablate_run.add_argument("--out", default=None,
                             help="run directory to write report.json into")
-    ablate_run.add_argument("--scenes", default="",
+    ablate_run.add_argument("--scenes", default=None,
                             help="comma-separated scene subset (overrides "
                             "the space's own scene list)")
     ablate_run.add_argument("--scale", type=float, default=1.0,
@@ -225,55 +226,72 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _cmd_scenes() -> int:
-    from repro.bvh.api import build_bvh
-    from repro.bvh.stats import compute_stats
-    from repro.workloads.lumibench import SCENE_NAMES, load_scene, scene_recipe
-
-    print(f"{'scene':<7} {'triangles':>10} {'BVH MB':>8} {'depth':>6}  paper")
-    for name in SCENE_NAMES:
-        scene = load_scene(name)
-        stats = compute_stats(build_bvh(scene))
-        recipe = scene_recipe(name)
-        print(
-            f"{name:<7} {stats.triangle_count:>10} {stats.megabytes:>8.2f} "
-            f"{stats.max_depth:>6}  {recipe.paper_triangles} tris, "
-            f"{recipe.paper_bvh_mb} MB"
-        )
-    return 0
+def _scene_list(text: Optional[str], flag: str) -> Optional[List[str]]:
+    """A scene-list flag's names, ``None`` if not given; an empty list is
+    a usage error, not a request for the full suite."""
+    if text is None:
+        return None
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise ConfigError(f"{flag} {text!r} names no scene")
+    return names
 
 
-def _trace(args) -> "tuple":
-    from repro.workloads.lumibench import load_scene
+def _params(scale: float):
+    """The workload parameters at resolution ``scale``."""
+    from repro.workloads.params import DEFAULT_PARAMS
 
-    scene = load_scene(args.scene)
-    workload = trace_scene(
-        scene,
+    return DEFAULT_PARAMS if scale == 1.0 else DEFAULT_PARAMS.scaled(scale)
+
+
+def _runtime(args, params=None, scene_names=None):
+    """The workload cache the runtime flags (``_add_runtime_args``) select."""
+    from repro.runtime.cache import runtime_cache
+
+    return runtime_cache(
+        params=params,
+        scene_names=scene_names,
+        jobs=args.jobs,
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        progress=args.progress,
+        backend=args.backend,
+    )
+
+
+def _print_summary(cache) -> None:
+    """The ``[repro]`` runtime summary on stderr, once any job ran."""
+    if cache.metrics.jobs_total:
+        print(f"[repro] {cache.metrics.summary()}", file=sys.stderr)
+
+
+def _cell_job(args, label: str, guard: bool = False,
+              max_cycles: Optional[int] = None):
+    """The job for one CLI cell: the workload flags under config ``label``."""
+    from repro.runtime.job import SimulationJob
+
+    return SimulationJob(
+        scene=args.scene.upper(),
+        config=named_config(label),
         width=args.width,
         height=args.height,
         spp=args.spp,
         max_bounces=args.bounces,
         seed=args.seed,
+        verify_pops=True,
+        guard=guard,
+        max_cycles=max_cycles,
+        backend=args.backend,
     )
-    print(
-        f"scene {scene.name}: {scene.triangle_count} triangles, "
-        f"{workload.ray_count} rays, {workload.total_steps} node visits"
-    )
-    return scene, workload
 
 
 def _cmd_simulate(args) -> int:
-    scene, workload = _trace(args)
-    guard = None
-    if args.guard or args.max_cycles is not None:
-        from repro.guard import GuardConfig
-
-        guard = GuardConfig(max_cycles=args.max_cycles)
-    result = time_traces(
-        workload.all_traces, named_config(args.config), scene_name=scene.name,
-        guard=guard, backend=args.backend,
-    )
+    guard = args.guard or args.max_cycles is not None
+    result = _cell_job(
+        args, args.config, guard=guard, max_cycles=args.max_cycles
+    ).run()
     counters = result.counters
+    print(f"scene {result.scene_name}: {result.ray_count} rays")
     print(f"config   : {result.label}")
     if args.backend != "stepped" or result.backend != "stepped":
         note = (
@@ -281,7 +299,7 @@ def _cmd_simulate(args) -> int:
             else f" (requested {args.backend}, fell back)"
         )
         print(f"backend  : {result.backend}{note}")
-    if guard is not None:
+    if guard:
         budget = (
             f", max_cycles={args.max_cycles}" if args.max_cycles else ""
         )
@@ -304,13 +322,11 @@ def _cmd_compare(args) -> int:
     labels = [label.strip() for label in args.configs.split(",") if label.strip()]
     if not labels:
         raise ConfigError(f"--configs {args.configs!r} names no configuration")
-    scene, workload = _trace(args)
-    results = [
-        time_traces(workload.all_traces, named_config(label),
-                    scene_name=scene.name, backend=args.backend)
-        for label in labels
-    ]
+    jobs = [_cell_job(args, label) for label in labels]
+    cache = _runtime(args)
+    results = cache.run_jobs(jobs)
     base = results[0]
+    print(f"scene {base.scene_name}: {base.ray_count} rays")
     print(
         f"\n{'config':<20} {'backend':>8} {'IPC':>8} "
         f"{'vs ' + base.label:>10} {'off-chip':>9}"
@@ -320,30 +336,18 @@ def _cmd_compare(args) -> int:
             f"{result.label:<20} {result.backend:>8} {result.ipc:>8.4f} "
             f"{result.ipc / base.ipc:>10.3f} {result.offchip_accesses:>9}"
         )
+    _print_summary(cache)
     return 0
 
 
 def _cmd_compare_strategies(args) -> int:
     """The suite-wide strategy head-to-head (``compare --strategies``)."""
     from repro.experiments import compare_strategies
-    from repro.runtime.cache import runtime_cache
-    from repro.workloads.params import DEFAULT_PARAMS
 
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    params = (
-        DEFAULT_PARAMS if args.scale == 1.0 else DEFAULT_PARAMS.scaled(args.scale)
-    )
-    scene_names = (
-        [s.strip() for s in args.suite_scenes.split(",") if s.strip()] or None
-    )
-    cache = runtime_cache(
-        params=params,
-        scene_names=scene_names,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        progress=args.progress,
-        backend=args.backend,
+    cache = _runtime(
+        args, _params(args.scale),
+        _scene_list(args.suite_scenes, "--suite-scenes"),
     )
     result = compare_strategies.run(
         cache,
@@ -351,30 +355,15 @@ def _cmd_compare_strategies(args) -> int:
         base_config=named_config(args.base_config),
     )
     print(compare_strategies.render(result))
-    if cache.metrics.jobs_total:
-        print(f"[repro] {cache.metrics.summary()}", file=sys.stderr)
+    _print_summary(cache)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     from repro.experiments.runner import run_all, run_experiment
-    from repro.runtime.cache import runtime_cache
-    from repro.workloads.params import DEFAULT_PARAMS
 
-    params = (
-        DEFAULT_PARAMS if args.scale == 1.0 else DEFAULT_PARAMS.scaled(args.scale)
-    )
-    scene_names = (
-        [s.strip() for s in args.scenes.split(",") if s.strip()] or None
-    )
-    cache = runtime_cache(
-        params=params,
-        scene_names=scene_names,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        progress=args.progress,
-        backend=args.backend,
+    cache = _runtime(
+        args, _params(args.scale), _scene_list(args.scenes, "--scenes")
     )
     if args.name.lower() == "all":
         for name, text in run_all(cache).items():
@@ -382,8 +371,7 @@ def _cmd_experiment(args) -> int:
             print(text)
     else:
         print(run_experiment(args.name, cache))
-    if cache.metrics.jobs_total:
-        print(f"[repro] {cache.metrics.summary()}", file=sys.stderr)
+    _print_summary(cache)
     return 0
 
 
@@ -419,8 +407,6 @@ def _cmd_ablate_run(args) -> int:
         space_catalog,
         write_report,
     )
-    from repro.runtime.cache import runtime_cache
-    from repro.workloads.params import DEFAULT_PARAMS
 
     if args.list_spaces:
         catalog = space_catalog()
@@ -428,28 +414,18 @@ def _cmd_ablate_run(args) -> int:
             print(f"{name:<12} {catalog[name]}")
         return 0
     space = resolve_space(args.space)
-    scenes = [s.strip() for s in args.scenes.split(",") if s.strip()]
-    if scenes:
+    scenes = _scene_list(args.scenes, "--scenes")
+    if scenes is not None:
         space = replace(space, scenes=tuple(scenes))
-    params = (
-        DEFAULT_PARAMS if args.scale == 1.0 else DEFAULT_PARAMS.scaled(args.scale)
-    )
-    cache = runtime_cache(
-        params=params,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        progress=args.progress,
-        backend=args.backend,
-    )
+    params = _params(args.scale)
+    cache = _runtime(args, params)
     report = run_space(space, params=params, guard=args.guard, cache=cache,
                        backend=args.backend)
     print(render_json(report) if args.format == "json" else render_text(report))
     if args.out:
         path = write_report(report, args.out)
         print(f"report written to {path}", file=sys.stderr)
-    if cache.metrics.jobs_total:
-        print(f"[repro] {cache.metrics.summary()}", file=sys.stderr)
+    _print_summary(cache)
     return 0
 
 
@@ -515,8 +491,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "scenes":
-            return _cmd_scenes()
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "compare":

@@ -6,8 +6,8 @@ from one base configuration and tabulate, per scene and aggregated, the
 quantities the paper argues about — IPC, stack/spill traffic, L1D and
 DRAM bytes, and memory-system energy.  Each strategy adapts the base
 configuration its own way (stackless returns the SH carve-out to the
-L1D; baseline strips the SMS knobs), so the table compares *architectures*
-at equal SRAM budget, not just stack parameters.
+L1D; sms and reorder keep it), so the table compares *architectures* at
+equal SRAM budget, not just stack parameters.
 
 Every (scene, strategy) cell is one content-addressed
 :class:`~repro.runtime.job.SimulationJob` (strategy folded into the

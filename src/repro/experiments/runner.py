@@ -2,7 +2,9 @@
 
 ``run_experiment("fig13")`` runs one driver; ``run_all()`` regenerates
 the whole evaluation section on one workload cache, so its store and
-metrics span every driver.
+metrics span every driver.  The strategy head-to-head and the mechanism
+ablation are not experiments here: their one front door is
+``repro compare --strategies`` and ``repro ablate run``.
 
 Without a cache both fall back to ``runtime_cache()``: every driver's
 sweep runs on the runtime's process pool and is served from the
@@ -17,6 +19,7 @@ from typing import Dict, Optional
 
 from repro.errors import ExperimentError
 from repro.experiments import (
+    energy_study,
     fig4_stack_depths,
     fig5_depth_distribution,
     fig6_stack_l1d,
@@ -45,13 +48,7 @@ EXPERIMENTS = {
 }
 
 #: Extra (non-paper) studies runnable through the same interface.
-from repro.experiments import ablate, compare_strategies, energy_study
-
-EXTRA_EXPERIMENTS = {
-    "energy": energy_study,
-    "compare": compare_strategies,
-    "ablate": ablate,
-}
+EXTRA_EXPERIMENTS = {"energy": energy_study}
 
 #: Drivers that take no workload cache.
 _CACHELESS = ("table1",)
@@ -62,15 +59,12 @@ def run_experiment(
 ) -> str:
     """Run one experiment and return its rendered report."""
     key = name.lower()
-    if key in EXTRA_EXPERIMENTS:
-        driver = EXTRA_EXPERIMENTS[key]
-        return driver.render(driver.run(cache or runtime_cache()))
-    if key not in EXPERIMENTS:
+    driver = EXPERIMENTS.get(key) or EXTRA_EXPERIMENTS.get(key)
+    if driver is None:
         available = ", ".join(list(EXPERIMENTS) + list(EXTRA_EXPERIMENTS))
         raise ExperimentError(
             f"unknown experiment {name!r}; available: {available}"
         )
-    driver = EXPERIMENTS[key]
     if key in _CACHELESS:
         return driver.render(driver.run())
     return driver.render(driver.run(cache or runtime_cache()))

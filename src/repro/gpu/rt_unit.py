@@ -82,21 +82,16 @@ class RTUnit:
                     self._chaos.wrap_stack(stack, slot)
                     for slot, stack in enumerate(self._stacks)
                 ]
-            if guard.invariants:
-                self._checker = InvariantChecker(
-                    counters, sm_id=sm_id, deep_check=guard.deep_check
-                )
-                self._stacks = [
-                    self._checker.wrap(stack, slot)
-                    for slot, stack in enumerate(self._stacks)
-                ]
-            if guard.watchdog:
-                self._watchdog = ProgressWatchdog(
-                    sm_id=sm_id,
-                    max_cycles=guard.max_cycles,
-                    stall_window=guard.stall_window,
-                    history=guard.history,
-                )
+            self._checker = InvariantChecker(counters, sm_id=sm_id)
+            self._stacks = [
+                self._checker.wrap(stack, slot)
+                for slot, stack in enumerate(self._stacks)
+            ]
+            self._watchdog = ProgressWatchdog(
+                sm_id=sm_id,
+                max_cycles=guard.max_cycles,
+                stall_window=guard.stall_window,
+            )
 
     # ------------------------------------------------------------------
     # top-level run loop

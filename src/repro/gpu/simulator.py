@@ -116,6 +116,7 @@ class GPUSimulator:
         if self.backend != "vector":
             return "stepped"
         from repro.gpu.vector.plan import (
+            SAMPLE_STRIDE,
             VectorUnsupported,
             vector_unsupported_reason,
             warp_plan,
@@ -124,8 +125,12 @@ class GPUSimulator:
         if vector_unsupported_reason(self.config, self.guard) is not None:
             return "stepped"
         try:
+            # Plans cache here, before the unit runs: sample them here.
             for warp in warps:
-                warp_plan(warp, self.config, self.strategy)
+                warp_plan(
+                    warp, self.config, self.strategy,
+                    sample=warp.warp_id % SAMPLE_STRIDE == 0,
+                )
         except VectorUnsupported:
             return "stepped"
         return "vector"

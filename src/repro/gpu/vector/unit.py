@@ -31,11 +31,7 @@ from repro.gpu.counters import Counters
 from repro.gpu.hierarchy import MemoryHierarchy
 from repro.gpu.warp import Warp
 from repro.gpu.vector.lru import LazyL1
-from repro.gpu.vector.plan import (
-    SAMPLE_STRIDE,
-    warp_plan,
-    raise_pop_mismatch,
-)
+from repro.gpu.vector.plan import warp_plan, raise_pop_mismatch
 
 __all__ = ["VectorRTUnit"]
 
@@ -148,10 +144,7 @@ class VectorRTUnit:
     def _admit_entry(self, warp: Warp, slot: int) -> list:
         """Plan (or fetch the cached plan for) an admitted warp."""
         config = self.config
-        raw = warp_plan(
-            warp, config, self.strategy,
-            sample=warp.warp_id % SAMPLE_STRIDE == 0,
-        )
+        raw = warp_plan(warp, config, self.strategy)
         plan = raw.bound(config)
         if plan.n_iters == 0:
             raise SimulationError(

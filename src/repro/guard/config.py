@@ -1,10 +1,12 @@
 """Guard layer configuration.
 
 A :class:`GuardConfig` switches the integrity subsystem on for one
-simulation: invariant checking on every drain step, the forward-progress
-watchdog on the RT unit's resident-warp loop, and (for the chaos harness)
-one injected fault.  Guards are pure observers — with no fault injected,
-a guarded run produces bit-identical counters to an unguarded one.
+simulation: invariant checking on every drain step (the SMS
+conservation laws and the full value-exact LIFO contents), the
+forward-progress watchdog on the RT unit's resident-warp loop, and (for
+the chaos harness) one injected fault.  Guards are pure observers — with
+no fault injected, a guarded run produces bit-identical counters to an
+unguarded one.
 """
 
 from __future__ import annotations
@@ -21,31 +23,22 @@ from repro.guard.chaos import FaultSpec
 #: unambiguous in the error message.
 DEFAULT_STALL_WINDOW = 64
 
-#: Default ring-buffer size for the watchdog's scheduler-decision log.
-DEFAULT_HISTORY = 32
-
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """What the integrity layer checks during one simulation.
+    """What the integrity layer adds to one simulation.
 
-    ``invariants`` wraps every stack model in a
-    :class:`~repro.guard.invariants.GuardedStack` and verifies the SMS
-    conservation laws after every warp iteration.  ``watchdog`` arms the
-    forward-progress monitor; ``max_cycles`` additionally bounds the
-    simulated clock (``None`` = unbounded).  ``deep_check`` compares the
-    full logical stack contents against the shadow stack on every drain
-    step (value-exact LIFO); switching it off keeps only the O(1)
-    accounting checks.  ``chaos`` injects one deterministic fault — used
-    by the chaos harness, never in production runs.
+    A guarded run always wraps every stack model in a
+    :class:`~repro.guard.invariants.GuardedStack`, verifies the
+    invariants after every warp iteration and arms the forward-progress
+    watchdog.  ``max_cycles`` additionally bounds the simulated clock
+    (``None`` = unbounded); ``stall_window`` is the watchdog's livelock
+    window.  ``chaos`` injects one deterministic fault — used by the
+    chaos harness, never in production runs.
     """
 
-    invariants: bool = True
-    watchdog: bool = True
     max_cycles: Optional[int] = None
     stall_window: int = DEFAULT_STALL_WINDOW
-    history: int = DEFAULT_HISTORY
-    deep_check: bool = True
     chaos: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
@@ -53,7 +46,5 @@ class GuardConfig:
 
         if self.stall_window < 1:
             raise ConfigError("stall_window must be >= 1")
-        if self.history < 1:
-            raise ConfigError("history must be >= 1")
         if self.max_cycles is not None and self.max_cycles < 1:
             raise ConfigError("max_cycles must be >= 1 (or None)")

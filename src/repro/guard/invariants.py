@@ -58,12 +58,10 @@ class GuardedStack:
         inner,
         context: GuardContext,
         component: str = "stack",
-        deep_check: bool = True,
     ) -> None:
         self.inner = inner
         self.ctx = context
         self.component = component
-        self.deep_check = deep_check
         self.warp_size = inner.warp_size
         #: Structural-only mode: the wrapped model declares it keeps no
         #: traversal stack (``has_stack = False``, e.g. the stackless
@@ -264,14 +262,13 @@ class GuardedStack:
             shadow = self._shadow[lane]
             if self.inner.depth(lane) != len(shadow):
                 self._check_depth(lane)  # raises with the full message
-            if self.deep_check:
-                actual = self.inner.contents(lane)
-                if actual != shadow:
-                    self._violation(
-                        f"stack contents diverged from logical LIFO "
-                        f"order: model {actual}, expected {shadow}",
-                        lane,
-                    )
+            actual = self.inner.contents(lane)
+            if actual != shadow:
+                self._violation(
+                    f"stack contents diverged from logical LIFO "
+                    f"order: model {actual}, expected {shadow}",
+                    lane,
+                )
         sms = self._sms
         if sms is None:
             return
@@ -333,10 +330,9 @@ class InvariantChecker:
     every SM of the simulated GPU).
     """
 
-    def __init__(self, counters, sm_id: int = 0, deep_check: bool = True) -> None:
+    def __init__(self, counters, sm_id: int = 0) -> None:
         self.counters = counters
         self.sm_id = sm_id
-        self.deep_check = deep_check
         self.ctx = GuardContext(sm_id=sm_id)
         self.stacks: List[GuardedStack] = []
         self._base = self._snapshot()
@@ -353,12 +349,7 @@ class InvariantChecker:
 
     def wrap(self, stack, slot: int) -> GuardedStack:
         """Wrap one warp slot's stack model; returns the guarded proxy."""
-        guarded = GuardedStack(
-            stack,
-            self.ctx,
-            component=f"stack[slot={slot}]",
-            deep_check=self.deep_check,
-        )
+        guarded = GuardedStack(stack, self.ctx, component=f"stack[slot={slot}]")
         self.stacks.append(guarded)
         return guarded
 

@@ -19,7 +19,6 @@ architectural.
 """
 
 from repro.stack.ops import MemSpace, OpKind, MemoryOp, StackActivity
-from repro.stack.fields import RayBufferFields
 from repro.stack.layout import SharedStackLayout
 from repro.stack.skew import base_entry_index
 from repro.stack.base import StackModel
@@ -35,7 +34,6 @@ __all__ = [
     "OpKind",
     "MemoryOp",
     "StackActivity",
-    "RayBufferFields",
     "SharedStackLayout",
     "base_entry_index",
     "StackModel",

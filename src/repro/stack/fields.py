@@ -2,37 +2,17 @@
 
 The SMS stack manager extends each thread's ray-buffer record with Top,
 Bottom and Overflow fields, plus Next TID / Idle / Priority / Flush for
-dynamic intra-warp reallocation.  This module models those fields and
+dynamic intra-warp reallocation.  This module sizes those fields and
 reproduces the paper's storage-overhead arithmetic (96 B + 176 B = 272 B
-per SM for the default configuration).
+per SM for the default configuration); the simulated state itself lives
+in :class:`~repro.stack.sms.SmsStack`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, log2
 
 from repro.errors import ConfigError
-
-
-@dataclass
-class RayBufferFields:
-    """Per-thread SMS bookkeeping state.
-
-    ``top`` / ``bottom`` are circular entry indices into the lane's SH
-    stack region; ``overflow`` flags entries spilled to global memory;
-    ``idle`` marks a finished lane whose SH stack may be borrowed;
-    ``next_tid`` links borrowed stacks (-1 = end of chain); ``priority``
-    tracks allocation order and ``flush`` counts consecutive flushes.
-    """
-
-    top: int = 0
-    bottom: int = 0
-    overflow: bool = False
-    idle: bool = False
-    next_tid: int = -1
-    priority: int = 0
-    flush: int = 0
 
 
 def field_bits(

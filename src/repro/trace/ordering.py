@@ -28,30 +28,18 @@ def traversal_locality_key(trace: RayTrace, key_depth: int = 8) -> tuple:
 
 
 def reorder_wave_by_locality(
-    wave: Sequence[RayTrace],
-    key_depth: int = 8,
-    window: int = 0,
+    wave: Sequence[RayTrace], key_depth: int = 8
 ) -> List[RayTrace]:
     """Stable-sort one wave so rays sharing an early traversal footprint
     become warp neighbours.
 
-    ``window > 0`` models a finite reorder buffer: the wave is split into
-    consecutive ``window``-ray segments and each segment is sorted
-    independently (rays never move further than the buffer can hold).
-    ``window = 0`` is the idealized whole-wave sort.  The sort is stable,
-    so the result is a deterministic permutation of ``wave`` — the same
-    multiset of traces, only the warp packing changes.
+    The sort is stable, so the result is a deterministic permutation of
+    ``wave`` — the same multiset of traces, only the warp packing
+    changes.
     """
-    if window < 0:
-        raise TraversalError("reorder window must be >= 0")
-    traces = list(wave)
-    span = window if window else len(traces)
-    ordered: List[RayTrace] = []
-    for start in range(0, len(traces), max(span, 1)):
-        segment = traces[start : start + span]
-        segment.sort(key=lambda trace: traversal_locality_key(trace, key_depth))
-        ordered.extend(segment)
-    return ordered
+    return sorted(
+        wave, key=lambda trace: traversal_locality_key(trace, key_depth)
+    )
 
 
 def tiled_pixel_order(

@@ -87,7 +87,8 @@ def generate_workload(
             defaults here are small so full sweeps stay fast — the paper
             itself notes trends are consistent across workload sizes).
         spp: samples per pixel, at least 1.
-        max_bounces: path depth; each bounce wave adds shadow+bounce rays.
+        max_bounces: path depth, at least 0; each bounce wave adds
+            shadow+bounce rays.
         seed: workload RNG seed.
         tracer_factory: ``bvh -> tracer`` constructor; defaults to the
             reference :class:`~repro.trace.tracer.Tracer`.  Traversal
@@ -100,10 +101,12 @@ def generate_workload(
         A :class:`PathTracerWorkload` with per-wave traces.
 
     Raises:
-        ConfigError: ``spp`` is below 1.
+        ConfigError: ``spp`` is below 1 or ``max_bounces`` is negative.
     """
     if spp < 1:
         raise ConfigError(f"spp must be at least 1, got {spp}")
+    if max_bounces < 0:
+        raise ConfigError(f"max_bounces must be at least 0, got {max_bounces}")
     tracer = (tracer_factory or Tracer)(bvh)
     rng = DeterministicRng(seed)
     scene = bvh.scene

@@ -3,17 +3,18 @@
 A strategy owns both simulator phases of one traversal architecture:
 how rays walk the BVH (phase one, trace generation) and what per-lane
 state the RT unit keeps while replaying them (phase two, timing).
+The registry holds traversal schemes only; hardware points (RB-only,
+SH tier, skewing, intra- or inter-warp reallocation) are
+configurations, selected by the ``GPUConfig`` a job carries.
 Built-ins:
 
-========== ==========================================================
-``sms``     config-driven stack traversal (RB / RB+SH / full / interwarp
-            as the configuration selects) — the default, bit-identical
-            to the pre-strategy simulator
-``baseline`` RB-only: SMS knobs forced off, overflows spill to global
-``interwarp`` SMS with inter-warp SH reallocation forced on
+============= =======================================================
+``sms``       config-driven stack traversal (RB / RB+SH / full /
+              inter-warp as the configuration selects) — the default,
+              bit-identical to the pre-strategy simulator
 ``stackless`` escape-link traversal: no stack, no spills, restart-free
-``reorder``  locality-sorted warp formation over the configured stack
-========== ==========================================================
+``reorder``   locality-sorted warp formation over the configured stack
+============= =======================================================
 """
 
 from repro.traversal.base import TraversalStrategy
@@ -23,18 +24,12 @@ from repro.traversal.registry import (
     resolve_strategy,
 )
 from repro.traversal.reorder import ReorderStrategy
-from repro.traversal.stack_based import (
-    BaselineStrategy,
-    InterWarpStrategy,
-    StackStrategy,
-)
+from repro.traversal.stack_based import StackStrategy
 from repro.traversal.stackless import EscapeTracer, StacklessState, StacklessStrategy
 
 __all__ = [
     "TraversalStrategy",
     "StackStrategy",
-    "BaselineStrategy",
-    "InterWarpStrategy",
     "StacklessStrategy",
     "StacklessState",
     "EscapeTracer",

@@ -51,16 +51,10 @@ def resolve_strategy(
 
 def _register_builtins() -> None:
     from repro.traversal.reorder import ReorderStrategy
-    from repro.traversal.stack_based import (
-        BaselineStrategy,
-        InterWarpStrategy,
-        StackStrategy,
-    )
+    from repro.traversal.stack_based import StackStrategy
     from repro.traversal.stackless import StacklessStrategy
 
     register_strategy("sms", StackStrategy)
-    register_strategy("baseline", BaselineStrategy)
-    register_strategy("interwarp", InterWarpStrategy)
     register_strategy("stackless", StacklessStrategy)
     register_strategy("reorder", ReorderStrategy)
 

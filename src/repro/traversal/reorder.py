@@ -8,16 +8,14 @@ streams are exactly the recorded reference streams; only the warp
 packing changes, so the timing model sees more coherent node fetches and
 better-aligned stack behaviour without any new stack hardware.
 
-The reorder happens within each wave (a wave is what the scheduler sees
-at once); ``window`` bounds how far a ray may move, modelling a finite
-reorder buffer.
+The reorder sorts each whole wave (a wave is what the scheduler sees at
+once), as an unbounded reorder buffer would.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
 from repro.trace.ordering import reorder_wave_by_locality
 from repro.traversal.stack_based import StackStrategy
 
@@ -31,27 +29,16 @@ class ReorderStrategy(StackStrategy):
 
     name = "reorder"
 
-    def __init__(self, key_depth: int = 8, window: int = 0) -> None:
-        if key_depth < 1:
-            raise ConfigError("reorder key_depth must be >= 1")
-        if window < 0:
-            raise ConfigError("reorder window must be >= 0")
-        #: Traversal-prefix length of the locality key.
-        self.key_depth = key_depth
-        #: Reorder-buffer size in rays (0 = whole-wave ideal sort).
-        self.window = window
-
     def trace_key(self) -> str:
-        # The permutation is part of the phase-one output, so the
-        # tunables must discriminate memo and job-cache entries.
-        return f"reorder/k{self.key_depth}/w{self.window}"
+        # The permutation is part of the phase-one output, so it must
+        # discriminate memo and job-cache entries.  The literal names the
+        # key depth (8) and the whole-wave window (0); changing it would
+        # orphan every stored reorder phase one.
+        return "reorder/k8/w0"
 
     def build_workload(self, bvh: "WideBVH", **kwargs) -> "PathTracerWorkload":
         workload = super().build_workload(bvh, **kwargs)
         workload.waves = [
-            reorder_wave_by_locality(
-                wave, key_depth=self.key_depth, window=self.window
-            )
-            for wave in workload.waves
+            reorder_wave_by_locality(wave) for wave in workload.waves
         ]
         return workload

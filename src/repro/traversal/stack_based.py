@@ -1,7 +1,7 @@
-"""Stack-based traversal strategies (the paper's architectures).
+"""The stack-based traversal strategy (the paper's architectures).
 
-These wrap the existing stack models behind the strategy interface; the
-default :class:`StackStrategy` reproduces the old RTUnit constructor's
+:class:`StackStrategy` wraps the existing stack models behind the
+strategy interface and reproduces the old RTUnit constructor's
 stack wiring exactly, so ``strategy="sms"`` is bit-identical to the
 pre-strategy simulator (asserted by ``tests/traversal/test_bit_identity``).
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.errors import ConfigError
 from repro.stack.factory import make_stack_model
 from repro.traversal.base import TraversalStrategy
 
@@ -63,42 +62,3 @@ class StackStrategy(TraversalStrategy):
             for slot in range(config.max_warps_per_rt_unit)
         ]
 
-
-class BaselineStrategy(StackStrategy):
-    """RB-only traversal: force the SMS machinery off.
-
-    Same recorded traces and stack replay as :class:`StackStrategy`, but
-    the configuration is adapted to the paper's baseline (no SH stacks,
-    every overflow spills to global memory) regardless of what SMS knobs
-    the incoming config carries — the head-to-head engine can therefore
-    run ``baseline`` vs ``sms`` from one base configuration.
-    """
-
-    name = "baseline"
-
-    def adapt_config(self, config: "GPUConfig") -> "GPUConfig":
-        if config.rb_stack_entries is None:
-            raise ConfigError(
-                "baseline strategy needs a bounded RB stack "
-                "(rb_stack_entries is None)"
-            )
-        return config.with_(
-            sh_stack_entries=0,
-            skewed_bank_access=False,
-            intra_warp_realloc=False,
-            inter_warp_realloc=False,
-        )
-
-
-class InterWarpStrategy(StackStrategy):
-    """SMS with inter-warp SH reallocation forced on (paper section V-D)."""
-
-    name = "interwarp"
-
-    def adapt_config(self, config: "GPUConfig") -> "GPUConfig":
-        if config.rb_stack_entries is None or config.sh_stack_entries <= 0:
-            raise ConfigError(
-                "interwarp strategy needs RB and SH stacks configured "
-                "(rb_stack_entries set, sh_stack_entries > 0)"
-            )
-        return config.with_(inter_warp_realloc=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 #: Scenes the paper runs at reduced scale due to simulation cost.
 COMPLEX_SCENES = ("CHSNT", "ROBOT", "PARK")
 
@@ -34,7 +36,10 @@ class WorkloadParams:
         return self.width, self.height, self.spp
 
     def scaled(self, factor: float) -> "WorkloadParams":
-        """A resolution-scaled copy (for quick test runs)."""
+        """A resolution-scaled copy (for quick test runs); each side is
+        floored at 4 pixels, and ``factor`` must be positive."""
+        if not factor > 0:
+            raise ConfigError(f"scale must be positive, got {factor}")
         return WorkloadParams(
             width=max(4, int(self.width * factor)),
             height=max(4, int(self.height * factor)),

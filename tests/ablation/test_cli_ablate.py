@@ -94,20 +94,3 @@ def test_list_spaces(capsys):
     assert code == 0
     for name in ("mechanisms", "fig8", "fig15", "bounds", "sram_pareto"):
         assert name in out
-
-
-def test_experiment_ablate_driver(capsys):
-    from repro.experiments.runner import EXTRA_EXPERIMENTS, run_experiment
-    from repro.runtime.cache import runtime_cache
-    from repro.workloads.params import WorkloadParams
-
-    assert "ablate" in EXTRA_EXPERIMENTS
-    cache = runtime_cache(
-        params=WorkloadParams().scaled(0.25),
-        scene_names=["WKND"],
-        jobs=1,
-        use_cache=False,
-    )
-    text = run_experiment("ablate", cache)
-    assert "[sweep: space 'mechanisms'" in text
-    assert "[mechanism importance" in text

@@ -5,13 +5,6 @@ import pytest
 from repro.cli import build_parser, main
 
 
-def test_scenes_lists_all(capsys):
-    assert main(["scenes"]) == 0
-    out = capsys.readouterr().out
-    for name in ("WKND", "ROBOT", "SHIP", "PARK"):
-        assert name in out
-
-
 def test_simulate_runs(capsys):
     code = main([
         "simulate", "--scene", "SHIP", "--config", "RB_8",
@@ -41,6 +34,21 @@ def test_compare_runs(capsys):
     out = capsys.readouterr().out
     assert "RB_FULL" in out
     assert "vs RB_8" in out
+
+
+def test_compare_resolves_through_the_store(tmp_path, capsys):
+    """Each compare cell is a job: a repeat run is all store hits."""
+    argv = [
+        "compare", "--scene", "SHIP", "--configs", "RB_8,RB_FULL",
+        "--width", "8", "--height", "8", "--bounces", "1",
+        "--jobs", "1", "--cache-dir", str(tmp_path / "store"),
+    ]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert main(argv) == 0
+    second = capsys.readouterr()
+    assert second.out == first.out
+    assert "2 cached, 0 simulated" in second.err
 
 
 def test_experiment_table1(capsys):
@@ -74,13 +82,30 @@ def test_bad_config_errors(capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--spp", "0"],
     ["simulate", "--spp", "-2"],
+    ["simulate", "--bounces", "-1"],
     ["compare", "--configs", " , "],
-], ids=["spp-0", "spp-negative", "no-config-label"])
+], ids=["spp-0", "spp-negative", "bounces-negative", "no-config-label"])
 def test_empty_workload_is_an_error(argv, capsys):
     """A run with no samples or no configuration is a usage error, not an
     empty result or a crash."""
     code = main(argv + ["--scene", "FOX", "--width", "8", "--height", "8"])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "fig13", "--scale", "0"],
+    ["experiment", "fig13", "--scale", "-1"],
+    ["experiment", "fig13", "--scale", "nan"],
+    ["experiment", "fig13", "--scenes", " , "],
+    ["ablate", "run", "--scenes", " , "],
+    ["compare", "--strategies", "sms", "--suite-scenes", " , "],
+], ids=["scale-0", "scale-negative", "scale-nan", "experiment-no-scene",
+        "ablate-no-scene", "compare-no-scene"])
+def test_degenerate_sweep_is_an_error(argv, capsys):
+    """A sweep with no resolution or no scene is a usage error, not a
+    silent run at the smallest size or over the whole suite."""
+    assert main(argv + ["--jobs", "1", "--no-cache"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -9,7 +9,9 @@ configurations, cross it with the guard axis, cover the supported
 spill policies and traversal strategies, and pin the
 fallback behavior: any run outside the vector validity envelope
 silently degrades to the stepped core and records that in
-``SimOutput.backend``.
+``SimOutput.backend``.  Two more pin the guard layer's plan sampler:
+it checks every sixteenth warp, and it catches a model that diverges
+from the SoA mirror.
 """
 
 from dataclasses import asdict, replace
@@ -18,8 +20,13 @@ import pytest
 
 from repro.bvh.api import build_bvh
 from repro.core.presets import named_config
+from repro.errors import InvariantViolationError
 from repro.gpu.simulator import GPUSimulator
+from repro.gpu.vector.plan import SAMPLE_STRIDE
+from repro.gpu.warp import pack_warps
 from repro.guard.config import GuardConfig
+from repro.guard.vector import VectorPlanSampler
+from repro.stack.sms import SmsStack
 from repro.trace.path import generate_workload
 from repro.traversal.registry import resolve_strategy
 from repro.workloads.lumibench import SCENE_NAMES, load_scene
@@ -72,7 +79,7 @@ def test_guarded_vector_request_falls_back_and_matches():
     """Guards need the stepped observer; the fallback is bit-identical."""
     traces = traces_for("CRNVL")
     config = named_config("RB_8+SH_8")
-    guard = GuardConfig(invariants=True, watchdog=True)
+    guard = GuardConfig()
     stepped = run(traces, config, "stepped", guard=guard)
     vector = run(traces, config, "vector", guard=guard)
     assert vector.backend == "stepped"
@@ -123,6 +130,43 @@ def test_vector_bit_identical_per_strategy(strategy):
     stepped = run(traces, config, "stepped", strategy=strategy)
     vector = run(traces, config, "vector", strategy=strategy)
     assert_identical(stepped, vector)
+
+
+def fresh_traces():
+    """CRNVL at 24x24, 21 warps, traced anew: plans cache on the traces,
+    so a warp is only sampled when its plan is first built."""
+    bvh = build_bvh(load_scene("CRNVL"))
+    return generate_workload(
+        bvh, width=24, height=24, max_bounces=1, seed=0
+    ).all_traces
+
+
+def test_vector_run_samples_every_sixteenth_warp(monkeypatch):
+    checked = []
+    check_totals = VectorPlanSampler.check_totals
+
+    def counting(self, totals, state):
+        checked.append(self.warp_id)
+        return check_totals(self, totals, state)
+
+    monkeypatch.setattr(VectorPlanSampler, "check_totals", counting)
+    traces = fresh_traces()
+    config = named_config("RB_8+SH_8+SK+RA")
+    output = run(traces, config, "vector")
+    assert output.backend == "vector"
+    warp_ids = [warp.warp_id for warp in pack_warps(traces, config.warp_size)]
+    assert len(warp_ids) > SAMPLE_STRIDE
+    assert checked == [i for i in warp_ids if i % SAMPLE_STRIDE == 0]
+
+
+def test_sampler_catches_a_depth_divergence(monkeypatch):
+    depth = SmsStack.depth
+    monkeypatch.setattr(
+        SmsStack, "depth", lambda self, lane: depth(self, lane) + 1
+    )
+    with pytest.raises(InvariantViolationError,
+                       match="diverged from the SoA mirror"):
+        run(fresh_traces(), named_config("RB_8+SH_8+SK+RA"), "vector")
 
 
 def test_empty_workload():

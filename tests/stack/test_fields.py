@@ -3,16 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.stack.fields import RayBufferFields, field_bits, overhead_bytes_per_rt_unit
-
-
-def test_default_fields():
-    fields = RayBufferFields()
-    assert fields.top == 0
-    assert fields.bottom == 0
-    assert not fields.overflow
-    assert not fields.idle
-    assert fields.next_tid == -1
+from repro.stack.fields import field_bits, overhead_bytes_per_rt_unit
 
 
 def test_field_bits_paper_values():

@@ -19,9 +19,7 @@ def _int_counters(result):
     }
 
 
-@pytest.mark.parametrize(
-    "name", ["sms", "baseline", "interwarp", "stackless", "reorder"]
-)
+@pytest.mark.parametrize("name", ["sms", "stackless", "reorder"])
 def test_guard_is_transparent_for_every_strategy(small_bvh, name):
     strategy = resolve_strategy(name)
     workload = strategy.build_workload(

@@ -23,7 +23,7 @@ def test_strategy_is_in_the_spec():
 
 def test_strategies_get_distinct_keys():
     keys = {name: _job(name).key() for name in
-            ("sms", "baseline", "stackless", "reorder")}
+            ("sms", "stackless", "reorder")}
     assert len(set(keys.values())) == len(keys)
 
 

@@ -5,8 +5,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
 from repro.traversal import (
-    BaselineStrategy,
-    InterWarpStrategy,
     ReorderStrategy,
     StackStrategy,
     StacklessStrategy,
@@ -20,7 +18,7 @@ from repro.traversal.registry import _REGISTRY
 
 def test_builtins_registered():
     names = available_strategies()
-    for expected in ("sms", "baseline", "interwarp", "stackless", "reorder"):
+    for expected in ("sms", "stackless", "reorder"):
         assert expected in names
     assert names == sorted(names)
 
@@ -38,7 +36,7 @@ def test_resolve_none_is_default_sms():
 
 
 def test_resolve_instance_passthrough():
-    strategy = ReorderStrategy(key_depth=3)
+    strategy = ReorderStrategy()
     assert resolve_strategy(strategy) is strategy
 
 
@@ -75,45 +73,6 @@ def test_sms_adapt_config_is_identity():
     assert StackStrategy().adapt_config(config) is config
 
 
-def test_baseline_strips_sms_knobs():
-    config = GPUConfig(
-        rb_stack_entries=8,
-        sh_stack_entries=8,
-        skewed_bank_access=True,
-        intra_warp_realloc=True,
-        inter_warp_realloc=True,
-    )
-    adapted = BaselineStrategy().adapt_config(config)
-    assert adapted.sh_stack_entries == 0
-    assert not adapted.skewed_bank_access
-    assert not adapted.intra_warp_realloc
-    assert not adapted.inter_warp_realloc
-    assert adapted.rb_stack_entries == 8
-
-
-def test_baseline_requires_register_backing():
-    with pytest.raises(ConfigError):
-        BaselineStrategy().adapt_config(GPUConfig(rb_stack_entries=None))
-
-
-def test_interwarp_enables_sharing():
-    config = GPUConfig(rb_stack_entries=8, sh_stack_entries=8)
-    adapted = InterWarpStrategy().adapt_config(config)
-    assert adapted.inter_warp_realloc
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        GPUConfig(rb_stack_entries=None, sh_stack_entries=0),
-        GPUConfig(rb_stack_entries=8, sh_stack_entries=0),
-    ],
-)
-def test_interwarp_rejects_unshareable_configs(config):
-    with pytest.raises(ConfigError):
-        InterWarpStrategy().adapt_config(config)
-
-
 def test_stackless_frees_shared_memory_carveout():
     config = GPUConfig(rb_stack_entries=8, sh_stack_entries=8,
                        skewed_bank_access=True, intra_warp_realloc=True)
@@ -132,6 +91,5 @@ def test_stackless_adapt_is_noop_when_already_bare():
 def test_trace_keys_partition_phase_one():
     # Strategies that replay identical recorded traces share a key;
     # strategies that alter phase one must not.
-    assert StackStrategy().trace_key() == BaselineStrategy().trace_key()
     assert StacklessStrategy().trace_key() != StackStrategy().trace_key()
     assert ReorderStrategy().trace_key() != StackStrategy().trace_key()

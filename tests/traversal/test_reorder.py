@@ -1,8 +1,5 @@
 """Ray-reordering strategy: locality sort is a permutation, and stable."""
 
-import pytest
-
-from repro.errors import ConfigError, TraversalError
 from repro.trace.ordering import (
     reorder_wave_by_locality,
     traversal_locality_key,
@@ -17,7 +14,7 @@ def _wave_ids(wave):
 def test_reorder_preserves_each_wave_as_multiset(small_bvh):
     base = StackStrategy().build_workload(small_bvh, width=6, height=6,
                                           max_bounces=2, seed=9)
-    reordered = ReorderStrategy(key_depth=8).build_workload(
+    reordered = ReorderStrategy().build_workload(
         small_bvh, width=6, height=6, max_bounces=2, seed=9
     )
     assert len(base.waves) == len(reordered.waves)
@@ -45,41 +42,5 @@ def test_reorder_is_stable_and_deterministic(small_workload):
             assert original_rank[id(left)] < original_rank[id(right)]
 
 
-def test_window_limits_sort_to_segments(small_workload):
-    wave = max(small_workload.waves, key=len)
-    window = max(2, len(wave) // 3)
-    segmented = reorder_wave_by_locality(wave, key_depth=8, window=window)
-    assert _wave_ids(wave) == _wave_ids(segmented)
-    # Each window-sized segment is sorted independently ...
-    for start in range(0, len(segmented), window):
-        segment = segmented[start:start + window]
-        keys = [traversal_locality_key(t, key_depth=8) for t in segment]
-        assert keys == sorted(keys)
-    # ... and segments are exactly the original segments, re-sorted.
-    for start in range(0, len(wave), window):
-        assert _wave_ids(wave[start:start + window]) == _wave_ids(
-            segmented[start:start + window]
-        )
-
-
-def test_negative_window_rejected(small_workload):
-    with pytest.raises(TraversalError):
-        reorder_wave_by_locality(small_workload.waves[0], window=-1)
-
-
-def test_constructor_validation():
-    with pytest.raises(ConfigError):
-        ReorderStrategy(key_depth=0)
-    with pytest.raises(ConfigError):
-        ReorderStrategy(window=-2)
-
-
-def test_trace_key_encodes_knobs():
-    assert ReorderStrategy().trace_key() != ReorderStrategy(
-        key_depth=2
-    ).trace_key()
-    assert ReorderStrategy().trace_key() != ReorderStrategy(
-        window=16
-    ).trace_key()
-    assert ReorderStrategy(key_depth=8, window=0).trace_key() == \
-        ReorderStrategy(key_depth=8, window=0).trace_key()
+def test_trace_key_keeps_stored_phase_ones_valid():
+    assert ReorderStrategy().trace_key() == "reorder/k8/w0"
