@@ -93,8 +93,8 @@ class GPUConfig:
 
     # Background L1 pressure from the SM's sub-cores: the unified L1D is
     # shared with shading/texture traffic that Vulkan-Sim simulates and
-    # this model abstracts.  Each warp traversal iteration streams this
-    # many foreign lines through the L1 (allocation only — their latency
+    # this model abstracts.  Each warp traversal iteration allocates this
+    # many foreign lines in the L1 that are never re-read (their latency
     # belongs to the shader pipeline, not the RT unit's critical path).
     # Documented as a substitution in DESIGN.md.
     shader_pollution_lines: int = 48

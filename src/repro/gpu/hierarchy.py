@@ -8,9 +8,10 @@ the level below.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
 
-from repro.gpu.cache import Cache
+from repro.errors import ConfigError
+from repro.gpu.cache import Cache, L1Cache
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import Counters
 from repro.gpu.dram import Dram
@@ -19,26 +20,23 @@ from repro.gpu.dram import Dram
 class MemoryHierarchy:
     """Timing and traffic model of one SM's view of global memory."""
 
-    #: Address region the shader-pollution stream walks through.
-    POLLUTION_BASE = 0x4000_0000
-    POLLUTION_SPAN = 64 * 1024 * 1024
-
     def __init__(self, config: GPUConfig, l2: Cache, dram: Dram) -> None:
         self.config = config
-        self.l1 = Cache(
+        # Fully associative, as in Table I.
+        self.l1 = L1Cache(
             size_bytes=config.l1d_bytes,
             line_bytes=config.line_bytes,
-            assoc=None,  # fully associative, as in Table I
             name="L1D",
         )
+        if l2.line_bytes != config.line_bytes:
+            # fetch_lines indexes the L2 with L1-aligned line addresses.
+            raise ConfigError(
+                f"L2 line size {l2.line_bytes} B differs from the L1's "
+                f"{config.line_bytes} B"
+            )
         self.l2 = l2
         self.dram = dram
-        self._pollution_cursor = 0
         self._l2_port_free = 0
-        # Node records never move, so the line decomposition of a given
-        # (address, size) pair is immutable — memoize it.  Spill slots
-        # repeat per lane, so they hit the memo too.
-        self._lines_memo = {}
 
     def _l2_occupy(self, now: int, sectors: int = 4) -> int:
         """Claim the (per-SM share of the) L2 port; returns service start."""
@@ -50,44 +48,27 @@ class MemoryHierarchy:
         return start
 
     def pollute(self, lines: int, now: int, counters: "Counters") -> None:
-        """Stream foreign (shader/texture) lines through the L1.
+        """Occupy ``lines`` L1 lines with foreign (shader/texture) data.
 
         Models the sub-cores sharing the unified L1D with the RT unit
         (paper III-B): the traffic itself is not on the RT unit's critical
-        path, but it evicts node data and spilled stack entries.  Evicted
-        dirty lines (spilled stack entries) still write back — that is
-        real RT-unit-caused traffic.
+        path and its lines are never re-read, but it evicts node data and
+        spilled stack entries.  Evicted dirty lines (spilled stack
+        entries) still write back — that is real RT-unit-caused traffic.
         """
-        cursor, evicted = self.l1.pollute_stream(
-            self.POLLUTION_BASE,
-            self._pollution_cursor,
-            self.POLLUTION_SPAN,
-            self.config.line_bytes,
-            lines,
-        )
-        self._pollution_cursor = cursor
-        # Write-backs are deferred to after the stream: L1 state does not
-        # depend on L2, and the L2 sees the victims in the same order, so
-        # the interleaved and deferred schedules are indistinguishable.
-        for victim in evicted:
+        # Write-backs follow the burst: L1 state does not depend on L2,
+        # and the L2 sees the victims in LRU order either way.
+        for victim in self.l1.pollute(lines):
             self._writeback_to_l2(victim, now, counters)
 
     def lines_of(self, address: int, size_bytes: int) -> List[int]:
         """Line addresses an access of ``size_bytes`` at ``address`` touches.
 
-        Memoized: the decomposition depends only on the immutable
-        (address, size) pair and every node/spill slot is re-fetched many
-        times per frame.
+        An empty access still touches the line holding ``address``.
         """
-        key = (address, size_bytes)
-        cached = self._lines_memo.get(key)
-        if cached is None:
-            line = self.config.line_bytes
-            first = address - (address % line)
-            last = (address + max(size_bytes, 1) - 1) // line * line
-            cached = list(range(first, last + line, line))
-            self._lines_memo[key] = cached
-        return cached
+        line = self.config.line_bytes
+        end = address + (size_bytes if size_bytes > 1 else 1)
+        return list(range(address - address % line, end, line))
 
     def access_line(
         self,
@@ -154,74 +135,94 @@ class MemoryHierarchy:
         counters.dram_reads += 1
         return done
 
-    def fetch_lines(self, lines: List[int], start: int, counters: Counters) -> int:
+    def fetch_lines(self, lines: Iterable[int], start: int, counters: Counters) -> int:
         """Burst of node-fetch loads, one issued per L1 port slot.
 
         Equivalent to ``access_line(line, start + i * l1_port_cycles,
         False, counters)`` for each line in order, returning the latest
-        completion time — but with the per-line L1 probe and the miss path
-        inlined, and the L1 hit/miss counter updates batched.  This is the
-        node-fetch inner loop of every warp iteration.
+        completion time — but with the L1 probe and eviction, the L2 port
+        claim and the L2 set probe inlined, and the hit/miss tallies added
+        once per call.  This is the node-fetch inner loop of every warp
+        iteration.
         """
         config = self.config
         port = config.l1_port_cycles
-        l1_lat = config.l1_latency
-        l2_lat = config.l2_latency
+        l1_latency = config.l1_latency
+        l2_base = l1_latency + config.l2_latency
+        l2_cycles = config.l2_service_cycles  # a full line: four sectors
+        if l2_cycles <= 0:
+            l2_cycles = 1
         l1 = self.l1
+        l1_lines = l1._lines
+        capacity = l1.total_lines
+        live = l1._live
+        head = l1._head
         l2 = self.l2
+        l2_sets = l2._sets
+        l2_num_sets = l2.num_sets
+        l2_assoc = l2.assoc
+        line_bytes = l2.line_bytes
         dram = self.dram
+        port_free = self._l2_port_free
         now = start
         fetch_done = start
         l1_hits = 0
         l1_misses = 0
-        # The paper's L1D is fully associative (one set); hoist the set
-        # dict and unroll the probe.  Multi-set L1 configs fall back to
-        # the generic probe below.
-        cache_set = l1._sets[0] if l1.num_sets == 1 else None
-        assoc = l1.assoc
+        l2_hits = 0
+        l2_misses = 0
+        dram_reads = 0
+        dram_writes = 0
         for line in lines:
-            if cache_set is not None:
-                if line in cache_set:
-                    hit = True
-                    cache_set.move_to_end(line)
-                    evicted = None
-                else:
-                    hit = False
-                    evicted = None
-                    if len(cache_set) >= assoc:
-                        victim, dirty = cache_set.popitem(last=False)
-                        if dirty:
-                            evicted = victim
-                    cache_set[line] = False
-            else:
-                hit, evicted = l1.probe(line, False)
-            if evicted is not None:
-                self._writeback_to_l2(evicted, now, counters)
-            if hit:
+            if line in l1_lines:
+                l1_lines.move_to_end(line)
                 l1_hits += 1
-                done = now + l1_lat
+                done = now + l1_latency
             else:
                 l1_misses += 1
-                s = self._l2_occupy(now, sectors=4)
-                l2_hit, l2_evicted = l2.probe(line, False)
-                if l2_evicted is not None:
-                    dram.write(s)
-                    counters.dram_writes += 1
-                if l2_hit:
-                    counters.l2_hits += 1
-                    done = s + l1_lat + l2_lat
+                if live < capacity:
+                    live += 1
+                elif head:
+                    head -= 1
                 else:
-                    counters.l2_misses += 1
-                    done = dram.read(s + l1_lat + l2_lat)
-                    counters.dram_reads += 1
+                    victim, value = l1_lines.popitem(False)
+                    if victim < 0:
+                        head = value - 1
+                    elif value:
+                        self._writeback_to_l2(victim, now, counters)
+                l1_lines[line] = False
+                issue = port_free if port_free > now else now
+                port_free = issue + l2_cycles
+                l2_set = l2_sets[(line // line_bytes) % l2_num_sets]
+                if line in l2_set:
+                    l2_set.move_to_end(line)
+                    l2_hits += 1
+                    done = issue + l2_base
+                else:
+                    l2_misses += 1
+                    if len(l2_set) >= l2_assoc:
+                        _, dirty = l2_set.popitem(False)
+                        if dirty:
+                            dram.write(issue)
+                            dram_writes += 1
+                    l2_set[line] = False
+                    done = dram.read(issue + l2_base)
+                    dram_reads += 1
             if done > fetch_done:
                 fetch_done = done
             now += port
-        if cache_set is not None:
-            l1.hits += l1_hits
-            l1.misses += l1_misses
+        l1._live = live
+        l1._head = head
+        l1.hits += l1_hits
+        l1.misses += l1_misses
+        l2.hits += l2_hits
+        l2.misses += l2_misses
+        self._l2_port_free = port_free
         counters.l1_hits += l1_hits
         counters.l1_misses += l1_misses
+        counters.l2_hits += l2_hits
+        counters.l2_misses += l2_misses
+        counters.dram_reads += dram_reads
+        counters.dram_writes += dram_writes
         return fetch_done
 
     def _writeback_to_l2(self, line_addr: int, now: int, counters: Counters) -> None:

@@ -34,8 +34,8 @@ the same workload under different latencies replay once.
 
 When a configuration or workload falls outside the mirror's validity
 envelope (guarded runs, inter-warp reallocation, L1-cached spills,
-node data overlapping the pollution window, a stack model that has not
-opted in), :class:`VectorUnsupported` is raised *before any counter is
+pollution bursts larger than the L1, a stack model that has not opted
+in), :class:`VectorUnsupported` is raised *before any counter is
 touched*, and :class:`~repro.gpu.simulator.GPUSimulator` falls back to
 the stepped oracle for the whole run.
 """
@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.errors import ReproError, SimulationError
 from repro.gpu.config import GPUConfig
-from repro.gpu.hierarchy import MemoryHierarchy
 from repro.gpu.warp import Warp
 from repro.stack.base import ENTRY_BYTES
 from repro.stack.ops import MemSpace, OpKind
@@ -84,8 +83,8 @@ def vector_unsupported_reason(
 ) -> Optional[str]:
     """Static (pre-trace) eligibility: why vector can't run, or None.
 
-    The dynamic checks (stack-model opt-in, node/pollution address
-    overlap) happen at plan build, where the traces are known.
+    The dynamic checks (stack-model opt-in, line-aligned spill
+    stride) happen at plan build, where the traces are known.
     """
     if guard is not None:
         return "guarded runs use the stepped oracle"
@@ -96,8 +95,6 @@ def vector_unsupported_reason(
     capacity = config.l1d_bytes // config.line_bytes
     if config.shader_pollution_lines > capacity:
         return "pollution burst exceeds L1 capacity"
-    if MemoryHierarchy.POLLUTION_SPAN <= capacity * config.line_bytes:
-        return "pollution stream is not guaranteed-miss"
     return None
 
 
@@ -249,10 +246,6 @@ def _build_raw(
     plan = RawPlan()
     if not state.lanes:
         return plan
-    if state.max_end > MemoryHierarchy.POLLUTION_BASE:
-        raise VectorUnsupported(
-            "node data overlaps the shader-pollution address window"
-        )
     model = strategy.make_unit_stacks(config, sm_id=0)[0]
     if not getattr(model, "vector_replayable", False):
         raise VectorUnsupported(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.gpu.cache import Cache
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import Counters
@@ -9,12 +10,16 @@ from repro.gpu.dram import Dram
 from repro.gpu.hierarchy import MemoryHierarchy
 
 
-@pytest.fixture
-def parts():
+def _make_parts():
     config = GPUConfig()
     l2 = Cache(size_bytes=config.l2_bytes, line_bytes=128, assoc=16, name="L2")
     dram = Dram(latency=config.dram_latency, service_cycles=4)
     return config, MemoryHierarchy(config, l2=l2, dram=dram), Counters()
+
+
+@pytest.fixture
+def parts():
+    return _make_parts()
 
 
 def test_cold_miss_goes_to_dram(parts):
@@ -118,3 +123,32 @@ def test_pollution_writes_back_dirty_victims(parts):
     hierarchy.pollute(hierarchy.l1.total_lines, 0, counters)
     # The dirty line must now live in L2.
     assert hierarchy.l2.contains(0x1000)
+
+
+def test_pollution_never_aliases_a_resident_line(parts):
+    """Shader pollution has no address, so it cannot overwrite a real line.
+
+    0x4000_0000 is where a streamed pollution address window would begin;
+    node data of a large scene can sit there.
+    """
+    _, hierarchy, counters = parts
+    line = 0x4000_0000
+    # A dirty spill line stays dirty under a burst and is written back.
+    hierarchy.access_line(line, 0, is_store=True, counters=counters, policy="l1")
+    hierarchy.pollute(hierarchy.l1.total_lines + 1, 0, counters)
+    assert not hierarchy.l1.contains(line)
+    assert hierarchy.l2.flush() == 1
+
+    # A clean node line and a pollution line are two residents.
+    _, hierarchy, counters = _make_parts()
+    hierarchy.fetch_lines([line], 0, counters)
+    hierarchy.pollute(1, 0, counters)
+    hierarchy.fetch_lines([0x1000], 0, counters)
+    assert hierarchy.l1.occupancy() == 3
+
+
+def test_l2_must_share_the_l1_line_size():
+    config = GPUConfig()
+    l2 = Cache(size_bytes=config.l2_bytes, line_bytes=64, assoc=16, name="L2")
+    with pytest.raises(ConfigError, match="line size"):
+        MemoryHierarchy(config, l2=l2, dram=Dram())
