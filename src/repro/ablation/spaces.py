@@ -1,11 +1,12 @@
-"""Named knob spaces: the paper's sweeps as declared design spaces.
+"""Named knob spaces: the repository's knob studies, declared.
 
-What used to be one hand-written experiment driver per figure becomes
-one declaration each; ``repro ablate run --space <name>`` (or
+Each study that varies ``GPUConfig`` knobs over the scene suite is one
+declaration here; ``repro ablate run --space <name>`` (or
 :func:`named_space` in code) expands, executes and analyzes it through
-the same engine.  Range order follows the off->on convention the
-importance analysis assumes (first value = mechanism removed, last =
-full strength).
+the one engine.  The paper's figures keep their drivers
+(``repro experiment figN``).  Range order follows the off->on
+convention the importance analysis assumes (first value = mechanism
+removed, last = full strength).
 """
 
 from __future__ import annotations
@@ -34,34 +35,14 @@ def _mechanisms() -> KnobSpace:
     )
 
 
-def _fig8() -> KnobSpace:
-    """Fig. 8: plain SH stack sizing, without skewing or reallocation.
-
-    The same four configs as the ``fig8`` driver's RB_8 and RB_8+SH_n
-    bars; its RB_FULL bar is not a knob setting, so it stays outside.
-    """
-    return KnobSpace(
-        name="fig8",
-        fixed={
-            "rb_stack_entries": 8,
-            "skewed_bank_access": False,
-            "intra_warp_realloc": False,
-        },
-        ranges={"sh_stack_entries": [0, 4, 8, 16]},
-    )
-
-
-def _fig15() -> KnobSpace:
-    """Fig. 15: baseline ray-buffer sizing (spill pressure vs RB size)."""
-    return KnobSpace(
-        name="fig15",
-        fixed={"sh_stack_entries": 0},
-        ranges={"rb_stack_entries": [2, 4, 8, 16, 32]},
-    )
-
-
 def _bounds() -> KnobSpace:
-    """The paper's fixed-by-heuristic limits: borrow and flush caps."""
+    """The paper's fixed-by-heuristic limits: borrow and flush caps.
+
+    Section VI-B fixes 4 borrows and 3 flushes.  The ``max_flushes=3``
+    line sweeps the borrow limit and the ``max_borrows=4`` line the
+    flush limit.  Zero borrows, reallocation off, is not a point here:
+    it is Fig. 13's RB_8+SH_8+SK bar.
+    """
     return KnobSpace(
         name="bounds",
         fixed={
@@ -73,6 +54,67 @@ def _bounds() -> KnobSpace:
         ranges={
             "max_borrows": [1, 2, 4, 8],
             "max_flushes": [0, 1, 3, 6],
+        },
+    )
+
+
+def _skew() -> KnobSpace:
+    """Skewed bank access at every SH size (section V-A's claim).
+
+    Reallocation stays off, so each size's skew-off/skew-on pair
+    differs in the bank mapping alone; the cut in
+    ``bank_conflict_delay_cycles`` is Fig. 14's measure per size.
+    """
+    return KnobSpace(
+        name="skew",
+        fixed={"rb_stack_entries": 8, "intra_warp_realloc": False},
+        ranges={
+            "sh_stack_entries": [4, 8, 16],
+            "skewed_bank_access": [False, True],
+        },
+    )
+
+
+def _spill_policy() -> KnobSpace:
+    """Baseline IPC under each spill cacheability, against uncached.
+
+    How much of the baseline's loss needs spills that reach DRAM, the
+    scale regime DESIGN.md section 2 documents.
+    """
+    return KnobSpace(
+        name="spill_policy",
+        fixed={"rb_stack_entries": 8},
+        ranges={"spill_cache_policy": ["uncached", "l2", "l1"]},
+    )
+
+
+def _occupancy() -> KnobSpace:
+    """Baseline IPC vs resident warps per RT unit (Table I fixes 4).
+
+    Multi-warp overlap is what turns spill latency into a bandwidth
+    cost; speedups are against one warp.
+    """
+    return KnobSpace(
+        name="occupancy",
+        fixed={"rb_stack_entries": 8},
+        ranges={"max_warps_per_rt_unit": [1, 2, 4, 8]},
+    )
+
+
+def _inter_warp() -> KnobSpace:
+    """Inter-warp reallocation, the design section V-B rejects.
+
+    ``inter_warp_realloc``'s LOO delta is its gain at RB_8+SH_8, the
+    paper's design point; its OAT delta is its gain at the starved
+    RB_2+SH_2.
+    """
+    return KnobSpace(
+        name="inter_warp",
+        fixed={"skewed_bank_access": True, "intra_warp_realloc": True},
+        ranges={
+            "rb_stack_entries": [2, 8],
+            "sh_stack_entries": [2, 8],
+            "inter_warp_realloc": [False, True],
         },
     )
 
@@ -91,23 +133,25 @@ def _sram_pareto() -> KnobSpace:
     )
 
 
-#: Name -> builder for every declared paper space.
+#: Name -> builder for every declared space.
 _SPACES = {
     "mechanisms": _mechanisms,
-    "fig8": _fig8,
-    "fig15": _fig15,
     "bounds": _bounds,
+    "skew": _skew,
+    "spill_policy": _spill_policy,
+    "occupancy": _occupancy,
+    "inter_warp": _inter_warp,
     "sram_pareto": _sram_pareto,
 }
 
 
 def available_spaces() -> List[str]:
-    """Sorted names of the declared paper spaces."""
+    """Sorted names of the declared spaces."""
     return sorted(_SPACES)
 
 
 def named_space(name: str) -> KnobSpace:
-    """Resolve a declared paper space by name."""
+    """Resolve a declared space by name."""
     builder = _SPACES.get(name.lower().strip())
     if builder is None:
         raise AblationError(

@@ -1,20 +1,10 @@
-"""Ablation studies beyond the paper's figures (DESIGN.md section 7).
+"""Studies beyond the paper's figures that no knob space can express.
 
-The paper fixes several design constants by heuristic; these sweeps probe
-the space around them:
-
-* ``borrow_limit_sweep`` — the paper caps concurrent borrowed SH stacks at
-  4 (section VI-B); how much do fewer/more buy?
-* ``flush_limit_sweep`` — the paper caps consecutive flushes at 3.
-* ``skew_scaling`` — section V-A claims skewed access "ensures consistent
-  performance gains across different stack sizes"; measure the
-  bank-conflict-delay reduction per SH size.
-* ``spill_policy_study`` — how much of the baseline's loss is specifically
-  *uncacheable* spill traffic (the paper's regime) versus spills that
-  enjoy cache residency (the small-scene regime).
-* ``stackless_comparison`` — related-work context (section VIII-A): the
-  node-visit overhead of stackless restart-trail traversal, which SMS
-  avoids by keeping a real stack.
+Sweeps over ``GPUConfig`` knobs are declared spaces in
+:mod:`repro.ablation.spaces` (``repro ablate run --space NAME``).  What
+stays here varies something a knob cannot: the workload resolution,
+the BVH width, the warp formation, or the traversal algorithm of
+related work (restart trails, short stacks, packets).
 """
 
 from __future__ import annotations
@@ -23,113 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.presets import baseline_config, sms_config
-from repro.experiments.common import geomean, mean_row, normalized_ipc
-from repro.experiments.report import format_table
+from repro.experiments.common import geomean, normalized_ipc
 from repro.runtime.cache import CachedWorkloadCache
 from repro.trace.restart import restart_trail_trace
 from repro.trace.path import _default_camera
-
-
-@dataclass
-class SweepResult:
-    """Geomean normalized IPC per swept value."""
-
-    means: Dict[str, float]
-    per_scene: Dict[str, Dict[str, float]]
-
-
-def borrow_limit_sweep(
-    cache: Optional[CachedWorkloadCache] = None, limits=(0, 1, 2, 4, 8)
-) -> SweepResult:
-    """IPC vs the intra-warp reallocation borrow limit."""
-    cache = cache or CachedWorkloadCache()
-    configs = [baseline_config()]
-    for limit in limits:
-        configs.append(
-            sms_config(realloc=limit > 0).with_(max_borrows=max(limit, 1))
-        )
-    results = cache.sweep(configs)
-    per_scene_raw = normalized_ipc(results, "RB_8")
-    labels = list(next(iter(results.values())).keys())[1:]
-    renamed = {
-        scene: {
-            f"borrows={limit}": values[label]
-            for limit, label in zip(limits, labels)
-        }
-        for scene, values in per_scene_raw.items()
-    }
-    return SweepResult(means=mean_row(renamed), per_scene=renamed)
-
-
-def flush_limit_sweep(
-    cache: Optional[CachedWorkloadCache] = None, limits=(0, 1, 3, 6)
-) -> SweepResult:
-    """IPC vs the consecutive-flush limit (paper fixes 3)."""
-    cache = cache or CachedWorkloadCache()
-    configs = [baseline_config()]
-    for limit in limits:
-        configs.append(sms_config().with_(max_flushes=max(limit, 0)))
-    results = cache.sweep(configs)
-    per_scene_raw = normalized_ipc(results, "RB_8")
-    labels = list(next(iter(results.values())).keys())[1:]
-    renamed = {
-        scene: {
-            f"flushes={limit}": values[label]
-            for limit, label in zip(limits, labels)
-        }
-        for scene, values in per_scene_raw.items()
-    }
-    return SweepResult(means=mean_row(renamed), per_scene=renamed)
-
-
-def skew_scaling(
-    cache: Optional[CachedWorkloadCache] = None, sizes=(4, 8, 16)
-) -> Dict[str, float]:
-    """Bank-conflict delay reduction from skewing, per SH stack size.
-
-    Returns ``{"SH_N": fractional reduction}`` — the paper's scalability
-    claim predicts consistent reductions across sizes.
-    """
-    cache = cache or CachedWorkloadCache()
-    configs = [
-        sms_config(sh_entries=size, skewed=skewed, realloc=False)
-        for size in sizes
-        for skewed in (False, True)
-    ]
-    results = cache.sweep(configs)
-    rows = [list(per_scene.values()) for per_scene in results.values()]
-    reductions: Dict[str, float] = {}
-    for index, size in enumerate(sizes):
-        ratios = []
-        for row in rows:
-            before = row[2 * index].counters.bank_conflict_delay_cycles
-            after = row[2 * index + 1].counters.bank_conflict_delay_cycles
-            if before > 0:
-                ratios.append(after / before)
-        reductions[f"SH_{size}"] = 1.0 - geomean(ratios) if ratios else 0.0
-    return reductions
-
-
-def spill_policy_study(cache: Optional[CachedWorkloadCache] = None) -> Dict[str, float]:
-    """Baseline IPC under each spill cacheability (normalized to uncached).
-
-    Quantifies how much of the stack-traffic penalty depends on spills
-    actually reaching DRAM — the scale-regime question DESIGN.md section 2
-    documents.
-    """
-    cache = cache or CachedWorkloadCache()
-    configs = [
-        baseline_config(spill_cache_policy=policy)
-        for policy in ("uncached", "l2", "l1")
-    ]
-    results = cache.sweep(configs)
-    labels = list(next(iter(results.values())).keys())
-    per_scene = normalized_ipc(results, labels[0])
-    means = mean_row(per_scene)
-    return {
-        policy: means[label]
-        for policy, label in zip(("uncached", "l2", "l1"), labels)
-    }
+from repro.workloads.params import WorkloadParams
 
 
 @dataclass
@@ -230,30 +118,6 @@ def short_stack_study(
     )
 
 
-def inter_warp_study(
-    cache: Optional[CachedWorkloadCache] = None,
-) -> SweepResult:
-    """Inter-warp vs intra-warp reallocation (paper V-B's rejected design).
-
-    The paper limits borrowing to the same warp, predicting inter-warp
-    tracking complexity for little benefit.  This study measures that
-    benefit at the paper's design point (RB_8+SH_8) and at an
-    under-provisioned one (RB_2+SH_2), where cross-warp borrowing has
-    more to offer.
-    """
-    cache = cache or CachedWorkloadCache()
-    configs = [
-        baseline_config(),
-        sms_config(),
-        sms_config(inter_warp=True),
-        sms_config(rb_entries=2, sh_entries=2),
-        sms_config(rb_entries=2, sh_entries=2, inter_warp=True),
-    ]
-    results = cache.sweep(configs)
-    per_scene = normalized_ipc(results, "RB_8")
-    return SweepResult(means=mean_row(per_scene), per_scene=per_scene)
-
-
 @dataclass
 class SizeConsistencyResult:
     """SMS speedup at multiple workload resolutions (paper VII-A claim)."""
@@ -281,52 +145,23 @@ def size_consistency_study(
     varying workload sizes."  This study measures the SMS-vs-baseline
     speedup per scene at several resolutions and reports the spread.
     """
-    from repro.bvh.api import build_bvh
-    from repro.core.api import time_traces
-    from repro.trace.path import generate_workload
-    from repro.workloads.lumibench import load_scene
-
-    base_config = baseline_config()
-    sms = sms_config()
     speedups: Dict[str, Dict[str, float]] = {}
+    sms = sms_config()
     for resolution in resolutions:
-        label = f"{resolution}x{resolution}"
-        speedups[label] = {}
-        for name in scene_names:
-            scene = load_scene(name)
-            bvh = build_bvh(scene)
-            workload = generate_workload(
-                bvh, width=resolution, height=resolution, max_bounces=3
-            )
-            traces = workload.all_traces
-            base = time_traces(traces, base_config, scene_name=name)
-            fast = time_traces(traces, sms, scene_name=name)
-            speedups[label][name] = fast.ipc / base.ipc if base.ipc else 0.0
-    return SizeConsistencyResult(speedups=speedups)
-
-
-def warp_occupancy_sweep(
-    cache: Optional[CachedWorkloadCache] = None, slots=(1, 2, 4, 8)
-) -> SweepResult:
-    """IPC vs resident warps per RT unit (Table I fixes 4).
-
-    Latency hiding is what turns spill traffic from a latency problem
-    into a bandwidth problem; this sweep shows how much of the baseline's
-    performance depends on multi-warp overlap.
-    """
-    cache = cache or CachedWorkloadCache()
-    configs = [baseline_config(max_warps_per_rt_unit=n) for n in slots]
-    results = cache.sweep(configs)
-    labels = list(next(iter(results.values())).keys())
-    baseline_label = labels[slots.index(4)] if 4 in slots else labels[0]
-    per_scene_raw = normalized_ipc(results, baseline_label)
-    renamed = {
-        scene: {
-            f"warps={n}": values[label] for n, label in zip(slots, labels)
+        cache = CachedWorkloadCache(
+            params=WorkloadParams(
+                width=resolution, height=resolution,
+                complex_width=resolution, complex_height=resolution,
+            ),
+            scene_names=scene_names,
+        )
+        per_scene = normalized_ipc(
+            cache.sweep([baseline_config(), sms]), "RB_8"
+        )
+        speedups[f"{resolution}x{resolution}"] = {
+            name: ratios[sms.describe()] for name, ratios in per_scene.items()
         }
-        for scene, values in per_scene_raw.items()
-    }
-    return SweepResult(means=mean_row(renamed), per_scene=renamed)
+    return SizeConsistencyResult(speedups=speedups)
 
 
 @dataclass
@@ -504,8 +339,3 @@ def packet_study(
         visit_ratio[label] = packet_visits / solo_visits if solo_visits else 0.0
     return PacketStudyResult(stack_push_ratio=push_ratio, visit_ratio=visit_ratio)
 
-
-def render_sweep(result: SweepResult, title: str) -> str:
-    """Render a sweep's mean row."""
-    rows = [(label, value) for label, value in result.means.items()]
-    return format_table(["config", "IPC (norm to RB_8)"], rows, title=title)

@@ -40,7 +40,7 @@ class GPUConfig:
     intra_warp_realloc: bool = False
     # Inter-warp reallocation: the design the paper rejects (section V-B).
     # Lanes may borrow idle SH regions from *any* warp slot of the RT
-    # unit; implemented for the inter_warp_study ablation.
+    # unit; measured by the ``inter_warp`` knob space.
     inter_warp_realloc: bool = False
     max_borrows: int = 4
     max_flushes: int = 3

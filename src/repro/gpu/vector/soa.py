@@ -53,7 +53,7 @@ class TraceSoA:
 
     __slots__ = (
         "n_steps", "address", "size_bytes", "tests", "is_internal",
-        "popped", "push_off", "pushes", "max_end",
+        "popped", "push_off", "pushes",
     )
 
     def __init__(
@@ -66,7 +66,6 @@ class TraceSoA:
         popped: np.ndarray,
         push_off: np.ndarray,
         pushes: np.ndarray,
-        max_end: int,
     ) -> None:
         self.n_steps = n_steps
         self.address = address
@@ -76,7 +75,6 @@ class TraceSoA:
         self.popped = popped
         self.push_off = push_off
         self.pushes = pushes
-        self.max_end = max_end
 
 
 def pack_trace(trace: RayTrace) -> TraceSoA:
@@ -108,7 +106,6 @@ def pack_trace(trace: RayTrace) -> TraceSoA:
         dtype=np.int64,
         count=int(push_off[-1]),
     )
-    max_end = int((address + size_bytes).max()) if n else 0
     soa = TraceSoA(
         n_steps=n,
         address=address,
@@ -118,7 +115,6 @@ def pack_trace(trace: RayTrace) -> TraceSoA:
         popped=popped,
         push_off=push_off,
         pushes=pushes,
-        max_end=max_end,
     )
     cache["soa"] = soa
     return soa
@@ -195,7 +191,7 @@ class WarpStateSoA:
 
     __slots__ = (
         "lanes", "lens", "n_iters", "active", "box_max", "tri_max",
-        "instructions", "depth", "pending_ops", "max_end",
+        "instructions", "depth", "pending_ops",
     )
 
     def __init__(
@@ -208,7 +204,6 @@ class WarpStateSoA:
         instructions: np.ndarray,
         depth: np.ndarray,
         pending_ops: np.ndarray,
-        max_end: int,
     ) -> None:
         self.lanes = lanes
         self.lens = lens
@@ -219,7 +214,6 @@ class WarpStateSoA:
         self.instructions = instructions
         self.depth = depth
         self.pending_ops = pending_ops
-        self.max_end = max_end
 
 
 def batch_warp_state(
@@ -244,7 +238,7 @@ def batch_warp_state(
             box_max=np.zeros(0, dtype=np.int64),
             tri_max=np.zeros(0, dtype=np.int64),
             instructions=np.zeros(0, dtype=np.int64),
-            depth=empty_i, pending_ops=empty_i, max_end=0,
+            depth=empty_i, pending_ops=empty_i,
         )
     lens = np.fromiter((s.n_steps for s in soas), dtype=np.int64, count=n)
     length = int(lens.max())
@@ -265,9 +259,8 @@ def batch_warp_state(
     net = np.where(active, push_counts - popped.astype(np.int64), 0)
     depth = np.cumsum(net, axis=1)
     pending_ops = np.where(active, push_counts + popped.astype(np.int64), 0)
-    max_end = max(s.max_end for s in soas)
     return WarpStateSoA(
         lanes=lanes, lens=lens, active=active, box_max=box_max,
         tri_max=tri_max, instructions=instructions, depth=depth,
-        pending_ops=pending_ops, max_end=max_end,
+        pending_ops=pending_ops,
     )

@@ -11,8 +11,9 @@ the unit, and the complexity the paper predicted shows up concretely in
 still on loan to other warps, leaving them regionless until the borrower
 releases.
 
-The ``inter_warp_study`` ablation compares it against intra-warp
-reallocation; the observed gain is small, supporting the paper's choice.
+The ``inter_warp`` knob space (``repro ablate run --space inter_warp``)
+compares it against intra-warp reallocation; the gain at the paper's
+RB_8+SH_8 design point is small, supporting the paper's choice.
 """
 
 from __future__ import annotations

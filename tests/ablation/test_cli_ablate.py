@@ -92,5 +92,7 @@ def test_pareto_subcommand(tmp_path, capsys):
 def test_list_spaces(capsys):
     code, out, err = run_cli(["ablate", "run", "--list-spaces"], capsys)
     assert code == 0
-    for name in ("mechanisms", "fig8", "fig15", "bounds", "sram_pareto"):
-        assert name in out
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "bounds", "inter_warp", "mechanisms", "occupancy", "skew",
+        "spill_policy", "sram_pareto",
+    ]

@@ -1,6 +1,7 @@
 """Engine tests: execution paths, determinism, persistence, dedup."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,9 +9,11 @@ from repro.ablation import (
     AblationReport,
     KnobSpace,
     REPORT_FILENAME,
+    available_spaces,
     generate_matrix,
     load_report,
     matrix_jobs,
+    named_space,
     render_json,
     run_space,
     write_report,
@@ -42,6 +45,23 @@ def test_matrix_jobs_are_scene_major_and_content_addressed():
     assert all(not job.guard for job in jobs)
     guarded = matrix_jobs(matrix, params=TINY, guard=True)
     assert all(job.guard for job in guarded)
+
+
+@pytest.fixture(scope="module")
+def small_cache():
+    return CachedWorkloadCache(
+        params=WorkloadParams().scaled(0.3), scene_names=["SHIP", "CRNVL"],
+    )
+
+
+@pytest.mark.parametrize("name", available_spaces())
+def test_every_named_space_runs_end_to_end(small_cache, name):
+    space = replace(named_space(name), scenes=tuple(small_cache.names))
+    report = run_space(space, params=small_cache.params, cache=small_cache)
+    assert report.run_ids == [run.id for run in generate_matrix(space).runs]
+    assert set(report.speedups) == set(report.run_ids)
+    assert report.importance
+    assert report.pareto
 
 
 def test_run_space_serial_report_shape():

@@ -15,6 +15,7 @@ from repro.ablation import (
     resolve_space,
     space_catalog,
 )
+from repro.core.presets import baseline_config, sms_config
 from repro.errors import AblationError
 
 
@@ -178,24 +179,33 @@ def test_resolve_space_prefers_names_then_paths(tmp_path):
     assert resolve_space(str(path)).name == "own"
 
 
-def test_fig8_space_matches_the_fig8_driver_configs():
-    from types import SimpleNamespace
+_STUDY_CONFIGS = {
+    "bounds": [
+        sms_config().with_(max_borrows=borrows, max_flushes=flushes)
+        for borrows in (1, 2, 4, 8) for flushes in (0, 1, 3, 6)
+    ],
+    "skew": [
+        sms_config(sh_entries=size, skewed=skewed, realloc=False)
+        for size in (4, 8, 16) for skewed in (False, True)
+    ],
+    "spill_policy": [
+        baseline_config(spill_cache_policy=policy)
+        for policy in ("uncached", "l2", "l1")
+    ],
+    "occupancy": [
+        baseline_config(max_warps_per_rt_unit=warps) for warps in (1, 2, 4, 8)
+    ],
+    "inter_warp": [
+        sms_config(rb_entries=rb, sh_entries=sh, inter_warp=inter_warp)
+        for inter_warp in (False, True) for rb in (2, 8) for sh in (2, 8)
+    ],
+}
 
-    from repro.experiments import fig8_sh_configs
-    from repro.experiments.common import _unique_labels
 
-    class RecordingCache:
-        names = ["SHIP"]
-
-        def sweep(self, configs):
-            self.configs = list(configs)
-            return {"SHIP": {label: SimpleNamespace(ipc=1.0)
-                             for label in _unique_labels(configs)}}
-
-    cache = RecordingCache()
-    fig8_sh_configs.run(cache)
-    driver = {config.describe(): config for config in cache.configs}
-    space = [run.config for run in generate_matrix(named_space("fig8")).runs]
-    labels = ["RB_8", "RB_8+SH_4", "RB_8+SH_8", "RB_8+SH_16"]
-    assert [config.describe() for config in space] == labels
-    assert space == [driver[label] for label in labels]
+@pytest.mark.parametrize("name", sorted(_STUDY_CONFIGS))
+def test_study_space_runs_the_preset_configs(name):
+    """Each study space's design points are its study's preset configs,
+    in matrix order."""
+    matrix = generate_matrix(named_space(name))
+    assert not matrix.skipped
+    assert [run.config for run in matrix.runs] == _STUDY_CONFIGS[name]

@@ -1,8 +1,11 @@
 """Ablation study tests at reduced scale."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments import ablations
+from repro.ablation import named_space, run_space
+from repro.experiments import ablations, fig14_skewed
 from repro.runtime.cache import CachedWorkloadCache
 from repro.workloads.params import WorkloadParams
 
@@ -15,35 +18,29 @@ def cache():
     )
 
 
-def test_borrow_limit_sweep(cache):
-    result = ablations.borrow_limit_sweep(cache, limits=(0, 1, 4))
-    assert set(result.means) == {"borrows=0", "borrows=1", "borrows=4"}
-    # More borrowing never hurts (monotone within tolerance).
-    assert result.means["borrows=4"] >= result.means["borrows=0"] - 0.01
-    text = ablations.render_sweep(result, "borrow sweep")
-    assert "borrows=4" in text
-
-
-def test_flush_limit_sweep(cache):
-    result = ablations.flush_limit_sweep(cache, limits=(0, 3))
-    assert set(result.means) == {"flushes=0", "flushes=3"}
-    for value in result.means.values():
-        assert value > 0.9
-
-
 def test_skew_scaling(cache):
-    reductions = ablations.skew_scaling(cache, sizes=(4, 8))
-    assert set(reductions) == {"SH_4", "SH_8"}
-    for value in reductions.values():
+    """The skew space's SH_8 pair is Fig. 14's: same summed-delay cut."""
+    report = run_space(
+        replace(named_space("skew"), scenes=tuple(cache.names)),
+        params=cache.params, cache=cache,
+    )
+    delays = {
+        (entry["knobs"]["sh_stack_entries"],
+         entry["knobs"]["skewed_bank_access"]): {
+            scene: cell["bank_conflict_delay_cycles"]
+            for scene, cell in entry["per_scene"].items()
+        }
+        for entry in report.runs.values()
+    }
+    cuts = {
+        size: fig14_skewed.Fig14Result(
+            delay_no_skew=delays[size, False], delay_skew=delays[size, True]
+        ).reduction
+        for size in (4, 8, 16)
+    }
+    for value in cuts.values():
         assert -1.0 <= value <= 1.0
-
-
-def test_spill_policy_study(cache):
-    means = ablations.spill_policy_study(cache)
-    assert means["uncached"] == pytest.approx(1.0)
-    # Cacheable spills can only help the baseline.
-    assert means["l2"] >= means["uncached"] - 0.01
-    assert means["l1"] >= means["l2"] - 0.01
+    assert cuts[8] == fig14_skewed.run(cache).reduction
 
 
 def test_stackless_comparison(cache):

@@ -5,13 +5,15 @@ reports.  Scale is cut aggressively (2 scenes, tiny resolution); the
 full-suite runs live in benchmarks/.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.ablation import named_space, run_space
 from repro.errors import ExperimentError
 from repro.experiments import runner
 from repro.runtime.cache import CachedWorkloadCache
 from repro.experiments import (
-    ablations,
     fig4_stack_depths,
     fig5_depth_distribution,
     fig6_stack_l1d,
@@ -106,7 +108,10 @@ def test_fig14(cache):
     "experiment, cells_per_scene",
     [
         (fig14_skewed.run, 2),
-        (lambda cache: ablations.skew_scaling(cache, sizes=(4, 8)), 4),
+        (lambda cache: run_space(
+            replace(named_space("skew"), scenes=tuple(cache.names)),
+            params=cache.params, cache=cache,
+        ), 6),
     ],
     ids=["fig14", "skew_scaling"],
 )

@@ -56,10 +56,6 @@ def test_pack_unpack_round_trip(steps):
         soa, ray_id=3, pixel=7, kind=RayKind.SHADOW, hit_prim=5, hit_t=1.5
     )
     assert rebuilt == trace
-    expected_max_end = max(
-        (s.address + s.size_bytes for s in steps), default=0
-    )
-    assert soa.max_end == expected_max_end
 
 
 def test_pack_trace_caches_on_the_trace():
@@ -112,7 +108,7 @@ def test_batch_warp_state_matches_lane_loop(lane_steps):
 
 def test_batch_warp_state_empty_warp():
     state = batch_warp_state([None, None])
-    assert state.lanes == [] and state.n_iters == 0 and state.max_end == 0
+    assert state.lanes == [] and state.n_iters == 0
 
 
 # -- LazyL1 vs spelled-out clean LRU ------------------------------------
