@@ -33,6 +33,13 @@ from repro.ablation.space import KnobSpace, knob_registry
 #: Hex digits of the SHA-256 digest kept as the run ID.
 _RUN_ID_LEN = 16
 
+#: Knobs a run label already shows: the RB/SH/SK/RA/IW ladder that
+#: ``GPUConfig.describe()`` renders, and the ``[strategy]`` suffix.
+_LABELLED_KNOBS = frozenset({
+    "rb_stack_entries", "sh_stack_entries", "skewed_bank_access",
+    "intra_warp_realloc", "inter_warp_realloc", "strategy",
+})
+
 
 def run_id(knobs: Dict) -> str:
     """Stable content-derived ID for one resolved knob assignment.
@@ -62,10 +69,17 @@ class RunSpec:
 
     @property
     def label(self) -> str:
-        """Figure-style config label, strategy-suffixed when non-default."""
+        """Figure-style config label, strategy-suffixed when non-default.
+
+        Every other knob of the assignment follows as ` name=value`, so
+        design points that differ only off the ladder stay distinct.
+        """
         label = self.config.describe()
         if self.strategy != "sms":
             label += f"[{self.strategy}]"
+        for name in sorted(self.knobs):
+            if name not in _LABELLED_KNOBS:
+                label += f" {name}={self.knobs[name]}"
         return label
 
 

@@ -124,15 +124,6 @@ class SizeConsistencyResult:
 
     speedups: Dict[str, Dict[str, float]]  # resolution label -> scene -> ratio
 
-    def spread(self) -> float:
-        """Largest cross-resolution speedup difference over all scenes."""
-        worst = 0.0
-        scenes = next(iter(self.speedups.values())).keys()
-        for scene in scenes:
-            values = [self.speedups[label][scene] for label in self.speedups]
-            worst = max(worst, max(values) - min(values))
-        return worst
-
 
 def size_consistency_study(
     scene_names=("CRNVL", "PARTY", "SHIP", "SPNZA"),
@@ -143,7 +134,7 @@ def size_consistency_study(
     The paper evaluates complex scenes at reduced resolution, arguing
     "performance trends have been observed to remain consistent across
     varying workload sizes."  This study measures the SMS-vs-baseline
-    speedup per scene at several resolutions and reports the spread.
+    speedup per scene at each of several resolutions.
     """
     speedups: Dict[str, Dict[str, float]] = {}
     sms = sms_config()

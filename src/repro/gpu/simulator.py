@@ -14,11 +14,13 @@ warp pick per traversal iteration (paper section VI-A):
 * ``"stepped"`` (default) — :class:`~repro.gpu.rt_unit.RTUnit`, the
   per-lane oracle every other path is validated against;
 * ``"vector"`` — :class:`~repro.gpu.vector.unit.VectorRTUnit`,
-  plan-driven SoA replay (see :mod:`repro.gpu.vector`), bit-identical
-  by contract and much faster.  Runs outside the vector backend's
-  validity envelope (guarded runs, inter-warp reallocation, L1-cached
-  spills, oversized node address spaces) fall back to stepped for the
-  whole run; :attr:`SimOutput.backend` records what actually executed.
+  plan-driven SoA replay (see :mod:`repro.gpu.vector`) over the same
+  ``MemoryHierarchy``, bit-identical by contract.  Runs outside the
+  vector backend's validity envelope (guarded runs, inter-warp
+  reallocation, stack models that have not opted into canonical replay,
+  spill layouts a warp slot cannot rebase by whole lines) fall back to
+  stepped for the whole run; :attr:`SimOutput.backend` records what
+  actually executed.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class GPUSimulator:
         """The backend this run will actually use.
 
         A ``"vector"`` request degrades to ``"stepped"`` when the run
-        is outside the vector mirror's validity envelope — decided
+        is outside the vector plans' validity envelope — decided
         before any simulation state is touched, so the fallback is a
         clean whole-run switch, never a mid-run mix.
         """

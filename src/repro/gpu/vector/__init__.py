@@ -1,11 +1,13 @@
 """The vector timing backend: SoA mirrors + plan-driven warp stepping.
 
 ``GPUSimulator(backend="vector")`` routes timing through this package;
-the stepped loop stays the default and the bit-identity oracle.  See
-``docs/architecture.md`` §13 for the design and the validity envelope.
+the stepped loop stays the default and the bit-identity oracle.  Memory
+is priced by the stepped ``MemoryHierarchy`` and bank conflicts by
+``SharedMemorySim``, so the package holds no memory model of its own.
+See ``docs/architecture.md`` §13 for the design and the validity
+envelope.
 """
 
-from repro.gpu.vector.lru import LazyL1
 from repro.gpu.vector.plan import (
     BoundPlan,
     RawPlan,
@@ -24,7 +26,6 @@ from repro.gpu.vector.unit import VectorRTUnit
 
 __all__ = [
     "BoundPlan",
-    "LazyL1",
     "RawPlan",
     "TraceSoA",
     "VectorRTUnit",

@@ -7,7 +7,8 @@ lines they fetch, how many tests they run and which stack ops they
 emit are all pure functions of the recorded traces and the stack-model
 configuration — none of it depends on when the scheduler runs the
 iteration.  Only the memory-system state (L1/L2/DRAM, port queues) and
-the inter-warp arbitration are timing-coupled.
+the inter-warp arbitration are timing-coupled; the runtime prices
+memory through the stepped :class:`~repro.gpu.hierarchy.MemoryHierarchy`.
 
 :func:`warp_plan` therefore replays a warp once against a *canonical*
 (slot 0, SM 0) stack model and precomputes, per iteration:
@@ -16,9 +17,10 @@ the inter-warp arbitration are timing-coupled.
 * intersection maxima / instruction counts (numpy-batched via
   :func:`~repro.gpu.vector.soa.batch_warp_state`);
 * the stack-chain *positions* — for chains with only shared-memory
-  ops the whole pricing collapses to two precomputed scalars, while
-  positions touching global spill memory keep an op list the runtime
-  prices against live L2/DRAM state;
+  ops the whole pricing collapses to two precomputed scalars (bank
+  conflicts priced by ``SharedMemorySim.conflict_degree``, the stepped
+  model), while positions touching global spill memory keep an op list
+  the runtime sends through the memory hierarchy;
 * order-independent counter totals (instructions, stack traffic,
   shared transactions, borrow/flush harvest) applied in one shot.
 
@@ -32,12 +34,12 @@ Plans are cached on the warp's first trace (``RayTrace._vector_cache``)
 and priced ("bound") per pricing-parameter key, so sweeps that re-run
 the same workload under different latencies replay once.
 
-When a configuration or workload falls outside the mirror's validity
-envelope (guarded runs, inter-warp reallocation, L1-cached spills,
-pollution bursts larger than the L1, a stack model that has not opted
-in), :class:`VectorUnsupported` is raised *before any counter is
-touched*, and :class:`~repro.gpu.simulator.GPUSimulator` falls back to
-the stepped oracle for the whole run.
+When a configuration or workload falls outside the plan's validity
+envelope (guarded runs, inter-warp reallocation, a stack model that has
+not opted in, a spill stride that is not line-aligned, a spill op that
+spans lines), :class:`VectorUnsupported` is raised *before any counter
+is touched*, and :class:`~repro.gpu.simulator.GPUSimulator` falls back
+to the stepped oracle for the whole run.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ import numpy as np
 
 from repro.errors import ReproError, SimulationError
 from repro.gpu.config import GPUConfig
+from repro.gpu.sharedmem import SharedMemorySim
 from repro.gpu.warp import Warp
 from repro.stack.base import ENTRY_BYTES
 from repro.stack.ops import MemSpace, OpKind
-from repro.stack.layout import bank_of_word, words_of_access
 from repro.stack.sms import SmsStack
 from repro.stack.spill import SPILL_SLOTS_PER_LANE
 from repro.gpu.vector.soa import batch_warp_state, trace_cache
@@ -84,17 +86,13 @@ def vector_unsupported_reason(
     """Static (pre-trace) eligibility: why vector can't run, or None.
 
     The dynamic checks (stack-model opt-in, line-aligned spill
-    stride) happen at plan build, where the traces are known.
+    stride, spill ops within one line) happen at plan build, where the
+    traces are known.
     """
     if guard is not None:
         return "guarded runs use the stepped oracle"
     if config.inter_warp_realloc:
         return "inter-warp reallocation couples warp slots"
-    if config.spill_cache_policy == "l1":
-        return "L1-cached spills dirty the L1 mirror"
-    capacity = config.l1d_bytes // config.line_bytes
-    if config.shader_pollution_lines > capacity:
-        return "pollution burst exceeds L1 capacity"
     return None
 
 
@@ -131,7 +129,6 @@ class RawPlan:
             config.l1_port_cycles, config.box_test_cycles,
             config.tri_test_cycles, config.shared_latency,
             config.bank_conflict_penalty, config.shared_port_cycles,
-            config.l2_bytes, config.l2_assoc,
         )
         plan = self._bind_cache.get(key)
         if plan is None:
@@ -194,22 +191,11 @@ class BoundPlan:
         totals["bank_conflict_delay_cycles"] = raw.conflict_extra * penalty
         self.totals = totals
         # Packed per-iteration records for the runtime hot loop: one
-        # index + one unpack per iteration, with each node line carrying
-        # its L2 set index precomputed (set geometry is part of the bind
-        # key above).
-        line_bytes = config.line_bytes
-        num_sets = (config.l2_bytes // line_bytes) // config.l2_assoc
-        self.iters = [
-            (
-                tuple(
-                    (line, (line // line_bytes) % num_sets)
-                    for line in raw.lines[k]
-                ),
-                self.fetch_port[k], self.intersect[k],
-                self.sdelta[k], self.sport[k], self.cplx[k],
-            )
-            for k in range(length)
-        ]
+        # index + one unpack per iteration.
+        self.iters = list(zip(
+            raw.lines, self.fetch_port, self.intersect,
+            self.sdelta, self.sport, self.cplx,
+        ))
 
 
 def warp_plan(
@@ -259,6 +245,7 @@ def _build_raw(
             "spill stride is not line-aligned; per-slot rebasing invalid"
         )
     model.reset()
+    conflict_degree = SharedMemorySim(config).conflict_degree
     sampler = None
     if sample:
         from repro.guard.vector import VectorPlanSampler
@@ -382,7 +369,7 @@ def _build_raw(
                             gops.append((op.kind is not LOAD, op_first))
                 degree = 0
                 if shared_ops:
-                    degree = _conflict_degree(shared_ops)
+                    degree = conflict_degree(shared_ops)
                     shared_transactions += 1
                     conflict_extra += degree - 1
                 if gops:
@@ -440,17 +427,6 @@ def _build_raw(
     plan.warp_bytes = warp_bytes
     plan.mismatch = mismatch
     return plan
-
-
-def _conflict_degree(shared_ops) -> int:
-    """Max per-bank distinct-word count — mirrors ``SharedMemorySim``."""
-    banks: Dict[int, dict] = {}
-    for op in shared_ops:
-        for word in words_of_access(op.address, op.size_bytes):
-            banks.setdefault(bank_of_word(word), {})[word] = None
-    if not banks:
-        return 1
-    return max(1, max(len(words) for words in banks.values()))
 
 
 def raise_pop_mismatch(

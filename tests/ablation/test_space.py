@@ -209,3 +209,11 @@ def test_study_space_runs_the_preset_configs(name):
     matrix = generate_matrix(named_space(name))
     assert not matrix.skipped
     assert [run.config for run in matrix.runs] == _STUDY_CONFIGS[name]
+
+
+@pytest.mark.parametrize("name", ["bounds", "occupancy", "spill_policy"])
+def test_off_ladder_design_points_have_distinct_labels(name):
+    """Runs that differ only in knobs the RB/SH/SK/RA/IW label omits
+    must still be told apart in tables and Pareto frontiers."""
+    labels = [run.label for run in generate_matrix(named_space(name)).runs]
+    assert len(set(labels)) == len(labels), labels

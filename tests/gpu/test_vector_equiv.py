@@ -1,17 +1,21 @@
 """Vector timing core ≡ stepped oracle: whole-output bit identity.
 
 The vector backend (``GPUSimulator(backend="vector")``) replays
-precomputed warp plans through numpy-batched stepping; its contract is
-that *nothing* observable changes — every integer counter and every
-per-SM cycle count matches the stepped reference loop exactly.  These
-tests sweep the full LumiBench scene catalogue under the two headline
-configurations, cross it with the guard axis, cover the supported
-spill policies and traversal strategies, and pin the
-fallback behavior: any run outside the vector validity envelope
+precomputed warp plans through numpy-batched stepping and prices memory
+through the stepped ``MemoryHierarchy``; its contract is that *nothing*
+observable changes — every integer counter and every per-SM cycle count
+matches the stepped reference loop exactly.  These tests sweep the full
+LumiBench scene catalogue under the two headline configurations and
+under two memory settings the vector core once fell back on (L1-cached
+spills, an L1 smaller than one pollution burst), cross it with the
+guard axis, cover the spill policies and traversal strategies, and pin
+the fallback behavior: any run outside the vector validity envelope
 silently degrades to the stepped core and records that in
-``SimOutput.backend``.  Two more pin the guard layer's plan sampler:
-it checks every sixteenth warp, and it catches a model that diverges
-from the SoA mirror.
+``SimOutput.backend``.  One test drives a single SM's warps through
+both units on fresh hierarchies and compares the memory state they
+leave behind.  Two more pin the guard layer's plan sampler: it checks
+every sixteenth warp, and it catches a model that diverges from the
+SoA mirror.
 """
 
 from dataclasses import asdict, replace
@@ -21,8 +25,14 @@ import pytest
 from repro.bvh.api import build_bvh
 from repro.core.presets import named_config
 from repro.errors import InvariantViolationError
+from repro.gpu.cache import Cache
+from repro.gpu.counters import Counters
+from repro.gpu.dram import Dram
+from repro.gpu.hierarchy import MemoryHierarchy
+from repro.gpu.rt_unit import RTUnit
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.vector.plan import SAMPLE_STRIDE
+from repro.gpu.vector.unit import VectorRTUnit
 from repro.gpu.warp import pack_warps
 from repro.guard.config import GuardConfig
 from repro.guard.vector import VectorPlanSampler
@@ -32,6 +42,19 @@ from repro.traversal.registry import resolve_strategy
 from repro.workloads.lumibench import SCENE_NAMES, load_scene
 
 CONFIGS = ["RB_8", "RB_8+SH_8+SK+RA"]
+
+#: Memory settings the vector core once fell back on: L1-cached
+#: (dirty) spills, and a 32-line L1 under a 48-line pollution burst.
+MEMORY_CONFIGS = [
+    pytest.param(
+        replace(named_config("RB_4+SH_4"), spill_cache_policy="l1"),
+        id="RB_4+SH_4-l1-spills",
+    ),
+    pytest.param(
+        replace(named_config("RB_8+SH_8+SK+RA"), l1d_bytes_override=4096),
+        id="RB_8+SH_8+SK+RA-4KB-L1",
+    ),
+]
 
 # Traces are strategy- and config-independent (phase one), so one small
 # workload per scene serves every test in the module.
@@ -97,14 +120,81 @@ def test_l2_spill_policy_is_supported():
     assert_identical(stepped, vector)
 
 
-def test_l1_spill_policy_falls_back():
-    """L1-cached spills dirty the lazy L1 mirror — out of envelope."""
+def test_l1_spill_policy_is_supported():
     traces = traces_for("BUNNY")
     config = replace(named_config("RB_4+SH_4"), spill_cache_policy="l1")
     stepped = run(traces, config, "stepped")
     vector = run(traces, config, "vector")
-    assert vector.backend == "stepped"
+    assert vector.backend == "vector"
     assert_identical(stepped, vector)
+
+
+@pytest.mark.parametrize("config", MEMORY_CONFIGS)
+@pytest.mark.parametrize("scene", SCENE_NAMES)
+def test_vector_bit_identical_under_memory_settings(scene, config):
+    traces = traces_for(scene)
+    stepped = run(traces, config, "stepped")
+    vector = run(traces, config, "vector")
+    assert vector.backend == "vector"
+    assert_identical(stepped, vector)
+
+
+def fresh_hierarchy(config):
+    l2 = Cache(
+        size_bytes=config.l2_bytes, line_bytes=config.line_bytes,
+        assoc=config.l2_assoc, name="L2",
+    )
+    dram = Dram(
+        latency=config.dram_latency,
+        service_cycles=config.dram_service_cycles * config.num_sms,
+    )
+    return MemoryHierarchy(config, l2=l2, dram=dram)
+
+
+def memory_state(hierarchy):
+    l1 = hierarchy.l1
+    return {
+        "l1": list(l1._lines.items()),
+        "l1_live": l1._live,
+        "l1_head": l1._head,
+        "l2": [list(cache_set.items()) for cache_set in hierarchy.l2._sets],
+        "dram_next_free": hierarchy.dram._next_free,
+        "l2_port_free": hierarchy._l2_port_free,
+    }
+
+
+def run_one_sm(unit_class, traces, config):
+    """SM 0's share of the warps through ``unit_class`` on a fresh
+    hierarchy; returns (completion, counters, memory state)."""
+    warps = pack_warps(traces, warp_size=config.warp_size)
+    sm_warps = warps[::config.num_sms]
+    hierarchy = fresh_hierarchy(config)
+    counters = Counters()
+    completion = unit_class(config, hierarchy, counters).run(sm_warps)
+    return completion, asdict(counters), memory_state(hierarchy)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(named_config("RB_2"), id="RB_2"),
+    pytest.param(named_config("RB_8+SH_8+SK+RA"), id="RB_8+SH_8+SK+RA"),
+    pytest.param(
+        replace(
+            named_config("RB_4+SH_4"), spill_cache_policy="l1",
+            l1d_bytes_override=4096,
+        ),
+        id="RB_4+SH_4-l1-spills-4KB-L1",
+    ),
+])
+@pytest.mark.parametrize("scene", ["CRNVL", "SHIP", "PARTY"])
+def test_vector_unit_leaves_the_stepped_memory_state(scene, config):
+    """Both units drive one memory system: same L1 contents and LRU
+    order, L2 sets, DRAM queue and L2 port after the same warps."""
+    traces = traces_for(scene)
+    stepped = run_one_sm(RTUnit, traces, config)
+    vector = run_one_sm(VectorRTUnit, traces, config)
+    state = stepped[2]
+    assert state["l1_live"] and state["dram_next_free"], "memory untouched"
+    assert stepped == vector
 
 
 def test_inter_warp_realloc_falls_back():

@@ -1,23 +1,15 @@
-"""Property tests for the vector backend's derived data structures.
+"""Property tests for the vector backend's SoA mirrors.
 
-Two oracles, both dead-simple Python:
-
-* :func:`pack_trace` / :func:`unpack_trace` must round-trip any step
-  stream losslessly, and :func:`batch_warp_state`'s whole-warp numpy
-  reductions must equal the per-lane loop they replace.
-* :class:`LazyL1` (the O(1)-pollution L1 mirror) must be
-  observationally identical to a textbook clean LRU in which every
-  pollution burst is spelled out as individual never-probed-again
-  inserts — hit/miss per probe, occupancy, and the resident tracked
-  line set all match after every operation.
+:func:`pack_trace` / :func:`unpack_trace` must round-trip any step
+stream losslessly, and :func:`batch_warp_state`'s whole-warp numpy
+reductions must equal the per-lane loop they replace.  The vector core
+has no cache model of its own; the L1's counted pollution is checked
+against a spelled-out LRU in ``tests/gpu/test_cache_properties.py``.
 """
-
-from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.vector.lru import LazyL1
 from repro.gpu.vector.soa import batch_warp_state, pack_trace, unpack_trace
 from repro.trace.events import NodeKind, RayKind, RayTrace, Step
 
@@ -109,66 +101,3 @@ def test_batch_warp_state_matches_lane_loop(lane_steps):
 def test_batch_warp_state_empty_warp():
     state = batch_warp_state([None, None])
     assert state.lanes == [] and state.n_iters == 0
-
-
-# -- LazyL1 vs spelled-out clean LRU ------------------------------------
-
-#: A foreign (pollution) line id base far above any real line the ops
-#: strategy can generate, so the reference can tell the populations
-#: apart when checking the tracked-resident set.
-FOREIGN_BASE = 10**9
-
-
-class SpelledOutLru:
-    """Clean fully-associative LRU; pollution as individual inserts."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.lines = OrderedDict()
-        self.foreign_seq = 0
-
-    def access(self, line):
-        if line in self.lines:
-            self.lines.move_to_end(line)
-            return True
-        if len(self.lines) >= self.capacity:
-            self.lines.popitem(last=False)
-        self.lines[line] = True
-        return False
-
-    def pollute(self, count):
-        for _ in range(count):
-            self.access(FOREIGN_BASE + self.foreign_seq)
-            self.foreign_seq += 1
-
-    def tracked_lines(self):
-        return {line for line in self.lines if line < FOREIGN_BASE}
-
-
-ops_strategy = st.lists(
-    st.one_of(
-        st.tuples(st.just("access"), st.integers(min_value=0, max_value=15)),
-        st.tuples(st.just("pollute"), st.integers(min_value=1, max_value=4)),
-    ),
-    max_size=300,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops_strategy, st.integers(min_value=4, max_value=16))
-def test_lazy_l1_matches_spelled_out_lru(ops, capacity):
-    lazy = LazyL1(capacity)
-    reference = SpelledOutLru(capacity)
-    for op, value in ops:
-        if op == "access":
-            hit = lazy.hit(value)
-            if not hit:
-                lazy.insert(value)
-            assert hit == reference.access(value)
-        else:
-            # The pollute contract requires count <= capacity (checked
-            # at plan build); the strategy bounds count at 4 <= cap.
-            lazy.pollute(value)
-            reference.pollute(value)
-        assert lazy.occupancy == len(reference.lines)
-        assert lazy.resident_lines() == reference.tracked_lines()

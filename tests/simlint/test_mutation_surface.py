@@ -29,11 +29,11 @@ def test_seeded_dropped_counter_write_is_caught():
     """The red gate: delete one counter fold from the real vector unit
     and SL204 must name the now-unwritten field."""
     source = VECTOR_UNIT.read_text()
-    needle = "counters.l1_misses += l1_misses"
+    needle = 'counters.shared_transactions += totals["shared_transactions"]'
     assert needle in source
     seeded = source.replace(needle, "pass")
     findings = sl204_oracle(seeded, VECTOR_UNIT)
-    assert any("`l1_misses`" in f.message for f in findings), [
+    assert any("`shared_transactions`" in f.message for f in findings), [
         f.message for f in findings
     ]
     # Every other counter write is intact, so exactly one field fires.
