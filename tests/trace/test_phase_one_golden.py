@@ -9,6 +9,11 @@ then every field of every step.
 
 * Reduced scale: the 16 Lumibench scenes x the ``sms``, ``stackless``
   and ``reorder`` strategies at 8x8, 1 spp, 2 bounces, seed 0.
+* Default workload (``golden_phase_one_default.json``): CRNVL, PARTY,
+  SHIP and ROBOT at ``DEFAULT_PARAMS`` (32x32, or 16x16 for ROBOT, 1 spp,
+  3 bounces) for seeds 0 and 1, plus CRNVL at 32x32 with 2 spp, which
+  takes the sub-pixel jitter path.  The 8x8 waves are mostly misses;
+  these are the wide waves, 1,024 to 2,048 primary rays each.
 * Paper scale: CRNVL at 24x24, 1 spp, 2 bounces under ``sms``.  It runs
   only when ``REPRO_BENCH_SCALE`` selects paper-true geometry, and the
   reduced-scale cases skip then::
@@ -16,7 +21,9 @@ then every field of every step.
       REPRO_BENCH_SCALE=1.0 pytest tests/trace/test_phase_one_golden.py -k fullscale
 
 Regenerate (only for an intended behaviour change) with the two
-commands below; each rewrites only its own half of the file::
+commands below; the first rewrites the reduced-scale half of
+``golden_phase_one.json`` and ``golden_phase_one_default.json``, the
+second only the paper-scale half::
 
     PYTHONPATH=src python -m tests.trace.test_phase_one_golden
     REPRO_BENCH_SCALE=1.0 PYTHONPATH=src python -m tests.trace.test_phase_one_golden
@@ -32,13 +39,37 @@ import pytest
 from repro.bvh.api import build_bvh
 from repro.traversal.registry import resolve_strategy
 from repro.workloads.lumibench import SCENE_NAMES, bench_scale, load_scene
+from repro.workloads.params import DEFAULT_PARAMS
 
 GOLDEN_PATH = Path(__file__).parent / "golden_phase_one.json"
+DEFAULT_GOLDEN_PATH = Path(__file__).parent / "golden_phase_one_default.json"
 STRATEGIES = ("sms", "stackless", "reorder")
 PARAMS = {"width": 8, "height": 8, "spp": 1, "max_bounces": 2, "seed": 0}
 FULLSCALE_SCENE = "CRNVL"
 FULLSCALE_STRATEGY = "sms"
 FULLSCALE_PARAMS = {"width": 24, "height": 24, "spp": 1, "max_bounces": 2, "seed": 0}
+
+
+
+def _default_params(scene_name, seed):
+    width, height, spp = DEFAULT_PARAMS.for_scene(scene_name)
+    return {
+        "width": width, "height": height, "spp": spp,
+        "max_bounces": DEFAULT_PARAMS.max_bounces, "seed": seed,
+    }
+
+
+#: The default-workload cases, all under ``sms``: name -> (scene, params).
+DEFAULT_CASES = {
+    **{
+        f"{scene_name}/seed{seed}": (scene_name, _default_params(scene_name, seed))
+        for scene_name in ("CRNVL", "PARTY", "SHIP", "ROBOT")
+        for seed in (0, 1)
+    },
+    "CRNVL/spp2": (
+        "CRNVL", {"width": 32, "height": 32, "spp": 2, "max_bounces": 3, "seed": 0},
+    ),
+}
 
 paper_scale = pytest.mark.skipif(
     bench_scale() is None, reason="paper-scale geometry needs REPRO_BENCH_SCALE=1.0"
@@ -116,6 +147,27 @@ def test_phase_one_matches_golden(scene_name, strategy):
     )
 
 
+def _default_golden():
+    return json.loads(DEFAULT_GOLDEN_PATH.read_text())
+
+
+def test_default_golden_parameters():
+    golden = _default_golden()
+    assert sorted(golden) == sorted(DEFAULT_CASES)
+    for case, (scene_name, params) in DEFAULT_CASES.items():
+        assert (golden[case]["scene"], golden[case]["params"]) == (scene_name, params)
+
+
+@reduced_scale
+@pytest.mark.parametrize("case", sorted(DEFAULT_CASES))
+def test_default_workload_phase_one_matches_golden(case):
+    want = _default_golden()[case]
+    scene_name, params = DEFAULT_CASES[case]
+    assert capture(scene_name, "sms", params) == {
+        "waves": want["waves"], "sha256": want["sha256"],
+    }, f"{case}: phase one drifted"
+
+
 @paper_scale
 def test_fullscale_crnvl_phase_one_matches_golden():
     want = _golden()["fullscale"]
@@ -134,6 +186,19 @@ def _regenerate():
             }
             for scene_name in SCENE_NAMES
         }
+        default = {
+            case: {"scene": scene_name, "params": params,
+                   **capture(scene_name, "sms", params)}
+            for case, (scene_name, params) in DEFAULT_CASES.items()
+        }
+        DEFAULT_GOLDEN_PATH.write_text(
+            "{\n"
+            + ",\n".join(
+                f" {json.dumps(case)}: {json.dumps(default[case], sort_keys=True)}"
+                for case in sorted(default)
+            )
+            + "\n}\n"
+        )
     else:
         golden["fullscale"] = {
             "scene": FULLSCALE_SCENE,
