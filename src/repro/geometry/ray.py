@@ -15,6 +15,8 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.vec import Vec3, length
 
+#: Default near plane for rays (skips self-intersection at the origin).
+T_MIN_DEFAULT = 1e-4
 #: Default far plane for rays (effectively unbounded).
 T_MAX_DEFAULT = 1e30
 
@@ -25,7 +27,7 @@ class Ray:
 
     origin: Vec3
     direction: Vec3
-    t_min: float = 1e-4
+    t_min: float = T_MIN_DEFAULT
     t_max: float = T_MAX_DEFAULT
     inv_direction: Vec3 = field(init=False, repr=False)
 

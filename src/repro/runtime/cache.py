@@ -86,7 +86,8 @@ class CachedWorkloadCache:
 
     def traced(self, name: str) -> List[RayTrace]:
         """One scene's phase-one traces, through the memo and the store."""
-        return _workload_traces(self.job_for(name, GPUConfig()), self.store)[1]
+        _, traces, _ = _workload_traces(self.job_for(name, GPUConfig()), self.store)
+        return traces
 
     def run_jobs(self, jobs: Sequence) -> List[SimulationResult]:
         """Resolve ``jobs`` in order: store, then pool, then metrics."""

@@ -18,7 +18,8 @@ so it has its own content address, :meth:`SimulationJob.phase_key`.
 :meth:`SimulationJob.run` takes the result store it resolves under and
 reads its traces from a small per-process memo, then from the store,
 and builds (and stores) them only when both miss: each scene is traced
-once per store, not once per worker per sweep.
+once per store, not once per worker per sweep.  The memo also keeps the
+traces' depth statistics, which every configuration's result reports.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ import json
 import os
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.gpu.config import GPUConfig
 from repro.runtime.store import PHASE_CODEC_VERSION
 from repro.workloads.params import DEFAULT_PARAMS, WorkloadParams
+
+if TYPE_CHECKING:
+    from repro.trace.depth import DepthStats
 
 #: Bump when the stored-result layout changes incompatibly.
 #: 2: job specs gained the traversal-strategy field.
@@ -44,7 +48,7 @@ CACHE_SCHEMA_VERSION = 4
 #: Traced workloads memoized per process (see :func:`_workload_traces`).
 _TRACE_MEMO_CAPACITY = 4
 
-_TRACE_MEMO: "OrderedDict[str, Tuple[str, list]]" = OrderedDict()
+_TRACE_MEMO: "OrderedDict[str, Tuple[str, list, DepthStats]]" = OrderedDict()
 
 
 def cache_salt() -> str:
@@ -198,7 +202,7 @@ class SimulationJob:
             from repro.guard import GuardConfig
 
             guard = GuardConfig(max_cycles=self.max_cycles)
-        scene_name, traces = _workload_traces(self, store)
+        scene_name, traces, depth_stats = _workload_traces(self, store)
         return time_traces(
             traces,
             config=self.config,
@@ -207,6 +211,7 @@ class SimulationJob:
             guard=guard,
             strategy=self.strategy,
             backend=self.backend,
+            depth_stats=depth_stats,
         )
 
     def describe(self) -> str:
@@ -224,25 +229,31 @@ def _digest(fields: Dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _workload_traces(job: SimulationJob, store=None) -> Tuple[str, List]:
-    """The job's phase one: ``(scene name, traces)``.
+def _workload_traces(
+    job: SimulationJob, store=None
+) -> Tuple[str, List, "DepthStats"]:
+    """The job's phase one: ``(scene name, traces, depth statistics)``.
 
     This is the process's one phase-one path: job runs, pool workers
     and :meth:`~repro.runtime.cache.CachedWorkloadCache.traced` all call
     it.  It reads a small per-process LRU memo, then ``store``'s
     artifact, and only when both miss builds scene, BVH and traces.
-    Both tiers are keyed by :meth:`SimulationJob.phase_key`.  On return
-    ``store`` holds the artifact, written before any timing starts, so
-    another worker can load it (the executor's hold-back relies on it).
+    Both tiers are keyed by :meth:`SimulationJob.phase_key`.  The depth
+    statistics are computed once, when an entry enters the memo, for
+    every configuration timed on it.  On return ``store`` holds the
+    artifact, written before any timing starts, so another worker can
+    load it (the executor's hold-back relies on it).
     """
+    from repro.trace.depth import depth_statistics
+
     key = job.phase_key()
     entry = _TRACE_MEMO.get(key)
-    if entry is None and store is not None:
-        entry = store.get_traces(key)
     if entry is None:
-        entry = _build_phase_one(job)
+        loaded = store.get_traces(key) if store is not None else None
+        scene_name, traces = loaded or _build_phase_one(job)
+        entry = (scene_name, traces, depth_statistics(traces))
     if store is not None and not store.has_traces(key):
-        store.put_traces(key, *entry)
+        store.put_traces(key, *entry[:2])
     _TRACE_MEMO[key] = entry
     _TRACE_MEMO.move_to_end(key)
     while len(_TRACE_MEMO) > _TRACE_MEMO_CAPACITY:

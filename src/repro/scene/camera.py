@@ -56,12 +56,36 @@ class PinholeCamera:
         """
         if not (0 <= px < self.width and 0 <= py < self.height):
             raise SceneError(f"pixel ({px}, {py}) outside {self.width}x{self.height}")
-        u = ((px + jitter[0]) / self.width) * 2.0 - 1.0
-        v = 1.0 - ((py + jitter[1]) / self.height) * 2.0
-        direction = normalize(
-            self._forward + u * self._half_w * self._right + v * self._half_h * self._true_up
-        )
+        direction = self.directions(
+            np.array([px]), np.array([py]),
+            np.array([jitter[0]]), np.array([jitter[1]]),
+        )[0]
         return Ray(origin=self.position.copy(), direction=direction)
+
+    def directions(
+        self,
+        px: np.ndarray,
+        py: np.ndarray,
+        jitter_x: np.ndarray,
+        jitter_y: np.ndarray,
+    ) -> np.ndarray:
+        """Unit primary-ray directions, one ``(3,)`` row per pixel sample.
+
+        ``px`` / ``py`` are pixel coordinates and ``jitter_x`` /
+        ``jitter_y`` the sub-pixel offsets in ``[0, 1)``, as in
+        :meth:`ray_for_pixel`.  Each row runs the scalar operations of
+        :func:`~repro.geometry.vec.normalize` on the image-plane point, in
+        their order, so a row has the bits of the one-ray computation.
+        """
+        u = ((px + jitter_x) / self.width) * 2.0 - 1.0
+        v = 1.0 - ((py + jitter_y) / self.height) * 2.0
+        point = (
+            self._forward
+            + (u * self._half_w)[:, None] * self._right
+            + (v * self._half_h)[:, None] * self._true_up
+        )
+        x, y, z = point[:, 0], point[:, 1], point[:, 2]
+        return point / np.sqrt(x * x + y * y + z * z)[:, None]
 
     def rays(self) -> Iterator[Tuple[int, Ray]]:
         """All primary rays in scanline order with their pixel index."""

@@ -10,7 +10,7 @@ adjacent banks ``(2e, 2e+1)`` relative to the region start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.errors import ConfigError
@@ -37,12 +37,27 @@ class SharedStackLayout:
     entries: int
     warp_size: int = 32
     base_address: int = 0
+    #: Each lane's region address, built once: every shared-stack access
+    #: of the timing model asks for one.
+    _region_bases: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.entries <= 0:
             raise ConfigError("SH stack layout needs at least one entry")
         if self.warp_size <= 0:
             raise ConfigError("warp size must be positive")
+        region_bytes = self.region_bytes
+        if region_bytes >= ROW_BYTES:
+            bases = [lane * region_bytes for lane in range(self.warp_size)]
+        else:
+            per_row = self.lanes_per_row
+            bases = [
+                (lane // per_row) * ROW_BYTES + (lane % per_row) * region_bytes
+                for lane in range(self.warp_size)
+            ]
+        object.__setattr__(
+            self, "_region_bases", tuple(self.base_address + base for base in bases)
+        )
 
     @property
     def region_bytes(self) -> int:
@@ -66,11 +81,7 @@ class SharedStackLayout:
         """Byte address of lane ``lane``'s region."""
         if not 0 <= lane < self.warp_size:
             raise ConfigError(f"lane {lane} outside warp of {self.warp_size}")
-        if self.region_bytes >= ROW_BYTES:
-            return self.base_address + lane * self.region_bytes
-        row = lane // self.lanes_per_row
-        slot = lane % self.lanes_per_row
-        return self.base_address + row * ROW_BYTES + slot * self.region_bytes
+        return self._region_bases[lane]
 
     def entry_address(self, lane: int, entry: int) -> int:
         """Byte address of entry ``entry`` in lane ``lane``'s region."""

@@ -35,13 +35,12 @@ from repro.errors import StackError
 from repro.geometry.intersect import moeller_trumbore, slab_test
 from repro.stack.base import StackModel
 from repro.stack.ops import StackActivity
-from repro.trace.events import NodeKind, RayKind, RayTrace, Step
-from repro.trace.tracer import TraversalTables
+from repro.trace.events import NodeKind, RayTrace, Step
+from repro.trace.tracer import RayBatch, Tracer
 from repro.traversal.base import TraversalStrategy
 
 if TYPE_CHECKING:
     from repro.bvh.wide import WideBVH
-    from repro.geometry.ray import Ray
     from repro.gpu.config import GPUConfig
 
 
@@ -83,13 +82,14 @@ class StacklessState(StackModel):
         return []
 
 
-class EscapeTracer:
+class EscapeTracer(Tracer):
     """Traces rays through one wide BVH via its escape links.
 
     Same construction and tracing surface as
     :class:`~repro.trace.tracer.Tracer`, so
     :func:`~repro.trace.path.generate_workload` swaps it in through its
-    ``tracer_factory`` hook.
+    ``tracer_factory`` hook.  Its batch entry point walks the batch's rays
+    one at a time.
 
     ``escape[n]`` is the node entered when the ray misses ``n``'s bounds
     (or finishes ``n``'s primitives): the next sibling in slot order,
@@ -101,9 +101,7 @@ class EscapeTracer:
     """
 
     def __init__(self, bvh: "WideBVH") -> None:
-        self.bvh = bvh
-        self.scene = bvh.scene
-        self.tables = TraversalTables(bvh)
+        super().__init__(bvh)
         first_child = self.tables.first_child
         escape = [NO_NODE] * bvh.node_count
         # Children are numbered after their parent, so in index order each
@@ -115,15 +113,8 @@ class EscapeTracer:
                 escape[first + count - 1] = escape[index]
         self.escape = escape
 
-    def trace(
-        self,
-        ray: "Ray",
-        ray_id: int = 0,
-        pixel: int = 0,
-        kind: RayKind = RayKind.PRIMARY,
-        any_hit: bool = False,
-    ) -> RayTrace:
-        """Trace one ray to its closest hit (or first hit when ``any_hit``)."""
+    def trace_batch(self, rays: RayBatch) -> List[RayTrace]:
+        """Trace each ray of ``rays`` on its own; traces in batch order."""
         tables = self.tables
         node_address = tables.address
         node_size = tables.size_bytes
@@ -139,63 +130,66 @@ class EscapeTracer:
         node_lo = self.bvh.lo
         node_hi = self.bvh.hi
 
-        origin = ray.origin
-        direction = ray.direction
-        inv = ray.inv_direction
-        d0 = float(direction[0])
-        d1 = float(direction[1])
-        d2 = float(direction[2])
-        t_min = ray.t_min
-        best_t = ray.t_max
-        best_prim = -1
+        traces = []
+        for index, (ray_id, pixel, kind, t_min, t_max, any_hit) in enumerate(zip(
+            rays.ray_ids, rays.pixels, rays.kinds,
+            rays.t_min.tolist(), rays.t_max.tolist(), rays.any_hit.tolist(),
+        )):
+            origin = rays.origins[index]
+            direction = rays.directions[index]
+            inv = rays.inv_directions[index]
+            d0, d1, d2 = direction.tolist()
+            best_t = t_max
+            best_prim = -1
 
-        trace = RayTrace(ray_id=ray_id, pixel=pixel, kind=kind)
-        steps = trace.steps
-        current = self.bvh.root
-        with np.errstate(invalid="ignore"):
-            while current != NO_NODE:
-                hit_mask, _ = slab_test(
-                    origin, inv, t_min, best_t,
-                    node_lo[current : current + 1],
-                    node_hi[current : current + 1],
-                )
-                box_hit = bool(hit_mask[0])
-                leaf = not child_count[current]
-                if box_hit and leaf:
-                    node_kind = NodeKind.LEAF
-                    p0 = first_prim[current]
-                    tests = prim_count[current]
-                    for prim_id in prim_order[p0 : p0 + tests].tolist():
-                        t = moeller_trumbore(
-                            origin, d0, d1, d2, direction, t_min, best_t,
-                            tri_a[prim_id], tri_e1[prim_id], tri_e2[prim_id],
+            trace = RayTrace(ray_id=ray_id, pixel=pixel, kind=kind)
+            steps = trace.steps
+            current = self.bvh.root
+            with np.errstate(invalid="ignore"):
+                while current != NO_NODE:
+                    hit_mask, _ = slab_test(
+                        origin, inv, t_min, best_t,
+                        node_lo[current : current + 1],
+                        node_hi[current : current + 1],
+                    )
+                    box_hit = bool(hit_mask[0])
+                    leaf = not child_count[current]
+                    if box_hit and leaf:
+                        node_kind = NodeKind.LEAF
+                        p0 = first_prim[current]
+                        tests = prim_count[current]
+                        for prim_id in prim_order[p0 : p0 + tests].tolist():
+                            t = moeller_trumbore(
+                                origin, d0, d1, d2, direction, t_min, best_t,
+                                tri_a[prim_id], tri_e1[prim_id], tri_e2[prim_id],
+                            )
+                            if t is not None and t < best_t:
+                                best_t = t
+                                best_prim = prim_id
+                                if any_hit:
+                                    break
+                        next_node = escape[current]
+                        if any_hit and best_prim >= 0:
+                            next_node = NO_NODE  # shadow ray satisfied
+                    else:
+                        # Internal visit or box miss: one box test either way.
+                        node_kind = NodeKind.INTERNAL if not leaf else NodeKind.LEAF
+                        tests = 1 if not leaf else 0
+                        next_node = (
+                            first_child[current] if box_hit else escape[current]
                         )
-                        if t is not None and t < best_t:
-                            best_t = t
-                            best_prim = prim_id
-                            if any_hit:
-                                break
-                    next_node = escape[current]
-                    if any_hit and best_prim >= 0:
-                        next_node = NO_NODE  # shadow ray satisfied
-                else:
-                    # Internal visit or box miss: one box test either way.
-                    node_kind = NodeKind.INTERNAL if not leaf else NodeKind.LEAF
-                    tests = 1 if not leaf else 0
-                    next_node = (
-                        first_child[current] if box_hit else escape[current]
+                    steps.append(
+                        Step(
+                            node_address[current], node_size[current],
+                            node_kind, tests, [], False,
+                        )
                     )
-                steps.append(
-                    Step(
-                        node_address[current], node_size[current],
-                        node_kind, tests, [], False,
-                    )
-                )
-                current = next_node
+                    current = next_node
 
-        trace.hit_prim = best_prim
-        trace.hit_t = best_t if best_prim >= 0 else float("inf")
-        return trace
+            trace.hit_prim = best_prim
+            trace.hit_t = best_t if best_prim >= 0 else float("inf")
+            traces.append(trace)
+        return traces
 
 
 class StacklessStrategy(TraversalStrategy):

@@ -93,12 +93,29 @@ def test_base_address_offsets_everything():
     assert offset.region_base(5) == plain.region_base(5) + 4096
 
 
+@pytest.mark.parametrize("entries", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("warp_size", [8, 32])
+def test_region_bases_pack_row_major(entries, warp_size):
+    """Regions below a row share rows left to right; larger ones abut."""
+    layout = SharedStackLayout(entries=entries, warp_size=warp_size, base_address=512)
+    region = entries * 8
+    per_row = max(1, 128 // region)
+    for lane in range(warp_size):
+        if region >= 128:
+            want = 512 + lane * region
+        else:
+            want = 512 + (lane // per_row) * 128 + (lane % per_row) * region
+        assert layout.region_base(lane) == want
+
+
 def test_invalid_args():
     with pytest.raises(ConfigError):
         SharedStackLayout(entries=0)
     layout = SharedStackLayout(entries=8)
     with pytest.raises(ConfigError):
         layout.region_base(32)
+    with pytest.raises(ConfigError):
+        layout.region_base(-1)
     with pytest.raises(ConfigError):
         layout.entry_address(0, 8)
 
