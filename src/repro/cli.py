@@ -213,8 +213,8 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
                         default="stepped",
                         help="timing backend: the reference per-cycle loop "
                         "('stepped') or the plan-driven vectorized core "
-                        "('vector', bit-identical and several times faster; "
-                        "falls back to stepped for unsupported configs)")
+                        "('vector', bit-identical; falls back to stepped "
+                        "for unsupported configs)")
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:

@@ -36,7 +36,7 @@ def stackless_comparison(
     overhead: Dict[str, float] = {}
     restarts: Dict[str, float] = {}
     from repro.bvh.api import build_bvh
-    from repro.trace.tracer import Tracer
+    from repro.trace.tracer import RayBatch, Tracer
     from repro.workloads.lumibench import load_scene
 
     for name in cache.names:
@@ -45,13 +45,14 @@ def stackless_comparison(
         all_rays = [ray for _, ray in camera.rays()]
         stride = max(1, len(all_rays) // rays_per_scene)
         sampled = all_rays[::stride][:rays_per_scene]
-        dfs_visits = 0
         restart_visits = 0
         restart_count = 0
         rays = len(sampled)
-        tracer = Tracer(bvh)
+        dfs_visits = sum(
+            trace.step_count
+            for trace in Tracer(bvh).trace_batch(RayBatch.of(sampled))
+        )
         for ray in sampled:
-            dfs_visits += tracer.trace(ray).step_count
             result = restart_trail_trace(bvh, ray)
             restart_visits += result.node_visits
             restart_count += result.restarts
@@ -83,7 +84,7 @@ def short_stack_study(
     """
     from repro.bvh.api import build_bvh
     from repro.trace.restart import short_stack_restart_trace
-    from repro.trace.tracer import Tracer
+    from repro.trace.tracer import RayBatch, Tracer
     from repro.workloads.lumibench import load_scene
 
     visits: Dict[int, int] = {c: 0 for c in capacities}
@@ -93,14 +94,16 @@ def short_stack_study(
     for name in scene_names:
         scene = load_scene(name)
         bvh = build_bvh(scene)
-        tracer = Tracer(bvh)
         camera = _default_camera(bvh, resolution, resolution)
         all_rays = [ray for _, ray in camera.rays()]
         stride = max(1, len(all_rays) // rays_per_scene)
         sampled = all_rays[::stride][:rays_per_scene]
         total_rays += len(sampled)
+        dfs_visits += sum(
+            trace.step_count
+            for trace in Tracer(bvh).trace_batch(RayBatch.of(sampled))
+        )
         for ray in sampled:
-            dfs_visits += tracer.trace(ray).step_count
             for capacity in capacities:
                 result = short_stack_restart_trace(
                     bvh, ray, stack_entries=capacity
@@ -286,7 +289,7 @@ def packet_study(
     from repro.geometry.ray import Ray
     from repro.trace.packet import packet_trace
     from repro.trace.rng import DeterministicRng
-    from repro.trace.tracer import Tracer
+    from repro.trace.tracer import RayBatch, Tracer
     from repro.workloads.lumibench import load_scene
     import numpy as np
 
@@ -299,8 +302,8 @@ def packet_study(
     primary = [ray for _, ray in camera.rays()]
     # Build an incoherent set: bounce rays from primary hit points.
     bounce = []
-    for pixel, ray in enumerate(primary):
-        solo = tracer.trace(ray)
+    primary_traces = tracer.trace_batch(RayBatch.of(primary))
+    for pixel, (ray, solo) in enumerate(zip(primary, primary_traces)):
         if not solo.hit:
             continue
         tri = scene.triangle(solo.hit_prim)
@@ -316,16 +319,14 @@ def packet_study(
     visit_ratio: Dict[str, float] = {}
     for label, rays in (("primary", primary), ("bounce", bounce)):
         packet_pushes = packet_visits = 0
-        solo_pushes = solo_visits = 0
-        for start in range(0, len(rays) - group_size + 1, group_size):
-            group = rays[start : start + group_size]
-            packet = packet_trace(bvh, group)
+        grouped = len(rays) - len(rays) % group_size
+        for start in range(0, grouped, group_size):
+            packet = packet_trace(bvh, rays[start : start + group_size])
             packet_pushes += packet.stack_pushes
             packet_visits += packet.node_visits
-            for ray in group:
-                trace = tracer.trace(ray)
-                solo_pushes += sum(len(s.pushes) for s in trace.steps)
-                solo_visits += trace.step_count
+        solo = tracer.trace_batch(RayBatch.of(rays[:grouped]))
+        solo_pushes = sum(len(s.pushes) for trace in solo for s in trace.steps)
+        solo_visits = sum(trace.step_count for trace in solo)
         push_ratio[label] = packet_pushes / solo_pushes if solo_pushes else 0.0
         visit_ratio[label] = packet_visits / solo_visits if solo_visits else 0.0
     return PacketStudyResult(stack_push_ratio=push_ratio, visit_ratio=visit_ratio)
