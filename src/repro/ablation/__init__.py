@@ -43,10 +43,9 @@ from repro.ablation.report import (
     render_text,
 )
 from repro.ablation.space import (
-    Knob,
     KnobSpace,
     available_knobs,
-    knob_registry,
+    check_knob,
     load_space,
 )
 from repro.ablation.spaces import (
@@ -61,7 +60,6 @@ __all__ = [
     "REPORT_FILENAME",
     "REPORT_SCHEMA",
     "AblationReport",
-    "Knob",
     "KnobImportance",
     "KnobSpace",
     "ParetoPoint",
@@ -69,9 +67,9 @@ __all__ = [
     "RunSpec",
     "available_knobs",
     "available_spaces",
+    "check_knob",
     "corner_assignment",
     "generate_matrix",
-    "knob_registry",
     "load_report",
     "load_space",
     "matrix_jobs",

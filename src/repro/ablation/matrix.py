@@ -24,11 +24,13 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import AblationError, ConfigError
 from repro.gpu.config import GPUConfig
-from repro.ablation.space import KnobSpace, knob_registry
+from repro.ablation.space import (
+    STRATEGY, KnobSpace, available_knobs, check_knob,
+)
 
 #: Hex digits of the SHA-256 digest kept as the run ID.
 _RUN_ID_LEN = 16
@@ -37,7 +39,7 @@ _RUN_ID_LEN = 16
 #: ``GPUConfig.describe()`` renders, and the ``[strategy]`` suffix.
 _LABELLED_KNOBS = frozenset({
     "rb_stack_entries", "sh_stack_entries", "skewed_bank_access",
-    "intra_warp_realloc", "inter_warp_realloc", "strategy",
+    "intra_warp_realloc", "inter_warp_realloc", STRATEGY,
 })
 
 
@@ -95,21 +97,6 @@ class RunMatrix:
     def __len__(self) -> int:
         return len(self.runs)
 
-    def by_id(self, spec_id: str) -> RunSpec:
-        """The run with ``spec_id``; raises :class:`AblationError`."""
-        for run in self.runs:
-            if run.id == spec_id:
-                return run
-        raise AblationError(f"no run {spec_id!r} in matrix")
-
-    def find(self, knobs: Dict) -> Optional[RunSpec]:
-        """The run matching a resolved knob assignment, if it survived."""
-        target = run_id(knobs)
-        for run in self.runs:
-            if run.id == target:
-                return run
-        return None
-
 
 def resolve_run(knobs: Dict) -> RunSpec:
     """Build (and validate) the :class:`RunSpec` for one assignment.
@@ -120,18 +107,17 @@ def resolve_run(knobs: Dict) -> RunSpec:
     whether a bad combination is fatal (a direct request) or filterable
     (one cell of a product).
     """
-    registry = knob_registry()
+    known = available_knobs()
     config_kwargs = {}
     strategy = "sms"
     for name in sorted(knobs):
-        knob = registry.get(name)
-        if knob is None:
+        if name not in known:
             raise AblationError(f"unknown knob {name!r} in run assignment")
-        knob.validate(knobs[name])
-        if knob.config_field is None:
+        check_knob(name, knobs[name])
+        if name == STRATEGY:
             strategy = knobs[name]
         else:
-            config_kwargs[knob.config_field] = knobs[name]
+            config_kwargs[name] = knobs[name]
     config = GPUConfig(**config_kwargs)
     return RunSpec(
         id=run_id(knobs), knobs=dict(knobs), config=config, strategy=strategy

@@ -3,19 +3,19 @@
 A :class:`KnobSpace` declares a design-space exploration the way the
 pykeen ablation pipeline declares one — a dictionary of pinned knob
 values (``fixed``) plus a dictionary of per-knob value lists
-(``ranges``) whose Cartesian product is the run matrix.  Every knob
-name resolves through the :data:`KNOBS` registry, which maps the SMS
-parameters the paper argues about (RB/SH sizes, skew, borrow/flush
-bounds, scheduler occupancy, cache geometry, latencies, spill policy)
-onto :class:`~repro.gpu.config.GPUConfig` fields, plus the traversal
-``strategy`` pseudo-knob from :mod:`repro.traversal`.
+(``ranges``) whose Cartesian product is the run matrix.  The knobs are
+the fields of :class:`~repro.gpu.config.GPUConfig`, each with the domain
+:data:`~repro.gpu.config.FIELD_DOMAINS` declares for it, plus the
+traversal ``strategy`` pseudo-knob, whose choices are the strategies
+:mod:`repro.traversal` registers.
 
-Validation is two-tier: each value is checked against its knob's
-declared domain here (unknown knob, empty range, duplicate values,
-type/bounds errors all raise :class:`~repro.errors.AblationError` with
-the knob name in the message), and each *combination* is checked by
-constructing the actual ``GPUConfig`` during matrix generation (see
-:mod:`repro.ablation.matrix`).
+Each value is checked against its knob's domain when the space is built
+(unknown knob, empty range, duplicate values, type/bounds errors all
+raise :class:`~repro.errors.AblationError` with the knob name in the
+message).  The rules that tie fields together (an SH stack on RB_FULL,
+a carve-out larger than the unified SRAM) are ``GPUConfig``'s own, and
+each *combination* meets them when matrix generation constructs its
+config (see :mod:`repro.ablation.matrix`).
 
 Range order is semantic: by convention a range runs *off -> on* (or
 small -> large), and the importance analysis treats the first value of
@@ -30,141 +30,35 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import AblationError
+from repro.errors import AblationError, ConfigError
+from repro.gpu.config import FIELD_DOMAINS, check_field
 
-#: GPUConfig defaults the knob registry validates against.
-_BOOL = "bool"
-_INT = "int"
-_CHOICE = "choice"
-
-
-@dataclass(frozen=True)
-class Knob:
-    """One explorable SMS parameter.
-
-    ``kind`` is ``"bool"``, ``"int"`` or ``"choice"``; integers carry an
-    inclusive ``low`` (and optionally ``high``) bound, choices carry the
-    allowed value tuple.  ``nullable`` permits JSON ``null`` (used by
-    ``rb_stack_entries`` where ``None`` selects RB_FULL).  ``config_field``
-    is the ``GPUConfig`` attribute the knob sets; the ``strategy``
-    pseudo-knob sets the job's traversal strategy instead and has
-    ``config_field=None``.
-    """
-
-    name: str
-    kind: str
-    config_field: Optional[str] = None
-    low: Optional[int] = None
-    high: Optional[int] = None
-    choices: Tuple = ()
-    nullable: bool = False
-    #: Sample pool for property-based tests and documentation examples.
-    examples: Tuple = ()
-
-    def validate(self, value) -> None:
-        """Raise :class:`AblationError` unless ``value`` is in-domain."""
-        if value is None:
-            if not self.nullable:
-                raise AblationError(
-                    f"knob {self.name!r} does not accept null"
-                )
-            return
-        if self.kind == _BOOL:
-            if not isinstance(value, bool):
-                raise AblationError(
-                    f"knob {self.name!r} expects true/false, got {value!r}"
-                )
-            return
-        if self.kind == _INT:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise AblationError(
-                    f"knob {self.name!r} expects an integer, got {value!r}"
-                )
-            if self.low is not None and value < self.low:
-                raise AblationError(
-                    f"knob {self.name!r} must be >= {self.low}, got {value}"
-                )
-            if self.high is not None and value > self.high:
-                raise AblationError(
-                    f"knob {self.name!r} must be <= {self.high}, got {value}"
-                )
-            return
-        if value not in self.choices:
-            raise AblationError(
-                f"knob {self.name!r} must be one of "
-                f"{', '.join(repr(c) for c in self.choices)}, got {value!r}"
-            )
-
-
-def _strategy_choices() -> Tuple[str, ...]:
-    from repro.traversal import available_strategies
-
-    return tuple(available_strategies())
-
-
-def _knob_list() -> List[Knob]:
-    """The SMS knob registry (everything ``repro ablate`` can sweep)."""
-    return [
-        # Traversal-stack architecture.
-        Knob("rb_stack_entries", _INT, "rb_stack_entries", low=1,
-             nullable=True, examples=(2, 4, 8, 16, None)),
-        Knob("sh_stack_entries", _INT, "sh_stack_entries", low=0,
-             examples=(0, 4, 8, 16)),
-        Knob("skewed_bank_access", _BOOL, "skewed_bank_access",
-             examples=(False, True)),
-        Knob("intra_warp_realloc", _BOOL, "intra_warp_realloc",
-             examples=(False, True)),
-        Knob("inter_warp_realloc", _BOOL, "inter_warp_realloc",
-             examples=(False, True)),
-        Knob("max_borrows", _INT, "max_borrows", low=1,
-             examples=(1, 2, 4, 8)),
-        Knob("max_flushes", _INT, "max_flushes", low=0,
-             examples=(0, 1, 3, 6)),
-        # Scheduler / occupancy.
-        Knob("max_warps_per_rt_unit", _INT, "max_warps_per_rt_unit", low=1,
-             examples=(1, 2, 4, 8)),
-        # Cache geometry.
-        Knob("unified_cache_bytes", _INT, "unified_cache_bytes", low=128,
-             examples=(32 * 1024, 64 * 1024, 128 * 1024)),
-        Knob("l2_bytes", _INT, "l2_bytes", low=128,
-             examples=(128 * 1024, 256 * 1024, 512 * 1024)),
-        Knob("l2_assoc", _INT, "l2_assoc", low=1, examples=(4, 8, 16)),
-        Knob("line_bytes", _INT, "line_bytes", low=16,
-             examples=(64, 128)),
-        # Latencies and port occupancies.
-        Knob("l1_latency", _INT, "l1_latency", low=1, examples=(10, 20, 40)),
-        Knob("l2_latency", _INT, "l2_latency", low=1,
-             examples=(80, 160, 320)),
-        Knob("dram_latency", _INT, "dram_latency", low=1,
-             examples=(110, 220, 440)),
-        Knob("shared_latency", _INT, "shared_latency", low=1,
-             examples=(10, 20, 40)),
-        Knob("bank_conflict_penalty", _INT, "bank_conflict_penalty", low=0,
-             examples=(0, 2, 4, 8)),
-        Knob("l2_service_cycles", _INT, "l2_service_cycles", low=1,
-             examples=(8, 16, 32)),
-        Knob("dram_service_cycles", _INT, "dram_service_cycles", low=1,
-             examples=(1, 2, 4)),
-        # Spill cacheability and background pressure.
-        Knob("spill_cache_policy", _CHOICE, "spill_cache_policy",
-             choices=("uncached", "l2", "l1"),
-             examples=("uncached", "l2", "l1")),
-        Knob("shader_pollution_lines", _INT, "shader_pollution_lines", low=0,
-             examples=(0, 24, 48, 96)),
-        # Traversal strategy (job-level, not a GPUConfig field).
-        Knob("strategy", _CHOICE, None, choices=_strategy_choices(),
-             examples=("sms", "stackless", "reorder")),
-    ]
-
-
-def knob_registry() -> Dict[str, Knob]:
-    """Name -> :class:`Knob` for every explorable parameter."""
-    return {knob.name: knob for knob in _knob_list()}
+#: The job-level knob that picks the traversal strategy.
+STRATEGY = "strategy"
 
 
 def available_knobs() -> List[str]:
     """Sorted names of every knob ``repro ablate`` understands."""
-    return sorted(knob_registry())
+    return sorted([*FIELD_DOMAINS, STRATEGY])
+
+
+def check_knob(name: str, value) -> None:
+    """Raise :class:`AblationError` unless ``value`` is in the domain of
+    knob ``name``, a ``GPUConfig`` field or :data:`STRATEGY`."""
+    if name == STRATEGY:
+        from repro.traversal import available_strategies
+
+        choices = available_strategies()
+        if value not in choices:
+            raise AblationError(
+                f"knob {name!r} must be one of "
+                f"{', '.join(map(repr, choices))}, got {value!r}"
+            )
+        return
+    try:
+        check_field(name, value)
+    except ConfigError as error:
+        raise AblationError(f"knob {name!r}: {error}") from error
 
 
 @dataclass(frozen=True)
@@ -184,7 +78,7 @@ class KnobSpace:
     scenes: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        registry = knob_registry()
+        known = available_knobs()
         if not self.ranges:
             raise AblationError(
                 f"space {self.name!r} declares no ranges — nothing to sweep"
@@ -192,12 +86,11 @@ class KnobSpace:
         for source_name, mapping in (("fixed", self.fixed),
                                      ("ranges", self.ranges)):
             for knob_name in sorted(mapping):
-                knob = registry.get(knob_name)
-                if knob is None:
+                if knob_name not in known:
                     raise AblationError(
                         f"unknown knob {knob_name!r} in {source_name} of "
                         f"space {self.name!r}; known knobs: "
-                        f"{', '.join(available_knobs())}"
+                        f"{', '.join(known)}"
                     )
         for knob_name in sorted(self.ranges):
             values = list(self.ranges[knob_name])
@@ -208,7 +101,7 @@ class KnobSpace:
                 )
             seen: List = []
             for value in values:
-                registry[knob_name].validate(value)
+                check_knob(knob_name, value)
                 if value in seen:
                     raise AblationError(
                         f"duplicate value {value!r} in range for knob "
@@ -221,7 +114,7 @@ class KnobSpace:
                     f"of space {self.name!r}"
                 )
         for knob_name in sorted(self.fixed):
-            registry[knob_name].validate(self.fixed[knob_name])
+            check_knob(knob_name, self.fixed[knob_name])
         if self.scenes is not None:
             from repro.workloads.lumibench import SCENE_NAMES
 

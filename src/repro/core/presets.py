@@ -67,27 +67,31 @@ _NAME_PATTERN = re.compile(
 
 
 def named_config(name: str, **overrides) -> GPUConfig:
-    """Parse a figure-style label like ``"RB_8+SH_8+SK+RA"`` into a config."""
-    match = _NAME_PATTERN.match(name.strip())
+    """Parse a figure-style label like ``"RB_8+SH_8+SK+RA"`` into a config.
+
+    Only canonical labels parse: the config built from the label must
+    describe itself with that same label, so ``RB_8+SK`` (no SH stack to
+    skew) and ``RB_08`` are rejected.
+    """
+    label = name.strip()
+    match = _NAME_PATTERN.match(label)
     if not match:
         raise ConfigError(
             f"unrecognized configuration name {name!r} "
             "(expected e.g. RB_8, RB_FULL, RB_8+SH_8+SK+RA)"
         )
-    if match.group("rb") == "FULL":
-        if match.group("sh") or match.group("sk") or match.group("ra"):
-            raise ConfigError("RB_FULL takes no SH/SK/RA suffixes")
-        return full_stack_config(**overrides)
-    rb = int(match.group("rb"))
-    if not match.group("sh"):
-        if match.group("sk") or match.group("ra") or match.group("iw"):
-            raise ConfigError("SK/RA/IW require an SH stack")
-        return baseline_config(rb, **overrides)
-    return sms_config(
-        rb_entries=rb,
-        sh_entries=int(match.group("sh")),
-        skewed=bool(match.group("sk")),
-        realloc=bool(match.group("ra")),
-        inter_warp=bool(match.group("iw")),
+    rb = match.group("rb")
+    config = GPUConfig(
+        rb_stack_entries=None if rb == "FULL" else int(rb),
+        sh_stack_entries=int(match.group("sh") or 0),
+        skewed_bank_access=bool(match.group("sk")),
+        intra_warp_realloc=bool(match.group("ra")),
+        inter_warp_realloc=bool(match.group("iw")),
         **overrides,
     )
+    if config.describe() != label:
+        raise ConfigError(
+            f"configuration name {name!r} is not canonical: the config it "
+            f"names is {config.describe()!r}"
+        )
+    return config

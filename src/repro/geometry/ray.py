@@ -40,7 +40,7 @@ class Ray:
             raise GeometryError(
                 f"ray interval is empty: t_min={self.t_min} > t_max={self.t_max}"
             )
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             self.inv_direction = np.where(
                 self.direction != 0.0, 1.0 / self.direction, np.inf
             )

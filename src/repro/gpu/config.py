@@ -6,17 +6,91 @@ unified L1D/shared-memory SRAM (20-cycle), a 3 MB 16-way L2 (160-cycle)
 and DRAM behind it.  The SMS carve-out follows the paper: shared memory
 is sized to exactly what the SH stacks need, the remainder stays L1D
 (e.g. the default RB_8+SH_8 design uses 8 KB shared + 56 KB L1D).
+
+:data:`FIELD_DOMAINS` declares the values each field accepts, once:
+``GPUConfig`` checks every field against it, and ``repro ablate`` sweeps
+exactly these fields with exactly these domains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 
 KB = 1024
 MB = 1024 * KB
+
+
+class FieldDomain(NamedTuple):
+    """The values one :class:`GPUConfig` field accepts.
+
+    ``kind`` is ``bool``, ``int`` or ``str``.  An ``int`` field takes
+    integers of at least ``low``, a ``str`` field one of ``choices``;
+    ``nullable`` admits ``None`` as well.
+    """
+
+    kind: type
+    low: int = 0
+    choices: Tuple[str, ...] = ()
+    nullable: bool = False
+
+
+#: The domain of every :class:`GPUConfig` field, in field order.  Cycle
+#: costs may be zero; latencies, sizes and counts may not.
+FIELD_DOMAINS: Dict[str, FieldDomain] = {
+    "num_sms": FieldDomain(int, low=1),
+    "warp_size": FieldDomain(int, low=1),
+    "rt_units_per_sm": FieldDomain(int, low=1),
+    "max_warps_per_rt_unit": FieldDomain(int, low=1),
+    "rb_stack_entries": FieldDomain(int, low=1, nullable=True),
+    "sh_stack_entries": FieldDomain(int, low=0),
+    "skewed_bank_access": FieldDomain(bool),
+    "intra_warp_realloc": FieldDomain(bool),
+    "inter_warp_realloc": FieldDomain(bool),
+    "max_borrows": FieldDomain(int, low=1),
+    "max_flushes": FieldDomain(int, low=0),
+    "unified_cache_bytes": FieldDomain(int, low=128),
+    "l1_latency": FieldDomain(int, low=1),
+    "line_bytes": FieldDomain(int, low=16),
+    "l2_bytes": FieldDomain(int, low=128),
+    "l2_assoc": FieldDomain(int, low=1),
+    "l2_latency": FieldDomain(int, low=1),
+    "l2_service_cycles": FieldDomain(int, low=1),
+    "dram_latency": FieldDomain(int, low=1),
+    "dram_service_cycles": FieldDomain(int, low=1),
+    "shared_latency": FieldDomain(int, low=1),
+    "bank_conflict_penalty": FieldDomain(int, low=0),
+    "l1_port_cycles": FieldDomain(int, low=0),
+    "shared_port_cycles": FieldDomain(int, low=0),
+    "box_test_cycles": FieldDomain(int, low=0),
+    "tri_test_cycles": FieldDomain(int, low=0),
+    "spill_cache_policy": FieldDomain(str, choices=("uncached", "l2", "l1")),
+    "shader_pollution_lines": FieldDomain(int, low=0),
+    "l1d_bytes_override": FieldDomain(int, low=1, nullable=True),
+}
+
+
+def check_field(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is in ``name``'s domain."""
+    kind, low, choices, nullable = FIELD_DOMAINS[name]
+    if value is None:
+        if not nullable:
+            raise ConfigError(f"{name} does not accept null")
+    elif kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} expects true/false, got {value!r}")
+    elif kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} expects an integer, got {value!r}")
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+    elif value not in choices:
+        raise ConfigError(
+            f"{name} must be one of {', '.join(map(repr, choices))}, "
+            f"got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -103,23 +177,12 @@ class GPUConfig:
     l1d_bytes_override: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.num_sms < 1 or self.warp_size < 1:
-            raise ConfigError("num_sms and warp_size must be positive")
-        if self.max_warps_per_rt_unit < 1:
-            raise ConfigError("RT unit needs at least one warp slot")
-        if self.rb_stack_entries is not None and self.rb_stack_entries < 1:
-            raise ConfigError("rb_stack_entries must be >= 1 (or None for FULL)")
-        if self.sh_stack_entries < 0:
-            raise ConfigError("sh_stack_entries must be >= 0")
+        for name in FIELD_DOMAINS:
+            check_field(name, getattr(self, name))
         if self.sh_stack_entries and self.rb_stack_entries is None:
             raise ConfigError("RB_FULL does not combine with an SH stack")
-        if self.line_bytes < 1 or self.unified_cache_bytes < self.line_bytes:
+        if self.unified_cache_bytes < self.line_bytes:
             raise ConfigError("unified cache must hold at least one line")
-        if self.spill_cache_policy not in ("uncached", "l2", "l1"):
-            raise ConfigError(
-                f"spill_cache_policy must be 'uncached', 'l2' or 'l1', "
-                f"got {self.spill_cache_policy!r}"
-            )
         if self.inter_warp_realloc and self.sh_stack_entries == 0:
             raise ConfigError("inter_warp_realloc requires an SH stack")
         if self.shared_memory_bytes > self.unified_cache_bytes:

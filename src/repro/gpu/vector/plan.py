@@ -145,19 +145,15 @@ class BoundPlan:
     numpy work happens once here, batched over all iterations.
     """
 
-    __slots__ = (
-        "n_iters", "lines", "fetch_port", "intersect", "sdelta",
-        "sport", "cplx", "totals", "warp_bytes", "mismatch", "iters",
-    )
+    __slots__ = ("n_iters", "totals", "warp_bytes", "mismatch", "iters")
 
     def __init__(self, raw: RawPlan, config: GPUConfig) -> None:
         length = raw.n_iters
         self.n_iters = length
-        self.lines = raw.lines
         self.warp_bytes = raw.warp_bytes
         self.mismatch = raw.mismatch
-        self.fetch_port = (raw.n_lines * config.l1_port_cycles).tolist()
-        self.intersect = (
+        fetch_port = (raw.n_lines * config.l1_port_cycles).tolist()
+        intersect = (
             raw.box_max * config.box_test_cycles
             + raw.tri_max * config.tri_test_cycles
         ).tolist()
@@ -173,9 +169,7 @@ class BoundPlan:
         if raw.simple_iters.size:
             sdelta[raw.simple_iters] += raw.simple_extra
             sport[raw.simple_iters] += raw.simple_extra
-        self.sdelta = sdelta.tolist()
-        self.sport = sport.tolist()
-        self.cplx: List[Optional[tuple]] = [None] * length
+        cplx: List[Optional[tuple]] = [None] * length
         for k, (positions, extra) in sorted(raw.complex_raw.items()):
             bound = []
             for degree, gops in positions:
@@ -186,15 +180,15 @@ class BoundPlan:
                     cost = 0
                     inc = 0
                 bound.append((cost, inc, gops))
-            self.cplx[k] = (tuple(bound), extra)
+            cplx[k] = (tuple(bound), extra)
         totals = dict(raw.totals_raw)
         totals["bank_conflict_delay_cycles"] = raw.conflict_extra * penalty
         self.totals = totals
         # Packed per-iteration records for the runtime hot loop: one
         # index + one unpack per iteration.
         self.iters = list(zip(
-            raw.lines, self.fetch_port, self.intersect,
-            self.sdelta, self.sport, self.cplx,
+            raw.lines, fetch_port, intersect,
+            sdelta.tolist(), sport.tolist(), cplx,
         ))
 
 

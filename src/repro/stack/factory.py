@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
 from repro.stack.base import StackModel
 from repro.stack.baseline import BaselineStack
 from repro.stack.full import FullStack
@@ -28,8 +27,6 @@ def make_stack_model(config: "GPUConfig", warp_index: int = 0) -> StackModel:
             warp_size=config.warp_size,
             warp_index=warp_index,
         )
-    if config.sh_stack_entries < 0:
-        raise ConfigError("sh_stack_entries must be >= 0")
     from repro.stack.layout import SharedStackLayout
 
     # Shared memory is per-SM: the warp's slot within its RT unit picks its

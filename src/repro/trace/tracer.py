@@ -57,7 +57,7 @@ class RayBatch:
     inv_directions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             self.inv_directions = np.where(
                 self.directions != 0.0, 1.0 / self.directions, np.inf
             )

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from repro.ablation import (
     KnobSpace,
+    check_knob,
     generate_matrix,
-    knob_registry,
     run_id,
 )
 from repro.errors import AblationError
@@ -27,11 +27,38 @@ from repro.gpu.config import GPUConfig
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
+KB = 1024
+
 #: Knobs the generator draws ranges from, with their example pools.
 _POOL = {
-    name: list(knob.examples)
-    for name, knob in knob_registry().items()
-    if knob.examples
+    # Traversal-stack architecture.
+    "rb_stack_entries": [2, 4, 8, 16, None],
+    "sh_stack_entries": [0, 4, 8, 16],
+    "skewed_bank_access": [False, True],
+    "intra_warp_realloc": [False, True],
+    "inter_warp_realloc": [False, True],
+    "max_borrows": [1, 2, 4, 8],
+    "max_flushes": [0, 1, 3, 6],
+    # Scheduler / occupancy.
+    "max_warps_per_rt_unit": [1, 2, 4, 8],
+    # Cache geometry.
+    "unified_cache_bytes": [32 * KB, 64 * KB, 128 * KB],
+    "l2_bytes": [128 * KB, 256 * KB, 512 * KB],
+    "l2_assoc": [4, 8, 16],
+    "line_bytes": [64, 128],
+    # Latencies and port occupancies.
+    "l1_latency": [10, 20, 40],
+    "l2_latency": [80, 160, 320],
+    "dram_latency": [110, 220, 440],
+    "shared_latency": [10, 20, 40],
+    "bank_conflict_penalty": [0, 2, 4, 8],
+    "l2_service_cycles": [8, 16, 32],
+    "dram_service_cycles": [1, 2, 4],
+    # Spill cacheability and background pressure.
+    "spill_cache_policy": ["uncached", "l2", "l1"],
+    "shader_pollution_lines": [0, 24, 48, 96],
+    # Traversal strategy (job-level, not a GPUConfig field).
+    "strategy": ["sms", "stackless", "reorder"],
 }
 
 
@@ -107,16 +134,14 @@ def test_matrix_has_no_duplicate_runs(space):
 def test_every_run_is_a_valid_config_and_all_cells_accounted(space):
     matrix = expand(space)
     assert len(matrix.runs) + len(matrix.skipped) == space.size
-    registry = knob_registry()
     for run in matrix.runs:
         assert isinstance(run.config, GPUConfig)
         for name in sorted(run.knobs):
-            knob = registry[name]
-            knob.validate(run.knobs[name])
-            if knob.config_field is not None:
-                assert getattr(run.config, knob.config_field) == run.knobs[name]
-            else:
+            check_knob(name, run.knobs[name])
+            if name == "strategy":
                 assert run.strategy == run.knobs[name]
+            else:
+                assert getattr(run.config, name) == run.knobs[name]
 
 
 @SETTINGS

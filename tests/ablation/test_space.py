@@ -1,6 +1,7 @@
 """Knob-space declaration and validation tests."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -8,15 +9,17 @@ from repro.ablation import (
     KnobSpace,
     available_knobs,
     available_spaces,
+    check_knob,
     generate_matrix,
-    knob_registry,
     load_space,
     named_space,
+    resolve_run,
     resolve_space,
     space_catalog,
 )
 from repro.core.presets import baseline_config, sms_config
-from repro.errors import AblationError
+from repro.errors import AblationError, ConfigError
+from repro.gpu.config import GPUConfig
 
 
 def make_space(**overrides):
@@ -152,10 +155,69 @@ def test_load_space_takes_name_from_stem(tmp_path):
 
 
 def test_registry_covers_strategy_pseudo_knob():
-    registry = knob_registry()
-    assert registry["strategy"].config_field is None
-    assert "sms" in registry["strategy"].choices
-    assert "strategy" in available_knobs()
+    """The knobs are GPUConfig's fields plus the strategy pseudo-knob."""
+    assert available_knobs() == sorted(
+        [spec.name for spec in fields(GPUConfig)] + ["strategy"]
+    )
+    check_knob("strategy", "sms")
+    with pytest.raises(AblationError, match="strategy"):
+        check_knob("strategy", "breadth-first")
+    assert resolve_run({"strategy": "stackless"}).strategy == "stackless"
+
+
+#: A value inside and a value outside the domain of every GPUConfig
+#: field; the inside value is the least the field accepts wherever the
+#: field has a lower bound.
+_FIELD_CASES = {
+    "num_sms": (1, 0),
+    "warp_size": (1, 0),
+    "rt_units_per_sm": (1, 0),
+    "max_warps_per_rt_unit": (1, 0),
+    "rb_stack_entries": (None, 0),
+    "sh_stack_entries": (0, -1),
+    "skewed_bank_access": (True, 1),
+    "intra_warp_realloc": (True, "yes"),
+    "inter_warp_realloc": (False, None),
+    "max_borrows": (1, 0),
+    "max_flushes": (0, -1),
+    "unified_cache_bytes": (128, 127),
+    "l1_latency": (1, 0),
+    "line_bytes": (16, 15),
+    "l2_bytes": (128, 127),
+    "l2_assoc": (1, 0),
+    "l2_latency": (1, 0),
+    "l2_service_cycles": (1, 0),
+    "dram_latency": (1, 0),
+    "dram_service_cycles": (1, 0),
+    "shared_latency": (1, 0),
+    "bank_conflict_penalty": (0, -1),
+    "l1_port_cycles": (0, -1),
+    "shared_port_cycles": (0, 2.0),
+    "box_test_cycles": (0, -1),
+    "tri_test_cycles": (0, True),
+    "spill_cache_policy": ("l2", "l3"),
+    "shader_pollution_lines": (0, -5),
+    "l1d_bytes_override": (None, 0),
+}
+
+
+def test_field_cases_cover_every_config_field():
+    assert sorted(_FIELD_CASES) == sorted(
+        spec.name for spec in fields(GPUConfig)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_FIELD_CASES))
+def test_config_and_knob_space_share_each_field_domain(name):
+    """GPUConfig and a knob space accept and reject the same values."""
+    inside, outside = _FIELD_CASES[name]
+    config = GPUConfig(**{name: inside})
+    KnobSpace(name="t", ranges={name: [inside]})
+    assert resolve_run({name: inside}).config == config
+    with pytest.raises(ConfigError, match=name):
+        GPUConfig(**{name: outside})
+    with pytest.raises(AblationError, match=name):
+        KnobSpace(name="t", ranges={name: [outside]})
 
 
 def test_every_named_space_is_valid_and_expands():

@@ -65,6 +65,13 @@ def test_named_rejects_garbage():
             named_config(bad)
 
 
+@pytest.mark.parametrize("label", ["RB_8+SH_0", "RB_08", "RB_FULL+SK"])
+def test_named_rejects_non_canonical_labels(label):
+    """A label parses only when it is the one its config describes."""
+    with pytest.raises(ConfigError, match="not canonical"):
+        named_config(label)
+
+
 def test_named_accepts_overrides():
     config = named_config("RB_8", num_sms=2)
     assert config.num_sms == 2

@@ -1,11 +1,14 @@
 """Ray unit tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.errors import GeometryError
 from repro.geometry.ray import Ray, T_MAX_DEFAULT
 from repro.geometry.vec import vec3
+from repro.trace.tracer import RayBatch
 
 
 def test_ray_at_parameter():
@@ -44,3 +47,16 @@ def test_origin_and_direction_coerced_to_float64():
     ray = Ray(origin=[0, 0, 0], direction=[1, 2, 3])
     assert ray.origin.dtype == np.float64
     assert ray.direction.dtype == np.float64
+
+
+@pytest.mark.parametrize("tiny", [1e-310, -1e-310])
+def test_subnormal_component_reciprocal_is_signed_inf_without_warning(tiny):
+    """A reciprocal that overflows is the signed inf the slab test wants,
+    for a single ray and for a batch alike."""
+    direction = vec3(1.0, tiny, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ray = Ray(origin=vec3(0, 0, 0), direction=direction)
+        batch = RayBatch.of([ray])
+    assert ray.inv_direction[1] == np.copysign(np.inf, tiny)
+    assert batch.inv_directions[0, 1] == np.copysign(np.inf, tiny)

@@ -1,9 +1,14 @@
 """GPU configuration tests."""
 
+import hashlib
+import json
+from dataclasses import asdict, fields
+
 import pytest
 
+from repro.core.presets import named_config
 from repro.errors import ConfigError
-from repro.gpu.config import GPUConfig, KB
+from repro.gpu.config import FIELD_DOMAINS, GPUConfig, KB
 
 
 def test_defaults_match_table1_organization():
@@ -94,3 +99,39 @@ def test_invalid_spill_policy():
 def test_negative_sh_entries_rejected():
     with pytest.raises(ConfigError):
         GPUConfig(sh_stack_entries=-1)
+
+
+def test_domain_table_lists_every_field_in_order():
+    assert list(FIELD_DOMAINS) == [spec.name for spec in fields(GPUConfig)]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"max_borrows": 0, "sh_stack_entries": 8, "intra_warp_realloc": True},
+    {"max_flushes": -1},
+    {"l2_service_cycles": 0},
+    {"shader_pollution_lines": -5},
+    {"bank_conflict_penalty": -1},
+    {"rt_units_per_sm": 0},
+], ids=lambda overrides: next(iter(overrides)))
+def test_out_of_domain_field_rejected(overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        GPUConfig(**overrides)
+
+
+#: Fig. 13's configurations and the first 8 hex digits of the SHA-256
+#: of each one's sorted ``asdict`` JSON: the digest the benchmark's
+#: pinned cell ids carry, and the one every job key builds on.
+FIG13_CONFIG_DIGESTS = {
+    "RB_8": "b4a13007",
+    "RB_8+SH_8": "a5420362",
+    "RB_8+SH_8+SK": "b53ec34e",
+    "RB_8+SH_8+SK+RA": "070c4ea6",
+    "RB_FULL": "cbcec666",
+}
+
+
+@pytest.mark.parametrize("label", sorted(FIG13_CONFIG_DIGESTS))
+def test_config_digest_is_pinned(label):
+    """Adding, renaming, reordering or re-defaulting a field moves it."""
+    blob = json.dumps(asdict(named_config(label)), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:8] == FIG13_CONFIG_DIGESTS[label]
