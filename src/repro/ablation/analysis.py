@@ -60,8 +60,7 @@ def stack_sram_bytes(config: GPUConfig) -> int:
         if config.rb_stack_entries is not None
         else FULL_STACK_PROXY_ENTRIES
     )
-    threads = config.warp_size * config.max_warps_per_rt_unit
-    rb_bytes = ENTRY_BYTES * entries * threads * config.rt_units_per_sm
+    rb_bytes = ENTRY_BYTES * entries * config.threads_per_rt_unit
     total = rb_bytes + config.shared_memory_bytes
     if config.sh_stack_entries:
         fields = overhead_bytes_per_rt_unit(
@@ -71,7 +70,7 @@ def stack_sram_bytes(config: GPUConfig) -> int:
             max_borrows=config.max_borrows,
             max_flushes=config.max_flushes,
         )
-        total += fields["total_bytes"] * config.rt_units_per_sm
+        total += fields["total_bytes"]
     return total
 
 

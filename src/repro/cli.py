@@ -23,9 +23,6 @@ Installed as ``python -m repro``.  Commands:
 ``cache``
     Inspect or clear the persistent result store: its results and its
     phase-one (trace) artifacts.
-``chaos``
-    Run the guard layer's fault-injection campaign: every simulation
-    fault class must be detected with a structured error.
 ``lint``
     Run the simlint determinism/invariant static analysis over source
     trees, one cold pass with this repository's settings; every finding
@@ -161,16 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.add_argument("--clear", action="store_true",
                            help="delete every stored result and "
                            "phase-one artifact")
-
-    chaos = sub.add_parser(
-        "chaos", help="run the guard layer's fault-injection campaign"
-    )
-    chaos.add_argument("--faults", default="",
-                       help="comma-separated fault classes (default: all)")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="campaign seed (fault trigger points)")
-    chaos.add_argument("--rays", type=int, default=128,
-                       help="synthetic workload size")
 
     lint = sub.add_parser(
         "lint", help="run the simlint static analysis over source trees"
@@ -453,15 +440,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.guard import run_chaos_campaign
-
-    kinds = [k.strip() for k in args.faults.split(",") if k.strip()] or None
-    report = run_chaos_campaign(kinds=kinds, seed=args.seed, rays=args.rays)
-    print(report.summary())
-    return 0 if report.all_detected else 1
-
-
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
@@ -503,8 +481,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_overhead()
         if args.command == "cache":
             return _cmd_cache(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
         if args.command == "lint":
             return _cmd_lint(args)
         parser.error(f"unknown command {args.command!r}")

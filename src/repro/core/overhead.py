@@ -52,15 +52,14 @@ def sms_hardware_overhead(config: GPUConfig = None) -> OverheadReport:
         max_borrows=config.max_borrows,
         max_flushes=config.max_flushes,
     )
-    threads = config.warp_size * config.max_warps_per_rt_unit
     rb_entries = config.rb_stack_entries or 0
-    rb_bytes = ENTRY_BYTES * rb_entries * threads
+    rb_bytes = ENTRY_BYTES * rb_entries * config.threads_per_rt_unit
     return OverheadReport(
-        sms_field_bytes=fields["total_bytes"] * config.rt_units_per_sm,
-        top_bottom_bytes=fields["top_bottom_bytes"] * config.rt_units_per_sm,
-        management_bytes=fields["management_bytes"] * config.rt_units_per_sm,
-        rb_stack_bytes=rb_bytes * config.rt_units_per_sm,
-        rb_double_bytes=rb_bytes * config.rt_units_per_sm,
+        sms_field_bytes=fields["total_bytes"],
+        top_bottom_bytes=fields["top_bottom_bytes"],
+        management_bytes=fields["management_bytes"],
+        rb_stack_bytes=rb_bytes,
+        rb_double_bytes=rb_bytes,
         shared_memory_bytes=config.shared_memory_bytes,
     )
 

@@ -25,13 +25,31 @@ class AccessResult:
     evicted_dirty_line: Optional[int] = None  # line address written back
 
 
-def _line_count(size_bytes: int, line_bytes: int, name: str) -> int:
-    """Lines a cache of ``size_bytes`` holds; rejects partial lines."""
+def cache_lines(
+    size_bytes: int, line_bytes: int, name: str, assoc: Optional[int] = None
+) -> int:
+    """Lines a cache of ``size_bytes`` holds.
+
+    Rejects a size that is not a whole number of lines (at least one)
+    and, given ``assoc`` ways, lines that do not split into whole sets.
+    ``GPUConfig`` applies the same check, so a configuration the cache
+    models would reject fails when it is built, not when a job runs.
+    """
     if size_bytes < line_bytes:
-        raise ConfigError(f"{name}: size smaller than one line")
+        raise ConfigError(
+            f"{name}: {size_bytes} B is smaller than one {line_bytes} B line"
+        )
     if size_bytes % line_bytes:
-        raise ConfigError(f"{name}: size not a multiple of the line size")
-    return size_bytes // line_bytes
+        raise ConfigError(
+            f"{name}: {size_bytes} B is not a whole number of "
+            f"{line_bytes} B lines"
+        )
+    lines = size_bytes // line_bytes
+    if assoc is not None and (assoc < 1 or lines % assoc):
+        raise ConfigError(
+            f"{name}: {lines} lines do not divide into {assoc} ways"
+        )
+    return lines
 
 
 class Cache:
@@ -50,13 +68,9 @@ class Cache:
     ) -> None:
         self.name = name
         self.line_bytes = line_bytes
-        self.total_lines = _line_count(size_bytes, line_bytes, name)
-        if assoc is None:
-            assoc = self.total_lines
-        if assoc < 1 or self.total_lines % assoc:
-            raise ConfigError(f"{name}: lines not divisible into {assoc} ways")
-        self.assoc = assoc
-        self.num_sets = self.total_lines // assoc
+        self.total_lines = cache_lines(size_bytes, line_bytes, name, assoc)
+        self.assoc = self.total_lines if assoc is None else assoc
+        self.num_sets = self.total_lines // self.assoc
         # Each set maps line-address -> dirty flag, in LRU order (oldest first).
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self.hits = 0
@@ -138,7 +152,7 @@ class L1Cache:
                  name: str = "L1D") -> None:
         self.name = name
         self.line_bytes = line_bytes
-        self.total_lines = _line_count(size_bytes, line_bytes, name)
+        self.total_lines = cache_lines(size_bytes, line_bytes, name)
         #: line -> dirty flag, or negative burst key -> line count, in
         #: LRU order (oldest first).
         self._lines: OrderedDict = OrderedDict()

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.gpu.cache import cache_lines
 
 KB = 1024
 MB = 1024 * KB
@@ -27,13 +28,14 @@ class FieldDomain(NamedTuple):
     """The values one :class:`GPUConfig` field accepts.
 
     ``kind`` is ``bool``, ``int`` or ``str``.  An ``int`` field takes
-    integers of at least ``low``, a ``str`` field one of ``choices``;
-    ``nullable`` admits ``None`` as well.
+    integers of at least ``low``, a ``str`` field one of ``choices``,
+    and an ``int`` field with ``choices`` only those; ``nullable``
+    admits ``None`` as well.
     """
 
     kind: type
     low: int = 0
-    choices: Tuple[str, ...] = ()
+    choices: Tuple = ()
     nullable: bool = False
 
 
@@ -42,7 +44,9 @@ class FieldDomain(NamedTuple):
 FIELD_DOMAINS: Dict[str, FieldDomain] = {
     "num_sms": FieldDomain(int, low=1),
     "warp_size": FieldDomain(int, low=1),
-    "rt_units_per_sm": FieldDomain(int, low=1),
+    # GPUSimulator builds one RT unit per SM (Table I); the field stays
+    # because job keys digest every field.
+    "rt_units_per_sm": FieldDomain(int, low=1, choices=(1,)),
     "max_warps_per_rt_unit": FieldDomain(int, low=1),
     "rb_stack_entries": FieldDomain(int, low=1, nullable=True),
     "sh_stack_entries": FieldDomain(int, low=0),
@@ -78,7 +82,8 @@ def check_field(name: str, value) -> None:
     if value is None:
         if not nullable:
             raise ConfigError(f"{name} does not accept null")
-    elif kind is bool:
+        return
+    if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{name} expects true/false, got {value!r}")
     elif kind is int:
@@ -86,7 +91,7 @@ def check_field(name: str, value) -> None:
             raise ConfigError(f"{name} expects an integer, got {value!r}")
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
-    elif value not in choices:
+    if choices and value not in choices:
         raise ConfigError(
             f"{name} must be one of {', '.join(map(repr, choices))}, "
             f"got {value!r}"
@@ -190,6 +195,9 @@ class GPUConfig:
                 f"SH stacks need {self.shared_memory_bytes} B of shared memory, "
                 f"more than the {self.unified_cache_bytes} B unified SRAM"
             )
+        # The cache models' own geometry check, so a job never fails on it.
+        cache_lines(self.l1d_bytes, self.line_bytes, "L1D")
+        cache_lines(self.l2_bytes, self.line_bytes, "L2", self.l2_assoc)
 
     @property
     def shared_memory_bytes(self) -> int:
@@ -201,7 +209,7 @@ class GPUConfig:
         per_warp = SharedStackLayout(
             entries=self.sh_stack_entries, warp_size=self.warp_size
         ).total_bytes
-        return per_warp * self.max_warps_per_rt_unit * self.rt_units_per_sm
+        return per_warp * self.max_warps_per_rt_unit
 
     @property
     def l1d_bytes(self) -> int:

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from repro.errors import ConfigError
 
-#: DRAM transfer granularity in bytes.
-SECTOR_BYTES = 32
-
 
 class Dram:
     """A single-queue DRAM channel."""
@@ -56,8 +53,3 @@ class Dram:
         self._next_free = 0
         self.reads = 0
         self.writes = 0
-
-
-def sectors_for(size_bytes: int) -> int:
-    """Sectors an access of ``size_bytes`` occupies on the DRAM bus."""
-    return max(1, (size_bytes + SECTOR_BYTES - 1) // SECTOR_BYTES)

@@ -25,7 +25,6 @@ from repro.gpu.counters import Counters
 from repro.gpu.hierarchy import MemoryHierarchy
 from repro.gpu.sharedmem import SharedMemorySim
 from repro.gpu.warp import Warp
-from repro.guard.chaos import ChaosController
 from repro.guard.config import GuardConfig
 from repro.guard.invariants import InvariantChecker
 from repro.guard.watchdog import ProgressWatchdog
@@ -70,18 +69,10 @@ class RTUnit:
                 f"{config.max_warps_per_rt_unit} warp slots",
                 sm_id=sm_id, component="strategy",
             )
-        # Integrity layer (opt-in): chaos wraps innermost so injected
-        # faults look like real bugs to the checker wrapped around it.
-        self._chaos: Optional[ChaosController] = None
+        # Integrity layer (opt-in).
         self._checker: Optional[InvariantChecker] = None
         self._watchdog: Optional[ProgressWatchdog] = None
         if guard is not None:
-            if guard.chaos is not None:
-                self._chaos = ChaosController(guard.chaos)
-                self._stacks = [
-                    self._chaos.wrap_stack(stack, slot)
-                    for slot, stack in enumerate(self._stacks)
-                ]
             self._checker = InvariantChecker(counters, sm_id=sm_id)
             self._stacks = [
                 self._checker.wrap(stack, slot)
@@ -168,12 +159,6 @@ class RTUnit:
                 sm_id=self.sm_id, warp_id=warp.warp_id,
                 component="scheduler",
             )
-        # Chaos harness hooks: unit-level faults fire here so the guard
-        # layer sees them exactly where a real bug would surface.
-        stuck = False
-        if self._chaos is not None:
-            self._chaos.tick(counters)
-            stuck = self._chaos.stuck(warp)
 
         # Phase 1: node fetch.  The memory scheduler coalesces the active
         # lanes' node reads into unique cache lines, issuing one per cycle.
@@ -231,25 +216,24 @@ class RTUnit:
             # cycles sum).
             ops: Optional[list] = None
             extra_cycles = 0
-            if not stuck:
-                for address in step.pushes:
-                    push_activity = stack.push(lane, address)
-                    if push_activity.ops:
-                        if ops is None:
-                            ops = list(push_activity.ops)
-                        else:
-                            ops.extend(push_activity.ops)
-                    extra_cycles += push_activity.extra_cycles
-                if step.popped:
-                    value, pop_activity = stack.pop(lane)
-                    if pop_activity.ops:
-                        if ops is None:
-                            ops = list(pop_activity.ops)
-                        else:
-                            ops.extend(pop_activity.ops)
-                    extra_cycles += pop_activity.extra_cycles
-                    if verify_pops:
-                        self._verify_pop(warp, lane, value)
+            for address in step.pushes:
+                push_activity = stack.push(lane, address)
+                if push_activity.ops:
+                    if ops is None:
+                        ops = list(push_activity.ops)
+                    else:
+                        ops.extend(push_activity.ops)
+                extra_cycles += push_activity.extra_cycles
+            if step.popped:
+                value, pop_activity = stack.pop(lane)
+                if pop_activity.ops:
+                    if ops is None:
+                        ops = list(pop_activity.ops)
+                    else:
+                        ops.extend(pop_activity.ops)
+                extra_cycles += pop_activity.extra_cycles
+                if verify_pops:
+                    self._verify_pop(warp, lane, value)
             if ops is not None:
                 chains.append((ops, extra_cycles))
             elif extra_cycles:
@@ -273,19 +257,16 @@ class RTUnit:
         t = max(t, stack_start + stack_port_cycles)
 
         # Advance cursors; lanes that drain their traces retire and (under
-        # SMS reallocation) free their SH stacks for borrowing.  A warp
-        # stuck by the chaos harness keeps its cursors frozen — the
-        # watchdog's job is to notice.
-        if not stuck:
-            surviving: List[int] = []
-            for lane in active:
-                cursor = cursors[lane] + 1
-                cursors[lane] = cursor
-                if cursor >= len(traces[lane].steps):
-                    stack.finish(lane)
-                else:
-                    surviving.append(lane)
-            warp.retire_to(surviving)
+        # SMS reallocation) free their SH stacks for borrowing.
+        surviving: List[int] = []
+        for lane in active:
+            cursor = cursors[lane] + 1
+            cursors[lane] = cursor
+            if cursor >= len(traces[lane].steps):
+                stack.finish(lane)
+            else:
+                surviving.append(lane)
+        warp.retire_to(surviving)
 
         self._harvest_stack_stats(stack)
         counters.warp_steps += 1
@@ -396,7 +377,7 @@ class RTUnit:
 
     def _harvest_stack_stats(self, stack) -> None:
         """Fold reallocation statistics into the counter set."""
-        stack = getattr(stack, "unwrapped", stack)  # guard/chaos wrappers
+        stack = getattr(stack, "unwrapped", stack)  # through any wrapper
         if not isinstance(stack, SmsStack):
             stack = getattr(stack, "shared", None)  # SlotView -> shared model
         if isinstance(stack, SmsStack):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.trace.events import RayTrace, Step
+from repro.trace.events import RayTrace
 
 
 class Warp:
@@ -86,10 +86,6 @@ class Warp:
     def retire_to(self, active: List[int]) -> None:
         """Install the surviving-lane list after an advance sweep."""
         self._active = active
-
-    def current_step(self, lane: int) -> Step:
-        """The step the lane executes this iteration."""
-        return self.traces[lane].steps[self.cursors[lane]]
 
     def advance(self, lane: int) -> None:
         """Move the lane to its next step."""

@@ -2,19 +2,16 @@
 
 A :class:`GuardConfig` switches the integrity subsystem on for one
 simulation: invariant checking on every drain step (the SMS
-conservation laws and the full value-exact LIFO contents), the
-forward-progress watchdog on the RT unit's resident-warp loop, and (for
-the chaos harness) one injected fault.  Guards are pure observers — with
-no fault injected, a guarded run produces bit-identical counters to an
-unguarded one.
+conservation laws and the full value-exact LIFO contents) and the
+forward-progress watchdog on the RT unit's resident-warp loop.  Guards
+are pure observers — a guarded run produces bit-identical counters to
+an unguarded one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.guard.chaos import FaultSpec
 
 #: Default number of consecutive no-progress warp iterations tolerated
 #: before the watchdog declares a livelock.  Healthy iterations always
@@ -33,13 +30,11 @@ class GuardConfig:
     invariants after every warp iteration and arms the forward-progress
     watchdog.  ``max_cycles`` additionally bounds the simulated clock
     (``None`` = unbounded); ``stall_window`` is the watchdog's livelock
-    window.  ``chaos`` injects one deterministic fault — used by the
-    chaos harness, never in production runs.
+    window.
     """
 
     max_cycles: Optional[int] = None
     stall_window: int = DEFAULT_STALL_WINDOW
-    chaos: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
         from repro.errors import ConfigError

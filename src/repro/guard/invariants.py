@@ -89,7 +89,7 @@ class GuardedStack:
 
     @property
     def unwrapped(self):
-        """The innermost real stack model (through any chaos wrapper)."""
+        """The innermost real stack model (through any wrapper)."""
         return getattr(self.inner, "unwrapped", self.inner)
 
     @property

@@ -1,6 +1,6 @@
 """Vector-path invariant sampling.
 
-The full guard layer (shadow stacks, watchdog, chaos) wraps every
+The full guard layer (shadow stacks, watchdog) wraps every
 stack-model call and therefore only runs on the stepped oracle — a
 guarded run is one of the vector backend's fallback conditions.  To
 keep the vector path from becoming an unchecked fast lane, the plan

@@ -45,8 +45,7 @@ class LintConfig:
         "repro.ablation",
     )
     singletons: Tuple[str, ...] = (
-        "EMPTY_ACTIVITY", "DEFAULT_PARAMS", "SCENE_NAMES", "FAULT_CLASSES",
-        "RULES",
+        "EMPTY_ACTIVITY", "DEFAULT_PARAMS", "SCENE_NAMES", "RULES",
     )
     counter_owners: Tuple[str, ...] = ("repro.gpu",)
     print_allowed: Tuple[str, ...] = ("repro.cli",)

@@ -91,6 +91,22 @@ def test_choice_knob_rejects_unknown_choice():
         make_space(ranges={"spill_cache_policy": ["uncached", "l3"]})
 
 
+def test_int_knob_with_choices_rejects_other_values():
+    """One RT unit per SM is all the simulator builds."""
+    with pytest.raises(ConfigError, match="rt_units_per_sm"):
+        GPUConfig(rt_units_per_sm=2)
+    with pytest.raises(AblationError, match="rt_units_per_sm"):
+        make_space(ranges={"rt_units_per_sm": [1, 2]})
+
+
+def test_cache_geometry_the_models_reject_is_skipped():
+    """SH_64 takes the whole 64 KB SRAM, leaving no L1D line."""
+    matrix = generate_matrix(make_space(ranges={"sh_stack_entries": [8, 64]}))
+    assert [run.knobs["sh_stack_entries"] for run in matrix.runs] == [8]
+    assert [knobs["sh_stack_entries"] for knobs, _ in matrix.skipped] == [64]
+    assert "L1D" in matrix.skipped[0][1]
+
+
 def test_null_only_where_nullable():
     make_space(ranges={"rb_stack_entries": [8, None]}, fixed={})
     with pytest.raises(AblationError, match="does not accept null"):
@@ -183,7 +199,7 @@ _FIELD_CASES = {
     "unified_cache_bytes": (128, 127),
     "l1_latency": (1, 0),
     "line_bytes": (16, 15),
-    "l2_bytes": (128, 127),
+    "l2_bytes": (2048, 127),
     "l2_assoc": (1, 0),
     "l2_latency": (1, 0),
     "l2_service_cycles": (1, 0),

@@ -118,6 +118,19 @@ def test_out_of_domain_field_rejected(overrides):
         GPUConfig(**overrides)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"sh_stack_entries": 64},
+    {"l1d_bytes_override": 64},
+    {"l1d_bytes_override": 200},
+    {"l2_bytes": 384},
+], ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()))
+def test_cache_geometry_the_models_reject_fails_at_construction(overrides):
+    """An L1D of no whole line (SH_64 takes all 64 KB; 64 B; 200 B) or
+    an L2 whose 3 lines cannot fill 16 ways never reaches a job."""
+    with pytest.raises(ConfigError, match="L1D|L2"):
+        GPUConfig(**overrides)
+
+
 #: Fig. 13's configurations and the first 8 hex digits of the SHA-256
 #: of each one's sorted ``asdict`` JSON: the digest the benchmark's
 #: pinned cell ids carry, and the one every job key builds on.

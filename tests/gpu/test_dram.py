@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.gpu.dram import Dram, sectors_for
+from repro.gpu.dram import Dram
 
 
 def test_read_latency():
@@ -64,11 +64,3 @@ def test_invalid_params():
         Dram(latency=-1)
     with pytest.raises(ConfigError):
         Dram(service_cycles=0)
-
-
-def test_sectors_for():
-    assert sectors_for(8) == 1
-    assert sectors_for(32) == 1
-    assert sectors_for(33) == 2
-    assert sectors_for(128) == 4
-    assert sectors_for(0) == 1

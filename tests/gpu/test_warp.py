@@ -59,14 +59,6 @@ def test_active_lanes_and_done():
     assert warp.done
 
 
-def test_current_step_advances():
-    trace = make_trace(0, 3)
-    trace.steps[1].tests = 99
-    warp = pack_warps([trace])[0]
-    warp.advance(0)
-    assert warp.current_step(0).tests == 99
-
-
 def test_total_steps():
     warp = pack_warps([make_trace(0, 3), make_trace(1, 2)])[0]
     assert warp.total_steps == 5

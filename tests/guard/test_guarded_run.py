@@ -8,7 +8,7 @@ from repro.core.api import time_traces
 from repro.core.presets import named_config
 from repro.errors import ConfigError, GuardViolationError, JobExecutionError
 from repro.gpu.simulator import GPUSimulator
-from repro.guard import FaultSpec, GuardConfig
+from repro.guard import GuardConfig
 from repro.runtime import executor
 from repro.runtime.executor import ExecutionPolicy, run_jobs
 from repro.runtime.job import SimulationJob
