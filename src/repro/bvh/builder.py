@@ -6,14 +6,16 @@ longest axis of their centroid extent and splits them in half.
 The build runs one tree level at a time over flat arrays, so its cost is a
 few numpy passes per level rather than Python work per node:
 
-* the primitives of a level's nodes sit in contiguous segments of one
-  permutation array, and ``np.minimum.reduceat`` / ``np.maximum.reduceat``
-  give every segment its bounds and its centroid extent, hence its axis;
-* one stable argsort of the key ``(segment << 32) | rank`` sorts every
-  segment of the level at once.  ``rank`` is the dense integer rank of the
-  centroid coordinate along the segment's axis, so equal coordinates keep
-  their previous order exactly as a per-node ``argsort(kind="stable")``
-  would;
+* the primitives of a level's nodes sit in contiguous segments, and each
+  primitive's id, bound rows and centroid ranks are carried in that
+  order, so ``reduceat`` passes read them directly to give every segment
+  its bounds (see :func:`_fold`) and its centroid extent, hence its axis;
+* one sort of the key ``(segment, rank, position)`` orders every segment
+  of the level at once, and the carried rows follow it.  ``rank`` is the
+  dense integer rank of the centroid coordinate along the segment's axis,
+  and ``position`` the row's place in its segment, so equal coordinates
+  keep their previous order exactly as a per-node
+  ``argsort(kind="stable")`` would;
 * each segment splits at ``n // 2``.
 
 A median tree's shape depends only on its primitive count, so node numbers
@@ -92,6 +94,21 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _fold(ufunc: np.ufunc, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each segment's rows folded first to last, bit for bit as a per-node
+    ``min(axis=0)`` or ``max(axis=0)`` folds them.  ``reduceat`` gets the
+    values but takes a long segment's rows out of order; ``np.minimum`` and
+    ``np.maximum`` return the second of two equal operands, so a zero fold
+    takes the sign of the segment's last zero."""
+    folded = ufunc.reduceat(rows, starts)
+    ends = np.append(starts[1:], len(rows))
+    for axis in np.flatnonzero((folded == 0).any(axis=0)):
+        zeros = np.flatnonzero(rows[:, axis] == 0)
+        hit = np.flatnonzero(folded[:, axis] == 0)
+        folded[hit, axis] = rows[zeros[np.searchsorted(zeros, ends[hit]) - 1], axis]
+    return folded
+
+
 def build_binary_bvh(scene: Scene, max_leaf_size: int = 4) -> BinaryBVH:
     """Build a median-split binary BVH over ``scene``.
 
@@ -111,14 +128,23 @@ def build_binary_bvh(scene: Scene, max_leaf_size: int = 4) -> BinaryBVH:
     if not np.isfinite(scene.vertices).all():
         raise BVHError(f"scene {scene.name!r} has non-finite vertices")
 
-    tri_lo = scene.vertices.min(axis=1)
-    tri_hi = scene.vertices.max(axis=1)
+    # Each primitive's id, bound and rank rows, carried in segment order and
+    # permuted by each level's own sort.  ``ranks[i, a]`` indexes primitive
+    # ``i``'s centroid coordinate in ``coords[a]``, the axis's distinct values
+    # in ascending order, so ranks tie where coordinates do, and a segment's
+    # least and greatest ranks give its centroid extent.
+    prims = np.arange(n, dtype=np.int64)
+    v = scene.vertices  # taken vertex by vertex, as ``min(axis=1)`` does, but faster
+    tri_lo = np.minimum(np.minimum(v[:, 0], v[:, 1]), v[:, 2])
+    tri_hi = np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
     centroids = scene.centroids()
-    # Equal coordinates share a dense rank, so ranks tie exactly where
-    # the coordinates do.
-    ranks = np.stack(
-        [np.unique(centroids[:, axis], return_inverse=True)[1] for axis in range(3)]
-    )
+    coords = []
+    ranks = np.empty((n, 3), dtype=np.int32)
+    for axis in range(3):
+        values, ranks[:, axis] = np.unique(centroids[:, axis], return_inverse=True)
+        coords.append(values)
+    del centroids
+    rank_bits = (n - 1).bit_length()
     memo: Dict[int, int] = {}
 
     node_count = 2 * _internal_nodes(n, max_leaf_size, memo) + 1
@@ -130,46 +156,60 @@ def build_binary_bvh(scene: Scene, max_leaf_size: int = 4) -> BinaryBVH:
     hi = np.empty((node_count, 3))
     prim_order = np.empty(n, dtype=np.int64)
 
-    # The current level: ``perm`` holds each segment's primitives back to
-    # back, ``counts`` elements each.  Per segment, ``offsets`` is where it
-    # starts in ``prim_order``, ``nodes`` its node index and ``rank`` its
+    # The current level: the carried rows hold each segment's primitives
+    # back to back, ``counts`` rows each.  Per segment, ``offsets`` is where
+    # it starts in ``prim_order``, ``nodes`` its node index and ``rank`` its
     # index among internal nodes in preorder.
-    perm = np.arange(n, dtype=np.int64)
     counts = np.array([n], dtype=np.int64)
     offsets = np.zeros(1, dtype=np.int64)
     nodes = np.zeros(1, dtype=np.int64)
     rank = np.zeros(1, dtype=np.int64)
     while True:
         starts = _segment_starts(counts)
-        # Reduced in the order the parent's sort left, as a per-node
-        # build reduces them.
-        lo[nodes] = np.minimum.reduceat(tri_lo[perm], starts)
-        hi[nodes] = np.maximum.reduceat(tri_hi[perm], starts)
+        # Folded in the order the parent's sort left, as a per-node build
+        # folds them; that fixes the sign of zero bounds.
+        lo[nodes] = _fold(np.minimum, tri_lo, starts)
+        hi[nodes] = _fold(np.maximum, tri_hi, starts)
 
         is_leaf = counts <= max_leaf_size
-        segment = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        in_leaf = is_leaf[segment]
-        first_prim[nodes[is_leaf]] = offsets[is_leaf]
-        prim_count[nodes[is_leaf]] = counts[is_leaf]
-        position = offsets[segment] + np.arange(len(perm)) - starts[segment]
-        prim_order[position[in_leaf]] = perm[in_leaf]
+        if is_leaf.any():
+            segment = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+            in_leaf = is_leaf[segment]
+            first_prim[nodes[is_leaf]] = offsets[is_leaf]
+            prim_count[nodes[is_leaf]] = counts[is_leaf]
+            position = offsets[segment] + np.arange(len(prims)) - starts[segment]
+            prim_order[position[in_leaf]] = prims[in_leaf]
 
-        inner = ~is_leaf
-        if not inner.any():
-            break
-        perm = perm[~in_leaf]
-        counts = counts[inner]
-        offsets = offsets[inner]
-        nodes = nodes[inner]
-        rank = rank[inner]
+            inner = ~is_leaf
+            if not inner.any():
+                break
+            keep = ~in_leaf
+            prims, ranks = prims[keep], ranks[keep]
+            tri_lo, tri_hi = tri_lo[keep], tri_hi[keep]
+            counts, offsets = counts[inner], offsets[inner]
+            nodes, rank = nodes[inner], rank[inner]
+            starts = _segment_starts(counts)
 
-        starts = _segment_starts(counts)
+        low, high = (f.reduceat(ranks, starts) for f in (np.minimum, np.maximum))
+        extent = [coords[a][high[:, a]] - coords[a][low[:, a]] for a in range(3)]
+        axis = np.argmax(np.stack(extent, axis=1), axis=1)
+        # Sort by (segment, rank, position in the segment).  The position
+        # makes every key distinct, so any sort gives the stable order, and
+        # the sorted keys carry the permutation in their low bits.  The key
+        # fits in 63 bits for scenes below 2**30 triangles.
         segment = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        cents = centroids[perm]
-        extent = np.maximum.reduceat(cents, starts) - np.minimum.reduceat(cents, starts)
-        axis = np.argmax(extent, axis=1)
-        key = (segment << 32) | ranks[axis[segment], perm]
-        perm = perm[np.argsort(key, kind="stable")]
+        base = starts[segment]
+        local_bits = int(counts.max() - 1).bit_length()
+        key = segment << rank_bits | ranks[np.arange(len(prims)), axis[segment]]
+        key <<= local_bits
+        key |= np.arange(len(prims)) - base
+        key.sort()
+        order = base + (key & ((1 << local_bits) - 1))
+        del base, key
+        prims = np.take(prims, order)
+        tri_lo = np.take(tri_lo, order, axis=0)
+        tri_hi = np.take(tri_hi, order, axis=0)
+        ranks = np.take(ranks, order, axis=0)
 
         half = counts // 2
         sizes, inverse = np.unique(half, return_inverse=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bvh.builder import _segment_starts
 from repro.bvh.wide import WideBVH
 
 #: Byte alignment for node records.
@@ -63,23 +64,32 @@ def assign_addresses(wide: WideBVH, base_address: int = BVH_BASE_ADDRESS) -> Mem
     and what makes *incoherent* traversals miss, the effect the paper's
     L1D study (Fig. 6b) measures.
     """
-    first_child = wide.first_child.tolist()
-    child_count = wide.child_count.tolist()
-    order = []
-    stack = [wide.root]
-    while stack:
-        index = stack.pop()
-        order.append(index)
-        # Reversed push so children come out in left-to-right order.
-        first = first_child[index]
-        stack.extend(range(first + child_count[index] - 1, first - 1, -1))
+    # Per depth: the internal nodes, their child counts, and their children.
+    levels = []
+    nodes = np.array([wide.root], dtype=np.int64)
+    while True:
+        parents = nodes[wide.child_count[nodes] > 0]
+        if not len(parents):
+            break
+        counts = wide.child_count[parents]
+        starts = _segment_starts(counts)
+        nodes = np.repeat(wide.first_child[parents] - starts, counts)
+        nodes += np.arange(len(nodes))
+        levels.append((parents, counts, starts, nodes))
 
     wide.size_bytes = node_size_bytes(wide.child_count, wide.prim_count)
-    sizes = wide.size_bytes[order]
-    ends = np.cumsum(sizes)
+    subtree = wide.size_bytes.copy()
+    for parents, _, starts, children in reversed(levels):
+        subtree[parents] += np.add.reduceat(subtree[children], starts)
+    # Depth first, a child follows its parent and its earlier siblings' subtrees.
     wide.address = np.zeros(wide.node_count, dtype=np.int64)
-    wide.address[order] = base_address + ends - sizes
-    wide.total_bytes = int(ends[-1])
+    wide.address[wide.root] = base_address
+    for parents, counts, starts, children in levels:
+        before = np.cumsum(subtree[children]) - subtree[children]
+        wide.address[children] = before + np.repeat(
+            wide.address[parents] + wide.size_bytes[parents] - before[starts], counts
+        )
+    wide.total_bytes = int(subtree[wide.root])
     return MemoryLayout(
         base_address=base_address,
         total_bytes=wide.total_bytes,

@@ -7,9 +7,11 @@ stack).  Collapse follows the usual approach: repeatedly replace the
 largest-surface-area internal slot with its two binary children until the
 node has ``k`` slots or only leaves remain.
 
-The collapse reads the binary tree's flat arrays and emits the wide tree's
-flat arrays: every binary node's surface area is computed once, and the
-wide nodes' bounds are gathered in one indexing pass.
+The collapse turns the binary tree's flat arrays into the wide tree's one
+depth at a time: a depth's wide nodes expand their slots together.  Numbers
+follow from subtree sizes as a last-in-first-out walk gives them: a node's
+children take the next block, and the blocks below each child follow
+those below its later siblings.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import BVHError
-from repro.bvh.builder import NO_NODE, BinaryBVH
+from repro.bvh.builder import NO_NODE, BinaryBVH, _segment_starts
 from repro.geometry.aabb import surface_areas
 from repro.scene.scene import Scene
 
@@ -71,35 +73,6 @@ class WideBVH:
         return self.prim_order[start : start + int(self.prim_count[node])].tolist()
 
 
-def _gather_wide_children(
-    root: int,
-    width: int,
-    left: List[int],
-    right: List[int],
-    area: List[float],
-    is_leaf: List[bool],
-) -> List[int]:
-    """Pick up to ``width`` binary-node indices forming one wide node's children.
-
-    ``root`` is internal, so its two children always fill the first slots.
-    """
-    slots = [left[root], right[root]]
-    while len(slots) < width:
-        # Expand the internal slot with the largest surface area; the
-        # first one wins a tie.
-        best = -1
-        best_area = -1.0
-        for pos, b_index in enumerate(slots):
-            if not is_leaf[b_index] and area[b_index] > best_area:
-                best_area = area[b_index]
-                best = pos
-        if best < 0:
-            break  # all slots are leaves
-        b_index = slots[best]
-        slots[best : best + 1] = [left[b_index], right[b_index]]
-    return slots
-
-
 def collapse_to_wide(binary: BinaryBVH, width: int = 6) -> WideBVH:
     """Collapse ``binary`` into a :class:`WideBVH` with branching factor ``width``.
 
@@ -108,46 +81,81 @@ def collapse_to_wide(binary: BinaryBVH, width: int = 6) -> WideBVH:
     """
     if width < 2:
         raise BVHError("wide BVH width must be >= 2")
-    left = binary.left.tolist()
-    right = binary.right.tolist()
-    is_leaf = (binary.prim_count > 0).tolist()
-    area = surface_areas(binary.lo, binary.hi).tolist()
+    is_leaf = binary.prim_count > 0
+    area = surface_areas(binary.lo, binary.hi)
 
-    # Wide node ``w`` stands for binary node ``source[w]``.  A node's
-    # children are numbered together, after every node numbered so far.
-    source = [binary.root]
-    depth = [0]
-    first_child = [NO_NODE]
-    child_count = [0]
-    work = [] if is_leaf[binary.root] else [0]
-    while work:
-        wide_index = work.pop()
-        kids = _gather_wide_children(
-            source[wide_index], width, left, right, area, is_leaf
-        )
-        first_child[wide_index] = len(source)
-        child_count[wide_index] = len(kids)
-        child_depth = depth[wide_index] + 1
-        for child_binary in kids:
-            if not is_leaf[child_binary]:
-                work.append(len(source))
-            source.append(child_binary)
-        depth.extend([child_depth] * len(kids))
-        first_child.extend([NO_NODE] * len(kids))
-        child_count.extend([0] * len(kids))
+    # Per depth, the binary node behind each wide node: parents in order,
+    # each parent's children left to right.  ``child_counts[d]`` holds the
+    # child counts of depth ``d``'s internal nodes, in the same order.
+    levels = [np.array([binary.root], dtype=np.int64)]
+    child_counts = []
+    columns = np.arange(width)
+    while True:
+        parents = levels[-1][~is_leaf[levels[-1]]]
+        if not len(parents):
+            break
+        slots = np.full((len(parents), width), NO_NODE, dtype=np.int64)
+        slots[:, 0] = binary.left[parents]
+        slots[:, 1] = binary.right[parents]
+        rows = np.arange(len(parents))
+        for _ in range(width - 2):
+            # Expand each row's internal slot with the largest surface
+            # area; the first one wins a tie.
+            internal = (slots != NO_NODE) & ~is_leaf[slots]
+            best = np.argmax(np.where(internal, area[slots], -1.0), axis=1)
+            grow = internal[rows, best]
+            if not grow.any():
+                break  # all slots are leaves
+            row, at = rows[grow], best[grow]
+            expanded, shifted = slots[row, at], np.roll(slots[row], 1, axis=1)
+            slots[row] = np.where(columns < at[:, None], slots[row], shifted)
+            slots[row, at] = binary.left[expanded]
+            slots[row, at + 1] = binary.right[expanded]
+        filled = slots != NO_NODE
+        child_counts.append(filled.sum(axis=1))
+        levels.append(slots[filled])
 
-    rows = np.array(source, dtype=np.int64)
+    # Descendants of every wide node, per depth.
+    below = [np.zeros(len(levels[-1]), dtype=np.int64)]
+    for level, counts in zip(levels[-2::-1], child_counts[::-1]):
+        total = np.zeros(len(level), dtype=np.int64)
+        sums = np.add.reduceat(below[0], _segment_starts(counts))
+        total[~is_leaf[level]] = counts + sums
+        below.insert(0, total)
+
+    node_count = 1 + int(below[0][0])
+    source = np.empty(node_count, dtype=np.int64)
+    depth = np.empty(node_count, dtype=np.int64)
+    first_child = np.full(node_count, NO_NODE, dtype=np.int64)
+    child_count = np.zeros(node_count, dtype=np.int64)
+    # The depth's wide numbers, and the first child of each internal one.
+    index, firsts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for d, level in enumerate(levels):
+        source[index] = level
+        depth[index] = d
+        if d == len(child_counts):
+            break
+        counts, ends = child_counts[d], np.cumsum(child_counts[d])
+        first_child[index[~is_leaf[level]]] = firsts
+        child_count[index[~is_leaf[level]]] = counts
+        index = np.repeat(firsts + counts - ends, counts) + np.arange(ends[-1])
+        # An internal child's block follows its parent's block and all the
+        # blocks below its later siblings.
+        through = np.cumsum(below[d + 1])
+        firsts = np.repeat(firsts + counts + through[ends - 1], counts) - through
+        firsts = firsts[~is_leaf[levels[d + 1]]]
+
     return WideBVH(
         scene=binary.scene,
         width=width,
-        lo=binary.lo[rows],
-        hi=binary.hi[rows],
-        first_child=np.array(first_child, dtype=np.int64),
-        child_count=np.array(child_count, dtype=np.int64),
-        first_prim=binary.first_prim[rows],
-        prim_count=binary.prim_count[rows],
+        lo=np.take(binary.lo, source, axis=0),
+        hi=np.take(binary.hi, source, axis=0),
+        first_child=first_child,
+        child_count=child_count,
+        first_prim=binary.first_prim[source],
+        prim_count=binary.prim_count[source],
         prim_order=binary.prim_order,
-        depth=np.array(depth, dtype=np.int64),
-        address=np.zeros(len(source), dtype=np.int64),
-        size_bytes=np.zeros(len(source), dtype=np.int64),
+        depth=depth,
+        address=np.zeros(node_count, dtype=np.int64),
+        size_bytes=np.zeros(node_count, dtype=np.int64),
     )

@@ -74,6 +74,10 @@ class DiagnosticError(ReproError):
         )
         return {key: value for key, value in pairs if value is not None}
 
+    def evidence(self) -> Dict[str, Any]:
+        """Further state a failure record keeps, which ``str`` leaves out."""
+        return {}
+
     def __str__(self) -> str:
         details = self.diagnostics()
         if not details:
@@ -151,6 +155,10 @@ class SimulationStallError(GuardViolationError):
         )
         self.stack_snapshots = stack_snapshots or {}
         self.decisions = decisions or []
+
+    def evidence(self) -> Dict[str, Any]:
+        """The scheduler decisions and the per-lane stack snapshots."""
+        return {"decisions": self.decisions, "stack_snapshots": self.stack_snapshots}
 
 
 class ExperimentError(ReproError):

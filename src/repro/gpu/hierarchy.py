@@ -1,6 +1,7 @@
 """The global-memory path: L1D -> L2 -> DRAM.
 
-One instance per SM (private L1D) with the L2 and DRAM passed in shared.
+One instance per SM (private L1D) with the L2 and DRAM passed in;
+:func:`sm_memory` builds one as the simulator does, over the shared L2.
 ``access`` returns the completion time of a request issued at ``now`` and
 updates hit/miss counters; dirty evictions generate write-back traffic at
 the level below.
@@ -8,7 +9,7 @@ the level below.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from repro.errors import ConfigError
 from repro.gpu.cache import Cache, L1Cache
@@ -231,3 +232,24 @@ class MemoryHierarchy:
         if evicted is not None:
             self.dram.write(now)
             counters.dram_writes += 1
+
+
+def sm_memory(config: GPUConfig, l2: Optional[Cache] = None) -> MemoryHierarchy:
+    """One SM's memory system, as the simulator builds it.
+
+    The SM gets its own L1D and its own DRAM queue, which serves at
+    ``1 / num_sms`` of the DRAM bandwidth, over ``l2``: the L2 all SMs
+    share, or a new one of ``config``'s geometry when none is given.
+    """
+    if l2 is None:
+        l2 = Cache(
+            size_bytes=config.l2_bytes,
+            line_bytes=config.line_bytes,
+            assoc=config.l2_assoc,
+            name="L2",
+        )
+    dram = Dram(
+        latency=config.dram_latency,
+        service_cycles=config.dram_service_cycles * config.num_sms,
+    )
+    return MemoryHierarchy(config, l2=l2, dram=dram)

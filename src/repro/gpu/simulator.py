@@ -31,9 +31,7 @@ from typing import List, Optional, Sequence
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import Counters
-from repro.gpu.cache import Cache
-from repro.gpu.dram import Dram
-from repro.gpu.hierarchy import MemoryHierarchy
+from repro.gpu.hierarchy import sm_memory
 from repro.gpu.rt_unit import RTUnit
 from repro.gpu.warp import Warp, pack_warps
 from repro.trace.events import RayTrace
@@ -151,12 +149,7 @@ class GPUSimulator:
             unit_class = RTUnit
             guard = self.guard
         counters = Counters()
-        l2 = Cache(
-            size_bytes=config.l2_bytes,
-            line_bytes=config.line_bytes,
-            assoc=config.l2_assoc,
-            name="L2",
-        )
+        l2 = None  # built with the first SM's memory system, then shared
         per_sm_cycles: List[int] = []
         # Round-robin warp distribution across SMs.
         for sm_id in range(config.num_sms):
@@ -164,11 +157,8 @@ class GPUSimulator:
             if not sm_warps:
                 per_sm_cycles.append(0)
                 continue
-            dram = Dram(
-                latency=config.dram_latency,
-                service_cycles=config.dram_service_cycles * config.num_sms,
-            )
-            hierarchy = MemoryHierarchy(config, l2=l2, dram=dram)
+            hierarchy = sm_memory(config, l2)
+            l2 = hierarchy.l2
             rt_unit = unit_class(
                 config, hierarchy, counters, sm_id=sm_id,
                 verify_pops=self.verify_pops, guard=guard,

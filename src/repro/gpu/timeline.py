@@ -16,10 +16,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.cache import Cache
 from repro.gpu.counters import Counters
-from repro.gpu.dram import Dram
-from repro.gpu.hierarchy import MemoryHierarchy
+from repro.gpu.hierarchy import sm_memory
 from repro.gpu.rt_unit import RTUnit
 from repro.gpu.warp import Warp, pack_warps
 from repro.trace.events import RayTrace
@@ -133,20 +131,9 @@ def record_timeline(
     """
     config = config or GPUConfig()
     timeline = Timeline()
-    l2 = Cache(
-        size_bytes=config.l2_bytes,
-        line_bytes=config.line_bytes,
-        assoc=config.l2_assoc,
-        name="L2",
-    )
-    dram = Dram(
-        latency=config.dram_latency,
-        service_cycles=config.dram_service_cycles * config.num_sms,
-    )
-    hierarchy = MemoryHierarchy(config, l2=l2, dram=dram)
     counters = Counters()
     unit = RecordingRTUnit(
-        config, hierarchy, counters, sm_id=sm_id, timeline=timeline
+        config, sm_memory(config), counters, sm_id=sm_id, timeline=timeline
     )
     unit.run(pack_warps(traces, warp_size=config.warp_size))
     return timeline

@@ -95,6 +95,16 @@ def _json_bytes(payload: Dict) -> bytes:
     return json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
 
 
+def _json_safe(value):
+    """``value`` as JSON reads it back: string keys, numpy scalars as
+    Python numbers, and anything else JSON cannot hold as its ``str``."""
+
+    def plain(item):
+        return item.item() if isinstance(item, np.generic) else str(item)
+
+    return json.loads(json.dumps(value, default=plain))
+
+
 # ----------------------------------------------------------------------
 # the phase-one artifact codec
 # ----------------------------------------------------------------------
@@ -362,15 +372,18 @@ class ResultStore:
 
         Used for deterministic failures (guard violations): the result
         slot stays empty — a partial result must never poison the cache
-        — but the failure itself, with its diagnostic fields, is kept
-        for inspection.  ``traceback_text`` (the formatted traceback
-        captured where the exception was caught) rides along so the
-        record pinpoints the raise site, not just the message.  When it
-        is not supplied, whatever traceback the exception still carries
-        is formatted here.  Returns the path written.
+        — but the failure itself, with its diagnostic fields and its
+        evidence (a stall's scheduler decisions and per-lane stack
+        snapshots), is kept for inspection.  ``traceback_text`` (the
+        formatted traceback captured where the exception was caught)
+        rides along so the record pinpoints the raise site, not just the
+        message.  When it is not supplied, whatever traceback the
+        exception still carries is formatted here.  Returns the path
+        written.
         """
         path = self.failure_path_for(key)
         diagnostics = getattr(error, "diagnostics", None)
+        evidence = getattr(error, "evidence", None)
         if traceback_text is None and error.__traceback__ is not None:
             traceback_text = "".join(
                 traceback.format_exception(
@@ -389,6 +402,7 @@ class ResultStore:
                 "message": getattr(error, "message", str(error)),
                 "rendered": str(error),
                 "diagnostics": diagnostics() if callable(diagnostics) else {},
+                "evidence": _json_safe(evidence() if callable(evidence) else {}),
                 "traceback": traceback_text,
             },
         }

@@ -111,6 +111,26 @@ def test_random_scene_matches_reference(count, seed, max_leaf_size, width):
     assert_same_build(scene, width=width, max_leaf_size=max_leaf_size)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=10_000),
+    max_leaf_size=st.sampled_from([1, 2, 4, 8]),
+    width=st.integers(min_value=2, max_value=8),
+)
+def test_random_ties_and_signed_zeros_match_reference(
+    count, seed, max_leaf_size, width
+):
+    # Each axis draws from a few values, -0.0 and 0.0 among them, so
+    # centroids tie on random shapes.  Zero is the least x and the greatest
+    # y of most nodes, so those bounds keep the sign their reduction order
+    # leaves.
+    axes = ([-0.0, 0.0, 0.5, 1.0], [-1.0, -0.5, -0.0, 0.0], [-1.0, -0.0, 0.0, 1.0])
+    rng = np.random.default_rng(seed)
+    verts = np.stack([rng.choice(values, size=(count, 3)) for values in axes], axis=2)
+    assert_same_build(Scene("ties", verts), width=width, max_leaf_size=max_leaf_size)
+
+
 @pytest.mark.parametrize("max_leaf_size", [1, 2, 4, 8])
 def test_grid_ties_match_reference(max_leaf_size):
     # A flat grid: every centroid has y == 0, and rows and columns share

@@ -25,10 +25,8 @@ import pytest
 from repro.bvh.api import build_bvh
 from repro.core.presets import named_config
 from repro.errors import InvariantViolationError
-from repro.gpu.cache import Cache
 from repro.gpu.counters import Counters
-from repro.gpu.dram import Dram
-from repro.gpu.hierarchy import MemoryHierarchy
+from repro.gpu.hierarchy import sm_memory
 from repro.gpu.rt_unit import RTUnit
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.vector.plan import SAMPLE_STRIDE
@@ -139,18 +137,6 @@ def test_vector_bit_identical_under_memory_settings(scene, config):
     assert_identical(stepped, vector)
 
 
-def fresh_hierarchy(config):
-    l2 = Cache(
-        size_bytes=config.l2_bytes, line_bytes=config.line_bytes,
-        assoc=config.l2_assoc, name="L2",
-    )
-    dram = Dram(
-        latency=config.dram_latency,
-        service_cycles=config.dram_service_cycles * config.num_sms,
-    )
-    return MemoryHierarchy(config, l2=l2, dram=dram)
-
-
 def memory_state(hierarchy):
     l1 = hierarchy.l1
     return {
@@ -168,7 +154,7 @@ def run_one_sm(unit_class, traces, config):
     hierarchy; returns (completion, counters, memory state)."""
     warps = pack_warps(traces, warp_size=config.warp_size)
     sm_warps = warps[::config.num_sms]
-    hierarchy = fresh_hierarchy(config)
+    hierarchy = sm_memory(config)
     counters = Counters()
     completion = unit_class(config, hierarchy, counters).run(sm_warps)
     return completion, asdict(counters), memory_state(hierarchy)

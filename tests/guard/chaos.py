@@ -28,11 +28,9 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.errors import ConfigError
-from repro.gpu.cache import Cache
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import Counters
-from repro.gpu.dram import Dram
-from repro.gpu.hierarchy import MemoryHierarchy
+from repro.gpu.hierarchy import sm_memory
 from repro.gpu.rt_unit import RTUnit
 from repro.gpu.warp import pack_warps
 from repro.guard.config import GuardConfig
@@ -275,18 +273,8 @@ def run_with_fault(
     detection raises the guard error a real bug would raise there.
     """
     config = chaos_config()
-    l2 = Cache(
-        size_bytes=config.l2_bytes,
-        line_bytes=config.line_bytes,
-        assoc=config.l2_assoc,
-        name="L2",
-    )
-    dram = Dram(
-        latency=config.dram_latency,
-        service_cycles=config.dram_service_cycles * config.num_sms,
-    )
     unit = ChaosRTUnit(
-        config, MemoryHierarchy(config, l2=l2, dram=dram), Counters(),
+        config, sm_memory(config), Counters(),
         verify_pops=False, guard=GuardConfig(stall_window=stall_window),
         fault=fault,
     )

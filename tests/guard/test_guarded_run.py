@@ -152,3 +152,23 @@ def test_cycle_budget_overrun_is_recorded(tmp_path):
     record = store.failure_for(job.key())
     assert record["error"]["type"] == "SimulationStallError"
     assert store.get(job.key()) is None
+
+
+def test_stall_record_keeps_the_watchdog_evidence(tmp_path):
+    """The record holds the stall's scheduler decisions and one stack
+    snapshot per lane of the stalled warp; ``str`` stays the short form."""
+    store = ResultStore(tmp_path / "store")
+    config = named_config("RB_8")
+    job = SimulationJob(scene="FOX", config=config, width=8, height=8,
+                        guard=True, max_cycles=10)
+    with pytest.raises(JobExecutionError) as excinfo:
+        run_jobs([job], store=store, policy=ExecutionPolicy(workers=1))
+    stall = excinfo.value.__cause__
+    error = store.failure_for(job.key())["error"]
+    assert error["rendered"] == str(stall)
+    assert "decisions" not in str(stall)
+    decisions = error["evidence"]["decisions"]
+    assert decisions and decisions == stall.decisions
+    snapshots = error["evidence"]["stack_snapshots"]
+    assert sorted(snapshots, key=int) == [str(lane) for lane in range(config.warp_size)]
+    assert snapshots == {str(lane): s for lane, s in stall.stack_snapshots.items()}
