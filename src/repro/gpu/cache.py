@@ -11,18 +11,9 @@ counted pollution bursts, since those lines are never read back.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigError
-
-
-@dataclass
-class AccessResult:
-    """Outcome of one cache access."""
-
-    hit: bool
-    evicted_dirty_line: Optional[int] = None  # line address written back
 
 
 def cache_lines(
@@ -84,13 +75,11 @@ class Cache:
         return address - (address % self.line_bytes)
 
     def probe(self, address: int, is_store: bool = False):
-        """Allocation-free :meth:`access`: returns ``(hit, evicted_dirty)``.
+        """Look up the line holding ``address``; returns ``(hit, evicted_dirty)``.
 
-        Identical state transitions and hit/miss accounting to
-        :meth:`access`, but the result is a plain tuple — the timing
-        model's hot loops call this tens of thousands of times per
-        simulated frame and the :class:`AccessResult` boxing showed up as
-        a top allocation site.
+        A miss allocates the line, first evicting its set's LRU line
+        when the set is full.  ``evicted_dirty`` is that victim's
+        address when it was dirty, else ``None``.
         """
         line = address - (address % self.line_bytes)
         cache_set = self._sets[(line // self.line_bytes) % self.num_sets]
@@ -108,11 +97,6 @@ class Cache:
                 evicted_dirty = victim
         cache_set[line] = is_store
         return False, evicted_dirty
-
-    def access(self, address: int, is_store: bool = False) -> AccessResult:
-        """Look up (and allocate on miss) the line containing ``address``."""
-        hit, evicted_dirty = self.probe(address, is_store)
-        return AccessResult(hit=hit, evicted_dirty_line=evicted_dirty)
 
     def contains(self, address: int) -> bool:
         """Non-mutating presence check (tests/diagnostics)."""
@@ -198,11 +182,6 @@ class L1Cache:
             self._live += 1
         lines[line] = is_store
         return False, evicted_dirty
-
-    def access(self, address: int, is_store: bool = False) -> AccessResult:
-        """Look up (and allocate on miss) the line containing ``address``."""
-        hit, evicted_dirty = self.probe(address, is_store)
-        return AccessResult(hit=hit, evicted_dirty_line=evicted_dirty)
 
     def pollute(self, count: int) -> List[int]:
         """Allocate ``count`` foreign clean lines; returns the dirty victims.

@@ -30,8 +30,32 @@ from repro.guard.invariants import InvariantChecker
 from repro.guard.watchdog import ProgressWatchdog
 from repro.stack.base import StackModel
 from repro.stack.ops import MemoryOp, MemSpace, OpKind
-from repro.stack.sms import SmsStack
-from repro.trace.events import NodeKind
+from repro.stack.sms import take_realloc_stats
+from repro.trace.events import NodeKind, RayTrace
+
+
+def verify_pop(
+    trace: RayTrace, cursor: int, lane: int, value: int,
+    sm_id: int, warp_id: int,
+) -> None:
+    """A popped entry must be the node the ray visits next.
+
+    ``value`` is what ``lane`` popped at step ``cursor`` of ``trace``.
+    Both timing cores raise through here: the stepped unit on every
+    pop, the vector unit for the first mismatch its plan recorded.
+    """
+    if cursor + 1 >= len(trace.steps):
+        raise SimulationError(
+            f"ray {trace.ray_id} popped at its final step",
+            sm_id=sm_id, warp_id=warp_id, lane=lane, component="stack",
+        )
+    expected = trace.steps[cursor + 1].address
+    if value != expected:
+        raise SimulationError(
+            f"ray {trace.ray_id}: popped {value:#x}, expected {expected:#x} "
+            f"— stack model corrupted LIFO order",
+            sm_id=sm_id, warp_id=warp_id, lane=lane, component="stack",
+        )
 
 
 class RTUnit:
@@ -233,7 +257,10 @@ class RTUnit:
                         ops.extend(pop_activity.ops)
                 extra_cycles += pop_activity.extra_cycles
                 if verify_pops:
-                    self._verify_pop(warp, lane, value)
+                    verify_pop(
+                        traces[lane], cursors[lane], lane, value,
+                        self.sm_id, warp.warp_id,
+                    )
             if ops is not None:
                 chains.append((ops, extra_cycles))
             elif extra_cycles:
@@ -268,29 +295,13 @@ class RTUnit:
                 surviving.append(lane)
         warp.retire_to(surviving)
 
-        self._harvest_stack_stats(stack)
+        borrows, flushes, forced_flushes = take_realloc_stats(stack)
+        counters.borrows += borrows
+        counters.flushes += flushes
+        counters.forced_flushes += forced_flushes
         counters.warp_steps += 1
         issue_cycles = fetch_port_cycles + intersect_cycles + stack_port_cycles
         return t, issue_cycles
-
-    def _verify_pop(self, warp: Warp, lane: int, value: int) -> None:
-        """A popped entry must be the node the ray visits next."""
-        cursor = warp.cursors[lane]
-        trace = warp.traces[lane]
-        if cursor + 1 >= len(trace.steps):
-            raise SimulationError(
-                f"ray {trace.ray_id} popped at its final step",
-                sm_id=self.sm_id, warp_id=warp.warp_id, lane=lane,
-                component="stack",
-            )
-        expected = trace.steps[cursor + 1].address
-        if value != expected:
-            raise SimulationError(
-                f"ray {trace.ray_id}: popped {value:#x}, expected {expected:#x} "
-                f"— stack model corrupted LIFO order",
-                sm_id=self.sm_id, warp_id=warp.warp_id, lane=lane,
-                component="stack",
-            )
 
     def _price_stack_chains(
         self, chains: List[Tuple[Sequence[MemoryOp], int]], t: int
@@ -374,17 +385,3 @@ class RTUnit:
         counters.stack_global_loads += global_loads
         counters.stack_global_stores += global_stores
         return t + extra, port_cycles + extra
-
-    def _harvest_stack_stats(self, stack) -> None:
-        """Fold reallocation statistics into the counter set."""
-        stack = getattr(stack, "unwrapped", stack)  # through any wrapper
-        if not isinstance(stack, SmsStack):
-            stack = getattr(stack, "shared", None)  # SlotView -> shared model
-        if isinstance(stack, SmsStack):
-            counters = self.counters
-            counters.borrows += stack.borrow_count
-            counters.flushes += stack.flush_count
-            counters.forced_flushes += stack.forced_flush_count
-            stack.borrow_count = 0
-            stack.flush_count = 0
-            stack.forced_flush_count = 0

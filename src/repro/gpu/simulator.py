@@ -14,8 +14,9 @@ warp pick per traversal iteration (paper section VI-A):
 * ``"stepped"`` (default) — :class:`~repro.gpu.rt_unit.RTUnit`, the
   per-lane oracle every other path is validated against;
 * ``"vector"`` — :class:`~repro.gpu.vector.unit.VectorRTUnit`,
-  plan-driven SoA replay (see :mod:`repro.gpu.vector`) over the same
-  ``MemoryHierarchy``, bit-identical by contract.  Runs outside the
+  replay of per-warp plans priced ahead of the run (see
+  :mod:`repro.gpu.vector`) over the same ``MemoryHierarchy``,
+  bit-identical by contract.  Runs outside the
   vector backend's validity envelope (guarded runs, inter-warp
   reallocation, stack models that have not opted into canonical replay,
   spill layouts a warp slot cannot rebase by whole lines) fall back to

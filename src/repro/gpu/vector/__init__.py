@@ -1,4 +1,4 @@
-"""The vector timing backend: SoA mirrors + plan-driven warp stepping.
+"""The vector timing backend: per-warp plans priced once, replayed by warp.
 
 ``GPUSimulator(backend="vector")`` routes timing through this package;
 the stepped loop stays the default and the bit-identity oracle.  Memory
@@ -9,31 +9,17 @@ envelope.
 """
 
 from repro.gpu.vector.plan import (
-    BoundPlan,
-    RawPlan,
     VectorUnsupported,
+    WarpPlan,
     vector_unsupported_reason,
     warp_plan,
-)
-from repro.gpu.vector.soa import (
-    TraceSoA,
-    WarpStateSoA,
-    batch_warp_state,
-    pack_trace,
-    unpack_trace,
 )
 from repro.gpu.vector.unit import VectorRTUnit
 
 __all__ = [
-    "BoundPlan",
-    "RawPlan",
-    "TraceSoA",
     "VectorRTUnit",
     "VectorUnsupported",
-    "WarpStateSoA",
-    "batch_warp_state",
-    "pack_trace",
-    "unpack_trace",
+    "WarpPlan",
     "vector_unsupported_reason",
     "warp_plan",
 ]

@@ -1,4 +1,4 @@
-"""Per-warp replay plans: the timing-independent half of an iteration.
+"""Per-warp replay plans, priced as they are built.
 
 The key structural fact the vector backend exploits: the stepped RT
 unit advances every active lane's cursor unconditionally on every
@@ -10,14 +10,15 @@ iteration.  Only the memory-system state (L1/L2/DRAM, port queues) and
 the inter-warp arbitration are timing-coupled; the runtime prices
 memory through the stepped :class:`~repro.gpu.hierarchy.MemoryHierarchy`.
 
-:func:`warp_plan` therefore replays a warp once against a *canonical*
-(slot 0, SM 0) stack model and precomputes, per iteration:
+:func:`warp_plan` therefore replays a warp once, in one pass over its
+lanes' steps, against a *canonical* (slot 0, SM 0) stack model and
+records, per iteration:
 
-* the deduplicated node-line tuple (stepped lane order preserved);
-* intersection maxima / instruction counts (numpy-batched via
-  :func:`~repro.gpu.vector.soa.batch_warp_state`);
-* the stack-chain *positions* — for chains with only shared-memory
-  ops the whole pricing collapses to two precomputed scalars (bank
+* the deduplicated node-line tuple (stepped lane order preserved) and
+  its L1 port occupancy;
+* the intersection cycles, from the box-test and triangle-test maxima;
+* the stack chains, priced position by position — for chains with only
+  shared-memory ops the whole pricing collapses to two scalars (bank
   conflicts priced by ``SharedMemorySim.conflict_degree``, the stepped
   model), while positions touching global spill memory keep an op list
   the runtime sends through the memory hierarchy;
@@ -30,9 +31,9 @@ multiple of the bank row), and global spill addresses shift by exactly
 ``warp_index * warp_bytes`` — a whole number of cache lines — so the
 runtime rebases the precomputed line addresses per slot.
 
-Plans are cached on the warp's first trace (``RayTrace._vector_cache``)
-and priced ("bound") per pricing-parameter key, so sweeps that re-run
-the same workload under different latencies replay once.
+Plans are cached on the warp's first trace (``RayTrace._vector_cache``),
+keyed by the stack-model and cost fields of the configuration, the
+strategy and the lanes' ray ids.
 
 When a configuration or workload falls outside the plan's validity
 envelope (guarded runs, inter-warp reallocation, a stack model that has
@@ -46,28 +47,27 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.errors import ReproError, SimulationError
+from repro.errors import ReproError
 from repro.gpu.config import GPUConfig
 from repro.gpu.sharedmem import SharedMemorySim
 from repro.gpu.warp import Warp
 from repro.stack.base import ENTRY_BYTES
 from repro.stack.ops import MemSpace, OpKind
-from repro.stack.sms import SmsStack
+from repro.stack.sms import take_realloc_stats
 from repro.stack.spill import SPILL_SLOTS_PER_LANE
-from repro.gpu.vector.soa import batch_warp_state, trace_cache
+from repro.trace.events import NodeKind, RayTrace
 
 __all__ = [
     "VectorUnsupported",
-    "RawPlan",
-    "BoundPlan",
+    "WarpPlan",
+    "trace_cache",
     "warp_plan",
     "vector_unsupported_reason",
 ]
 
-#: Sampled warps get their plan replay cross-checked against the SoA
-#: mirror by the guard layer's vector sampler (one warp in this many).
+#: Sampled warps get their plan replay cross-checked against each
+#: lane's push/pop count by the guard layer's vector sampler (one warp
+#: in this many).
 SAMPLE_STRIDE = 16
 
 
@@ -96,135 +96,76 @@ def vector_unsupported_reason(
     return None
 
 
-class RawPlan:
-    """Pricing-independent replay of one warp (see module docstring)."""
+def trace_cache(trace: RayTrace) -> dict:
+    """The trace's vector-artifact cache dict, created on first use."""
+    try:
+        return trace._vector_cache
+    except AttributeError:
+        cache: dict = {}
+        trace._vector_cache = cache
+        return cache
 
-    __slots__ = (
-        "n_iters", "lines", "n_lines", "box_max", "tri_max",
-        "simple_iters", "simple_extra", "deg_flat", "deg_iter",
-        "complex_raw", "totals_raw", "conflict_extra", "warp_bytes",
-        "mismatch", "_bind_cache",
-    )
+
+class WarpPlan:
+    """One warp's replay, priced under one configuration.
+
+    ``iters[k]`` packs iteration ``k`` for the runtime hot loop (one
+    index and one unpack per iteration) as ``(lines, fetch_port,
+    intersect, stack_delta, stack_port, global_chain)``.
+    ``global_chain`` is ``None`` when the stack phase touched only
+    shared memory and ``stack_delta``/``stack_port`` price it whole;
+    otherwise it is ``(positions, extra)`` with one ``(shared_cost,
+    shared_port, global_ops)`` record per chain position.  ``mismatch``
+    is the first failed pop as ``(lane, step, popped_value)``.
+    """
+
+    __slots__ = ("n_iters", "iters", "totals", "warp_bytes", "mismatch")
 
     def __init__(self) -> None:
         self.n_iters = 0
-        self.lines: List[tuple] = []
-        self.n_lines = np.zeros(0, dtype=np.int64)
-        self.box_max = np.zeros(0, dtype=np.int64)
-        self.tri_max = np.zeros(0, dtype=np.int64)
-        self.simple_iters = np.zeros(0, dtype=np.int64)
-        self.simple_extra = np.zeros(0, dtype=np.int64)
-        self.deg_flat = np.zeros(0, dtype=np.int64)
-        self.deg_iter = np.zeros(0, dtype=np.int64)
-        self.complex_raw: Dict[int, tuple] = {}
-        self.totals_raw: Dict[str, int] = {}
-        self.conflict_extra = 0
+        self.iters: List[tuple] = []
+        self.totals: Dict[str, int] = {}
         self.warp_bytes = 0
-        self.mismatch: Optional[tuple] = None
-        self._bind_cache: Dict[tuple, "BoundPlan"] = {}
-
-    def bound(self, config: GPUConfig) -> "BoundPlan":
-        """Price this plan under ``config`` (memoized per pricing key)."""
-        key = (
-            config.l1_port_cycles, config.box_test_cycles,
-            config.tri_test_cycles, config.shared_latency,
-            config.bank_conflict_penalty, config.shared_port_cycles,
-        )
-        plan = self._bind_cache.get(key)
-        if plan is None:
-            plan = BoundPlan(self, config)
-            self._bind_cache[key] = plan
-        return plan
-
-
-class BoundPlan:
-    """A :class:`RawPlan` priced under one set of cost parameters.
-
-    Everything the runtime loop consumes is a plain Python list (numpy
-    scalar extraction is slower than list indexing at this grain); the
-    numpy work happens once here, batched over all iterations.
-    """
-
-    __slots__ = ("n_iters", "totals", "warp_bytes", "mismatch", "iters")
-
-    def __init__(self, raw: RawPlan, config: GPUConfig) -> None:
-        length = raw.n_iters
-        self.n_iters = length
-        self.warp_bytes = raw.warp_bytes
-        self.mismatch = raw.mismatch
-        fetch_port = (raw.n_lines * config.l1_port_cycles).tolist()
-        intersect = (
-            raw.box_max * config.box_test_cycles
-            + raw.tri_max * config.tri_test_cycles
-        ).tolist()
-        latency = config.shared_latency
-        penalty = config.bank_conflict_penalty
-        shared_port = config.shared_port_cycles
-        sdelta = np.zeros(length, dtype=np.int64)
-        sport = np.zeros(length, dtype=np.int64)
-        if raw.deg_flat.size:
-            replays = (raw.deg_flat - 1) * penalty
-            np.add.at(sdelta, raw.deg_iter, latency + replays)
-            np.add.at(sport, raw.deg_iter, replays + shared_port)
-        if raw.simple_iters.size:
-            sdelta[raw.simple_iters] += raw.simple_extra
-            sport[raw.simple_iters] += raw.simple_extra
-        cplx: List[Optional[tuple]] = [None] * length
-        for k, (positions, extra) in sorted(raw.complex_raw.items()):
-            bound = []
-            for degree, gops in positions:
-                if degree:
-                    cost = latency + (degree - 1) * penalty
-                    inc = (degree - 1) * penalty + shared_port
-                else:
-                    cost = 0
-                    inc = 0
-                bound.append((cost, inc, gops))
-            cplx[k] = (tuple(bound), extra)
-        totals = dict(raw.totals_raw)
-        totals["bank_conflict_delay_cycles"] = raw.conflict_extra * penalty
-        self.totals = totals
-        # Packed per-iteration records for the runtime hot loop: one
-        # index + one unpack per iteration.
-        self.iters = list(zip(
-            raw.lines, fetch_port, intersect,
-            sdelta.tolist(), sport.tolist(), cplx,
-        ))
+        self.mismatch: Optional[Tuple[int, int, int]] = None
 
 
 def warp_plan(
     warp: Warp, config: GPUConfig, strategy, sample: bool = False
-) -> RawPlan:
-    """The (cached) raw plan for ``warp`` under ``config``/``strategy``."""
+) -> WarpPlan:
+    """The (cached) plan for ``warp`` under ``config``/``strategy``."""
     host = next(
         (t for t in warp.traces if t is not None and t.steps), None
     )
     if host is None:
-        return _build_raw(warp, config, strategy, sample)
+        return _build_plan(warp, config, strategy, sample)
     key = (
         "plan",
         config.rb_stack_entries, config.sh_stack_entries,
         config.skewed_bank_access, config.intra_warp_realloc,
         config.max_borrows, config.max_flushes,
         config.warp_size, config.line_bytes,
+        config.l1_port_cycles, config.box_test_cycles,
+        config.tri_test_cycles, config.shared_latency,
+        config.bank_conflict_penalty, config.shared_port_cycles,
         strategy.name,
         tuple(t.ray_id for t in warp.traces if t is not None),
     )
     cache = trace_cache(host)
-    raw = cache.get(key)
-    if raw is None:
-        raw = _build_raw(warp, config, strategy, sample)
-        cache[key] = raw
-    return raw
+    plan = cache.get(key)
+    if plan is None:
+        plan = _build_plan(warp, config, strategy, sample)
+        cache[key] = plan
+    return plan
 
 
-def _build_raw(
+def _build_plan(
     warp: Warp, config: GPUConfig, strategy, sample: bool
-) -> RawPlan:
+) -> WarpPlan:
     """Replay ``warp`` against the canonical slot-0 stack model."""
-    state = batch_warp_state(warp.traces)
-    plan = RawPlan()
-    if not state.lanes:
+    traces = warp.traces
+    lanes = [i for i, t in enumerate(traces) if t is not None and t.steps]
+    plan = WarpPlan()
+    if not lanes:
         return plan
     model = strategy.make_unit_stacks(config, sm_id=0)[0]
     if not getattr(model, "vector_replayable", False):
@@ -241,40 +182,41 @@ def _build_raw(
     model.reset()
     conflict_degree = SharedMemorySim(config).conflict_degree
     sampler = None
+    depth: Optional[Dict[int, int]] = None
     if sample:
         from repro.guard.vector import VectorPlanSampler
 
         sampler = VectorPlanSampler(warp.warp_id, config)
+        depth = dict.fromkeys(lanes, 0)
 
-    lanes = state.lanes
-    lens = state.lens.tolist()
-    traces = warp.traces
-    n_iters = state.n_iters
+    port = config.l1_port_cycles
+    box_cycles = config.box_test_cycles
+    tri_cycles = config.tri_test_cycles
+    latency = config.shared_latency
+    penalty = config.bank_conflict_penalty
+    shared_port = config.shared_port_cycles
     intern: Dict[int, int] = {}
-    lines_out: List[tuple] = []
-    n_lines = np.zeros(n_iters, dtype=np.int64)
-    simple_iters: List[int] = []
-    simple_extra: List[int] = []
-    deg_flat: List[int] = []
-    deg_iter: List[int] = []
-    complex_raw: Dict[int, tuple] = {}
+    iters: List[tuple] = []
     mismatch = None
+    instructions = 0
     shared_loads = shared_stores = 0
     global_loads = global_stores = 0
     shared_transactions = 0
-    conflict_extra = 0
+    conflict_delay = 0
     node_fetch_lines = 0
     SHARED = MemSpace.SHARED
     LOAD = OpKind.LOAD
+    INTERNAL = NodeKind.INTERNAL
 
-    for k in range(n_iters):
+    # (lane, steps) of the lanes still active, in lane order.
+    active = [(lane, traces[lane].steps) for lane in lanes]
+    k = 0
+    while active:
         lines: Dict[int, None] = {}
         chains: List[Tuple[Optional[list], int]] = []
-        for row, lane in enumerate(lanes):
-            if lens[row] <= k:
-                continue
-            trace = traces[lane]
-            step = trace.steps[k]
+        box_max = tri_max = 0
+        for lane, steps in active:
+            step = steps[k]
             address = step.address
             size = step.size_bytes
             first = address - address % line_bytes
@@ -290,6 +232,13 @@ def _build_raw(
                     cached = line
                 lines[cached] = None
                 line += line_bytes
+            tests = step.tests
+            instructions += 1 + tests
+            if step.kind is INTERNAL:
+                if tests > box_max:
+                    box_max = tests
+            elif tests > tri_max:
+                tri_max = tests
             ops: Optional[list] = None
             extra_cycles = 0
             for push_address in step.pushes:
@@ -308,28 +257,25 @@ def _build_raw(
                     else:
                         ops.extend(activity.ops)
                 extra_cycles += activity.extra_cycles
-                if mismatch is None:
-                    if k + 1 >= lens[row]:
-                        mismatch = ("final", trace.ray_id, lane, 0, 0)
-                    elif value != trace.steps[k + 1].address:
-                        mismatch = (
-                            "order", trace.ray_id, lane, value,
-                            trace.steps[k + 1].address,
-                        )
+                if mismatch is None and (
+                    k + 1 >= len(steps) or value != steps[k + 1].address
+                ):
+                    mismatch = (lane, k, value)
+            if depth is not None:
+                depth[lane] += len(step.pushes) - step.popped
             if ops is not None or extra_cycles:
                 chains.append((ops if ops is not None else [], extra_cycles))
         line_tuple = tuple(lines)
-        lines_out.append(line_tuple)
-        n_lines[k] = len(line_tuple)
         node_fetch_lines += len(line_tuple)
 
+        stack_delta = stack_port = 0
+        global_chain = None
         if chains:
             max_len = 0
-            for ops, _ in chains:
+            extra = 0
+            for ops, extra_cycles in chains:
                 if len(ops) > max_len:
                     max_len = len(ops)
-            extra = 0
-            for _, extra_cycles in chains:
                 if extra_cycles > extra:
                     extra = extra_cycles
             positions = []
@@ -361,80 +307,65 @@ def _build_raw(
                                     "spill op spans cache lines"
                                 )
                             gops.append((op.kind is not LOAD, op_first))
-                degree = 0
+                cost = inc = 0
                 if shared_ops:
-                    degree = conflict_degree(shared_ops)
+                    replays = (conflict_degree(shared_ops) - 1) * penalty
                     shared_transactions += 1
-                    conflict_extra += degree - 1
+                    conflict_delay += replays
+                    cost = latency + replays
+                    inc = replays + shared_port
                 if gops:
                     has_global = True
-                positions.append((degree, tuple(gops)))
+                positions.append((cost, inc, tuple(gops)))
+                stack_delta += cost
+                stack_port += inc
             if has_global:
-                complex_raw[k] = (tuple(positions), extra)
+                global_chain = (tuple(positions), extra)
+                stack_delta = stack_port = 0
             else:
-                simple_iters.append(k)
-                simple_extra.append(extra)
-                for degree, _ in positions:
-                    deg_flat.append(degree)
-                    deg_iter.append(k)
+                stack_delta += extra
+                stack_port += extra
+        iters.append((
+            line_tuple, len(line_tuple) * port,
+            box_max * box_cycles + tri_max * tri_cycles,
+            stack_delta, stack_port, global_chain,
+        ))
 
         if sampler is not None and k % sampler.stride == 0:
-            sampler.check_iteration(model, state, k)
-        for row, lane in enumerate(lanes):
-            if lens[row] == k + 1:
-                model.finish(lane)
+            sampler.check_iteration(
+                model, {lane: depth[lane] for lane, _ in active}, k
+            )
+        k += 1
+        survivors = []
+        for entry in active:
+            if len(entry[1]) > k:
+                survivors.append(entry)
+            else:
+                model.finish(entry[0])
+        active = survivors
 
-    instructions = int(state.instructions.sum())
     totals = {
         "instructions": instructions,
-        "warp_steps": n_iters,
+        "warp_steps": k,
         "node_fetch_lines": node_fetch_lines,
         "stack_shared_loads": shared_loads,
         "stack_shared_stores": shared_stores,
         "stack_global_loads": global_loads,
         "stack_global_stores": global_stores,
+        "bank_conflict_delay_cycles": conflict_delay,
         "shared_transactions": shared_transactions,
-        "borrows": 0,
-        "flushes": 0,
-        "forced_flushes": 0,
     }
-    harvest = getattr(model, "unwrapped", model)
-    if isinstance(harvest, SmsStack):
-        totals["borrows"] = harvest.borrow_count
-        totals["flushes"] = harvest.flush_count
-        totals["forced_flushes"] = harvest.forced_flush_count
+    (
+        totals["borrows"], totals["flushes"], totals["forced_flushes"]
+    ) = take_realloc_stats(model)
     if sampler is not None:
-        sampler.check_totals(totals, state)
+        sampler.check_totals(
+            totals, max(len(traces[lane].steps) for lane in lanes)
+        )
 
-    plan.n_iters = n_iters
-    plan.lines = lines_out
-    plan.n_lines = n_lines
-    plan.box_max = state.box_max
-    plan.tri_max = state.tri_max
-    plan.simple_iters = np.asarray(simple_iters, dtype=np.int64)
-    plan.simple_extra = np.asarray(simple_extra, dtype=np.int64)
-    plan.deg_flat = np.asarray(deg_flat, dtype=np.int64)
-    plan.deg_iter = np.asarray(deg_iter, dtype=np.int64)
-    plan.complex_raw = complex_raw
-    plan.totals_raw = totals
-    plan.conflict_extra = conflict_extra
+    plan.n_iters = k
+    plan.iters = iters
+    plan.totals = totals
     plan.warp_bytes = warp_bytes
     plan.mismatch = mismatch
     return plan
-
-
-def raise_pop_mismatch(
-    mismatch: tuple, sm_id: int, warp_id: int
-) -> None:
-    """Re-raise a recorded pop-verification failure the stepped way."""
-    kind, ray_id, lane, value, expected = mismatch
-    if kind == "final":
-        raise SimulationError(
-            f"ray {ray_id} popped at its final step",
-            sm_id=sm_id, warp_id=warp_id, lane=lane, component="stack",
-        )
-    raise SimulationError(
-        f"ray {ray_id}: popped {value:#x}, expected {expected:#x} "
-        f"— stack model corrupted LIFO order",
-        sm_id=sm_id, warp_id=warp_id, lane=lane, component="stack",
-    )

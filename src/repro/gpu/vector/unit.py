@@ -4,7 +4,7 @@
 :class:`~repro.gpu.rt_unit.RTUnit` — greedy-then-oldest arbitration
 of every iteration and ``pipeline_free`` issue serialization — but each
 iteration's work is a precomputed
-:class:`~repro.gpu.vector.plan.BoundPlan` record instead of a per-lane
+:class:`~repro.gpu.vector.plan.WarpPlan` record instead of a per-lane
 replay.  Memory is not mirrored: node fetches, shader-pollution bursts
 and global spill ops go through the SM's own
 :class:`~repro.gpu.hierarchy.MemoryHierarchy`, with the calls and
@@ -29,8 +29,9 @@ from repro.errors import SimulationError
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import Counters
 from repro.gpu.hierarchy import MemoryHierarchy
+from repro.gpu.rt_unit import verify_pop
 from repro.gpu.warp import Warp
-from repro.gpu.vector.plan import warp_plan, raise_pop_mismatch
+from repro.gpu.vector.plan import warp_plan
 
 __all__ = ["VectorRTUnit"]
 
@@ -119,8 +120,7 @@ class VectorRTUnit:
     def _admit_entry(self, warp: Warp, slot: int) -> list:
         """Plan (or fetch the cached plan for) an admitted warp."""
         config = self.config
-        raw = warp_plan(warp, config, self.strategy)
-        plan = raw.bound(config)
+        plan = warp_plan(warp, config, self.strategy)
         if plan.n_iters == 0:
             raise SimulationError(
                 "scheduled a warp with no active lanes",
@@ -128,7 +128,11 @@ class VectorRTUnit:
                 component="scheduler",
             )
         if self.verify_pops and plan.mismatch is not None:
-            raise_pop_mismatch(plan.mismatch, self.sm_id, warp.warp_id)
+            lane, cursor, value = plan.mismatch
+            verify_pop(
+                warp.traces[lane], cursor, lane, value,
+                self.sm_id, warp.warp_id,
+            )
         self._apply_totals(plan)
         warp_index = (
             self.sm_id * config.max_warps_per_rt_unit + slot
@@ -210,7 +214,7 @@ class VectorRTUnit:
 
         # Phase 2 + 3: intersection, then the stack phase.  Iterations
         # whose chains touched only shared memory were fully priced at
-        # bind time (sdelta/sport); global spill positions go through
+        # plan time (sdelta/sport); global spill positions go through
         # the memory hierarchy.
         t = fetch_done + intersect
         stack_free = warp.stack_free

@@ -6,10 +6,11 @@ guarded run is one of the vector backend's fallback conditions.  To
 keep the vector path from becoming an unchecked fast lane, the plan
 builder (:func:`repro.gpu.vector.plan.warp_plan`) samples warps
 (``warp_id % SAMPLE_STRIDE == 0``) and cross-checks the canonical
-stack-model replay against the independent SoA mirror:
+stack-model replay against the traces themselves:
 
-* the model's per-lane depth must equal the vectorized depth matrix
-  (cumulative pushes minus pops) at sampled iterations;
+* the model's per-lane depth must equal the lane's running count of
+  pushes minus pops, which the plan pass keeps from each step, at
+  sampled iterations;
 * SMS RB occupancy (via :meth:`~repro.stack.sms.SmsStack.soa_state`)
   must respect the configured register-stack bound;
 * the finished plan's counter totals must satisfy the conservation
@@ -23,6 +24,8 @@ same error type the full guard uses, so the executor's handling
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.errors import InvariantViolationError
 from repro.gpu.config import GPUConfig
 
@@ -30,7 +33,7 @@ __all__ = ["VectorPlanSampler"]
 
 
 class VectorPlanSampler:
-    """Spot-checks one sampled warp's plan replay against its SoA mirror."""
+    """Spot-checks one sampled warp's plan replay against its traces."""
 
     #: Check every this-many iterations of a sampled warp's replay.
     stride = 16
@@ -39,20 +42,21 @@ class VectorPlanSampler:
         self.warp_id = warp_id
         self.config = config
 
-    def check_iteration(self, model, state, k: int) -> None:
-        """Depth and occupancy invariants after replaying iteration ``k``."""
-        lens = state.lens
-        depth_col = state.depth[:, k]
-        for row, lane in enumerate(state.lanes):
-            if lens[row] <= k:
-                continue
-            expected = int(depth_col[row])
+    def check_iteration(
+        self, model, depths: Dict[int, int], k: int
+    ) -> None:
+        """Depth and occupancy invariants after replaying iteration ``k``.
+
+        ``depths`` maps each lane active at ``k`` to its pushes minus
+        pops so far, counted from its trace.
+        """
+        for lane, expected in depths.items():
             actual = model.depth(lane)
             if actual != expected:
                 raise InvariantViolationError(
-                    f"vector replay diverged from the SoA mirror: lane "
-                    f"{lane} depth {actual} != mirrored {expected} at "
-                    f"iteration {k}",
+                    f"vector replay diverged from its trace: lane "
+                    f"{lane} depth {actual} != {expected} pushes minus "
+                    f"pops at iteration {k}",
                     warp_id=self.warp_id, lane=lane, component="vector",
                 )
         soa_state = getattr(model, "soa_state", None)
@@ -73,8 +77,11 @@ class VectorPlanSampler:
                 warp_id=self.warp_id, component="vector",
             )
 
-    def check_totals(self, totals: dict, state) -> None:
-        """Conservation laws over the finished plan's counter totals."""
+    def check_totals(self, totals: dict, n_iters: int) -> None:
+        """Conservation laws over the finished plan's counter totals.
+
+        ``n_iters`` is the warp's longest trace, in steps.
+        """
         if totals["stack_shared_loads"] > totals["stack_shared_stores"]:
             raise InvariantViolationError(
                 f"vector plan loads {totals['stack_shared_loads']} shared "
@@ -89,9 +96,9 @@ class VectorPlanSampler:
                 f"{totals['stack_global_stores']} were ever spilled",
                 warp_id=self.warp_id, component="vector",
             )
-        if totals["warp_steps"] != state.n_iters:
+        if totals["warp_steps"] != n_iters:
             raise InvariantViolationError(
                 f"vector plan priced {totals['warp_steps']} iterations "
-                f"for a {state.n_iters}-iteration warp",
+                f"for a {n_iters}-iteration warp",
                 warp_id=self.warp_id, component="vector",
             )

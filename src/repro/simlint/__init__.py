@@ -22,7 +22,7 @@ Rule families (see :mod:`repro.simlint.rules`):
 ``SL4xx`` (hygiene)
     mutable default arguments, stray ``print()`` in library code.
 ``SL6xx`` (vector)
-    float64 promotion into integer counters, SoA mirror-cache mutation,
+    float64 promotion into integer counters, plan-cache mutation,
     unstable numpy sorts/reductions and unchecked CSR offsets in the
     vector timing backend.
 ``SL110`` (whole-program taint)

@@ -17,11 +17,11 @@ a rule at a fixture.
 ``print_allowed``
     Modules where ``print()`` is the job (SL402).
 ``vector_packages``
-    Packages holding the numpy timing backend; the SL6xx vector family
+    Packages holding the vector timing backend; the SL6xx vector family
     (``scope="vector"``) only fires inside these.
 ``soa_cache_writers``
-    Function names sanctioned to mutate the ``_vector_cache`` SoA
-    mirrors (SL602).
+    Function names sanctioned to mutate the vector plans cached on
+    ``RayTrace._vector_cache`` (SL602).
 ``taint_sinks``
     Function names whose return value is a content key / cache salt —
     the determinism taint engine (SL110) rejects tainted returns here.
@@ -50,9 +50,7 @@ class LintConfig:
     counter_owners: Tuple[str, ...] = ("repro.gpu",)
     print_allowed: Tuple[str, ...] = ("repro.cli",)
     vector_packages: Tuple[str, ...] = ("repro.gpu.vector",)
-    soa_cache_writers: Tuple[str, ...] = (
-        "trace_cache", "pack_trace", "warp_plan",
-    )
+    soa_cache_writers: Tuple[str, ...] = ("trace_cache", "warp_plan")
     taint_sinks: Tuple[str, ...] = (
         "key", "spec", "content_key", "cache_key", "salt", "phase_key",
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Method names that mutate their receiver in place.  Shared by the
-#: write-key normalizer below, SL201 and the SoA cache rule — defined
+#: write-key normalizer below, SL201 and the plan cache rule — defined
 #: here (a leaf module) so rule modules and the substrate can both
 #: import it without a cycle.
 MUTATING_METHODS = {

@@ -32,7 +32,7 @@ class Rule:
     #: Why this rule exists, in terms of the simulator's contracts.
     rationale: str = ""
     #: Where the rule applies: ``"timing"`` (the timing-critical
-    #: packages), ``"vector"`` (the numpy timing backend), ``"repro"``
+    #: packages), ``"vector"`` (the vector timing backend), ``"repro"``
     #: (anywhere under the ``repro`` package — plus ``tools/``, and
     #: ``tests/`` for the configured test families), or ``"all"`` (every
     #: linted file).

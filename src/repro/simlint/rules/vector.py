@@ -2,9 +2,9 @@
 
 PR 9's vector timing backend is bit-identical to the stepped scheduler
 only under four invariants that numpy makes easy to break silently:
-counter arithmetic stays integer (float64 promotion rounds), the cached
-SoA mirrors on ``RayTrace._vector_cache`` are immutable outside their
-builders (a mutated mirror serves stale timing to every later run),
+counter arithmetic stays integer (float64 promotion rounds), the
+plans cached on ``RayTrace._vector_cache`` are immutable outside their
+builders (a mutated plan serves stale timing to every later run),
 reductions and sorts are order-stable (quicksort ties and hash-order
 operands reorder float accumulation), and CSR pack/unpack offsets are
 validated before they index (a truncated ``push_off`` silently drops
@@ -117,19 +117,19 @@ class FloatPromotedCounterRule(Rule):
 @register
 class SoACacheMutationRule(Rule):
     id = "SL602"
-    title = "SoA mirror cache mutated outside its sanctioned writers"
+    title = "vector plan cache mutated outside its sanctioned writers"
     scope = "vector"
     category = "vector"
     rationale = (
-        "pack_trace caches the SoA mirror on the trace's _vector_cache "
-        "slot and every later vector run trusts it verbatim — the "
-        "mirror is memoized *derived* data, never an input.  A write "
-        "from anywhere else (a 'fast path' tweaking a cached column, a "
-        "test poking state in) silently serves stale or divergent "
-        "timing to every subsequent run over that trace.  Mutation is "
-        "restricted to LintConfig.soa_cache_writers "
-        "(trace_cache/pack_trace/warp_plan, which populate fresh "
-        "entries); everything else must repack."
+        "warp_plan caches each warp's plan on its trace's "
+        "_vector_cache slot and every later vector run trusts it "
+        "verbatim — the plan is memoized *derived* data, never an "
+        "input.  A write from anywhere else (a 'fast path' tweaking a "
+        "cached record, a test poking state in) silently serves stale "
+        "or divergent timing to every subsequent run over that trace.  "
+        "Mutation is restricted to LintConfig.soa_cache_writers "
+        "(trace_cache/warp_plan, which populate fresh entries); "
+        "everything else must replan."
     )
 
     def check(self, ctx) -> Iterator[Finding]:
@@ -192,10 +192,10 @@ class SoACacheMutationRule(Rule):
                 if self._hits_cache(target, cache_locals):
                     yield ctx.finding(
                         self, node,
-                        f"function {fn.name} writes into a cached SoA "
-                        f"mirror (_vector_cache) — only the sanctioned "
+                        f"function {fn.name} writes into the vector "
+                        f"plan cache (_vector_cache) — only the sanctioned "
                         f"writers ({', '.join(sorted(ctx.config.soa_cache_writers))}) "
-                        f"may populate it; repack instead of patching",
+                        f"may populate it; replan instead of patching",
                     )
                     return
         elif (
@@ -206,8 +206,8 @@ class SoACacheMutationRule(Rule):
         ):
             yield ctx.finding(
                 self, node,
-                f"function {fn.name} calls .{node.func.attr}() on a "
-                f"cached SoA mirror (_vector_cache) — mirrors are "
+                f"function {fn.name} calls .{node.func.attr}() on the "
+                f"vector plan cache (_vector_cache) — cached plans are "
                 f"immutable outside the sanctioned writers",
             )
 
@@ -297,7 +297,7 @@ class UncheckedCsrBoundsRule(Rule):
     scope = "vector"
     category = "vector"
     rationale = (
-        "The SoA mirrors carry ragged per-step data CSR-style: "
+        "Ragged per-step data packed CSR-style is read as "
         "``pushes[push_off[k]:push_off[k+1]]``.  Python slicing "
         "clamps: a truncated or misaligned offsets array does not "
         "raise, it silently returns short rows — dropped pushes, "

@@ -34,7 +34,7 @@ unbounded reference stack under arbitrary operation sequences.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import StackError
 from repro.stack.base import StackModel
@@ -611,3 +611,23 @@ class SmsStack(StackModel):
             dtype=np.int64, count=warp_size,
         )
         return {"rb": rb, "sh": sh, "global": spilled}
+
+
+def take_realloc_stats(stack) -> Tuple[int, int, int]:
+    """Read and reset a stack model's reallocation statistics.
+
+    Returns the ``(borrows, flushes, forced_flushes)`` counted since the
+    last call.  Reaches the :class:`SmsStack` behind a guard wrapper
+    (``unwrapped``) or an inter-warp slot view (``shared``); any other
+    model has none.  Both timing cores harvest through here.
+    """
+    stack = getattr(stack, "unwrapped", stack)
+    if not isinstance(stack, SmsStack):
+        stack = getattr(stack, "shared", None)
+    if not isinstance(stack, SmsStack):
+        return 0, 0, 0
+    stats = (stack.borrow_count, stack.flush_count, stack.forced_flush_count)
+    stack.borrow_count = 0
+    stack.flush_count = 0
+    stack.forced_flush_count = 0
+    return stats

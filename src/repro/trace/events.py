@@ -60,10 +60,10 @@ class RayTrace:
     """
 
     #: ``_vector_cache`` holds derived, recomputable artifacts of the
-    #: vector timing backend (:mod:`repro.gpu.vector`): the SoA mirror
-    #: and per-warp replay plans.  It is excluded from pickling and from
-    #: equality — two traces with equal event streams are equal whether
-    #: or not either has been vector-planned.
+    #: vector timing backend (:mod:`repro.gpu.vector`): the per-warp
+    #: replay plans.  It is excluded from pickling and from equality —
+    #: two traces with equal event streams are equal whether or not
+    #: either has been vector-planned.
     __slots__ = (
         "ray_id", "pixel", "kind", "steps", "hit_prim", "hit_t",
         "_vector_cache",

@@ -50,10 +50,9 @@ def test_fully_associative_matches_reference(sequence, capacity_lines):
     reference = ReferenceLru(capacity_lines)
     for line_index, is_store in sequence:
         address = line_index * LINE
-        result = cache.access(address, is_store=is_store)
-        expected_hit, expected_dirty = reference.access(address, is_store)
-        assert result.hit == expected_hit
-        assert result.evicted_dirty_line == expected_dirty
+        assert cache.probe(address, is_store) == reference.access(
+            address, is_store
+        )
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,7 +60,7 @@ def test_fully_associative_matches_reference(sequence, capacity_lines):
 def test_occupancy_never_exceeds_capacity(sequence):
     cache = Cache(size_bytes=4 * LINE, line_bytes=LINE, assoc=2)
     for line_index, is_store in sequence:
-        cache.access(line_index * LINE, is_store=is_store)
+        cache.probe(line_index * LINE, is_store=is_store)
         assert cache.occupancy() <= 4
 
 
@@ -70,7 +69,7 @@ def test_occupancy_never_exceeds_capacity(sequence):
 def test_hits_plus_misses_equals_accesses(sequence):
     cache = Cache(size_bytes=4 * LINE, line_bytes=LINE)
     for line_index, is_store in sequence:
-        cache.access(line_index * LINE, is_store=is_store)
+        cache.probe(line_index * LINE, is_store=is_store)
     assert cache.hits + cache.misses == len(sequence)
 
 
@@ -79,8 +78,8 @@ def test_hits_plus_misses_equals_accesses(sequence):
 def test_immediate_reaccess_always_hits(sequence):
     cache = Cache(size_bytes=2 * LINE, line_bytes=LINE)
     for line_index, is_store in sequence:
-        cache.access(line_index * LINE, is_store=is_store)
-        assert cache.access(line_index * LINE).hit
+        cache.probe(line_index * LINE, is_store=is_store)
+        assert cache.probe(line_index * LINE) == (True, None)
 
 
 class ReferencePollutedLru(ReferenceLru):

@@ -1,10 +1,10 @@
 """Vector timing core ≡ stepped oracle: whole-output bit identity.
 
 The vector backend (``GPUSimulator(backend="vector")``) replays
-precomputed warp plans through numpy-batched stepping and prices memory
-through the stepped ``MemoryHierarchy``; its contract is that *nothing*
-observable changes — every integer counter and every per-SM cycle count
-matches the stepped reference loop exactly.  These tests sweep the full
+precomputed warp plans and prices memory through the stepped
+``MemoryHierarchy``; its contract is that *nothing* observable changes
+— every integer counter and every per-SM cycle count matches the
+stepped reference loop exactly.  These tests sweep the full
 LumiBench scene catalogue under the two headline configurations and
 under two memory settings the vector core once fell back on (L1-cached
 spills, an L1 smaller than one pollution burst), cross it with the
@@ -13,9 +13,11 @@ the fallback behavior: any run outside the vector validity envelope
 silently degrades to the stepped core and records that in
 ``SimOutput.backend``.  One test drives a single SM's warps through
 both units on fresh hierarchies and compares the memory state they
-leave behind.  Two more pin the guard layer's plan sampler: it checks
-every sixteenth warp, and it catches a model that diverges from the
-SoA mirror.
+leave behind, and one re-runs a workload whose plans are cached under
+each cost field changed alone.  A trace with a bad pop must fail both
+cores with the same error.  Two more pin the guard layer's plan
+sampler: it checks every sixteenth warp, and it catches a model whose
+depth diverges from its lane's pushes minus pops.
 """
 
 from dataclasses import asdict, replace
@@ -24,7 +26,7 @@ import pytest
 
 from repro.bvh.api import build_bvh
 from repro.core.presets import named_config
-from repro.errors import InvariantViolationError
+from repro.errors import InvariantViolationError, SimulationError
 from repro.gpu.counters import Counters
 from repro.gpu.hierarchy import sm_memory
 from repro.gpu.rt_unit import RTUnit
@@ -208,6 +210,34 @@ def test_vector_bit_identical_per_strategy(strategy):
     assert_identical(stepped, vector)
 
 
+#: Each cost field a plan is priced with, and a value that moves it.
+COST_FIELDS = [
+    ("l1_port_cycles", 5),
+    ("box_test_cycles", 3),
+    ("tri_test_cycles", 7),
+    ("shared_latency", 31),
+    ("bank_conflict_penalty", 13),
+    ("shared_port_cycles", 4),
+]
+
+
+def test_vector_reprices_a_warp_when_only_a_cost_field_changes():
+    """Plans cache on the traces, so a run under one changed cost field
+    must build its own plans, not reuse the ones priced before it.  At
+    8x8 on one SM the port cycles never become the bottleneck, and a
+    stale ``l1_port_cycles`` price goes unseen: keep 24x24."""
+    bvh = build_bvh(load_scene("SHIP"))
+    traces = generate_workload(
+        bvh, width=24, height=24, max_bounces=1, seed=0
+    ).all_traces
+    base = replace(named_config("RB_2+SH_2+SK+RA"), num_sms=1)
+    for field, value in [(None, None)] + COST_FIELDS:
+        config = base if field is None else replace(base, **{field: value})
+        vector = run(traces, config, "vector")
+        assert vector.backend == "vector"
+        assert_identical(run(traces, config, "stepped"), vector)
+
+
 def fresh_traces():
     """CRNVL at 24x24, 21 warps, traced anew: plans cache on the traces,
     so a warp is only sampled when its plan is first built."""
@@ -217,13 +247,38 @@ def fresh_traces():
     ).all_traces
 
 
+@pytest.mark.parametrize("final", [False, True], ids=["order", "final"])
+def test_both_cores_report_a_bad_pop_alike(final):
+    """A pop that disagrees with the ray's next step, or comes at its
+    last step, fails both cores with the same error."""
+    errors = []
+    for backend in ("stepped", "vector"):
+        traces = generate_workload(
+            build_bvh(load_scene("CRNVL")), width=8, height=8,
+            max_bounces=1, seed=0,
+        ).all_traces
+        trace = next(t for t in traces if any(s.popped for s in t.steps))
+        k = next(i for i, s in enumerate(trace.steps) if s.popped)
+        if final:
+            del trace.steps[k + 1:]
+        else:
+            step = trace.steps[k + 1]
+            trace.steps[k + 1] = replace(step, address=step.address + 64)
+        with pytest.raises(SimulationError) as caught:
+            run(traces, named_config("RB_8+SH_8+SK+RA"), backend)
+        errors.append(caught.value)
+    stepped, vector = errors
+    assert ("final step" in str(stepped)) == final
+    assert str(stepped) == str(vector)
+
+
 def test_vector_run_samples_every_sixteenth_warp(monkeypatch):
     checked = []
     check_totals = VectorPlanSampler.check_totals
 
-    def counting(self, totals, state):
+    def counting(self, totals, n_iters):
         checked.append(self.warp_id)
-        return check_totals(self, totals, state)
+        return check_totals(self, totals, n_iters)
 
     monkeypatch.setattr(VectorPlanSampler, "check_totals", counting)
     traces = fresh_traces()
@@ -241,7 +296,7 @@ def test_sampler_catches_a_depth_divergence(monkeypatch):
         SmsStack, "depth", lambda self, lane: depth(self, lane) + 1
     )
     with pytest.raises(InvariantViolationError,
-                       match="diverged from the SoA mirror"):
+                       match="diverged from its trace"):
         run(fresh_traces(), named_config("RB_8+SH_8+SK+RA"), "vector")
 
 

@@ -1,5 +1,5 @@
-"""SoA mirror cache mutation (bad): outside the sanctioned writers."""
-from repro.gpu.vector.soa import trace_cache
+"""Vector plan cache mutation (bad): outside the sanctioned writers."""
+from repro.gpu.vector.plan import trace_cache
 
 
 def patch(trace, soa):

@@ -1,5 +1,5 @@
-"""SoA mirror cache access (good): sanctioned writers and pure reads."""
-from repro.gpu.vector.soa import trace_cache
+"""Vector plan cache access (good): sanctioned writers and pure reads."""
+from repro.gpu.vector.plan import trace_cache
 
 
 def warp_plan(trace, plan):

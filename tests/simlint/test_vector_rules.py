@@ -1,9 +1,9 @@
 """Seeded red-gates for the SL6xx vector family.
 
-The targets are the *real* numpy backend files: ``soa.py`` (whose CSR
-bounds guard exists because SL604 demanded it) and ``unit.py`` (whose
-counter folds SL601 keeps integral).  Each test copies them into a
-scratch tree, seeds one violation, and lints with the real config.
+The targets are the *real* vector backend files: ``plan.py`` (which
+owns the plan cache SL602 guards) and ``unit.py`` (whose counter folds
+SL601 keeps integral).  Each test copies them into a temporary tree,
+seeds one violation, and lints with the real config.
 """
 
 import shutil
@@ -16,7 +16,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: unit.py's counter-parity oracle lives one package up; it must ride
 #: along so SL204's coverage check has its target in the project graph.
 SOURCES = ("src/repro/gpu/vector/unit.py",
-           "src/repro/gpu/vector/soa.py",
+           "src/repro/gpu/vector/plan.py",
            "src/repro/gpu/counters.py")
 
 
@@ -67,22 +67,12 @@ def test_seeded_unsanctioned_cache_write_fires_sl602(tmp_path):
 
 
 def test_seeded_unstable_argsort_fires_sl603(tmp_path):
-    # soa.py is the file that imports numpy as np.
+    # The backend no longer imports numpy, so the seed brings its own.
     seed = (
-        "\n\ndef _rank(keys):\n"
+        "\n\nimport numpy as np\n\n\n"
+        "def _rank(keys):\n"
         "    return np.argsort(keys)\n"
     )
-    report = seeded_report(tmp_path, "soa.py", lambda s: s + seed)
+    report = seeded_report(tmp_path, "plan.py", lambda s: s + seed)
     assert report.exit_code == 1
     assert rules_of(report) == ["SL603"]
-
-
-def test_removing_the_csr_guard_fires_sl604(tmp_path):
-    def strip_guard(source):
-        start = source.index("    if len(push_off) != soa.n_steps + 1:")
-        end = source.index("    steps = [")
-        return source[:start] + source[end:]
-
-    report = seeded_report(tmp_path, "soa.py", strip_guard)
-    assert report.exit_code == 1
-    assert rules_of(report) == ["SL604"]
